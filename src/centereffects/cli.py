@@ -21,21 +21,13 @@ import numpy as np
 
 from .dataset import load_csv, cell_counts, validate_positivity
 from .errors import CenterEffectsError, ConfigError, DataError, UsageError
-from .estimators import (
-    COMPARATORS,
-    FittedNuisances,
-    KnownProbabilities,
-    MEAN_ESTIMATORS,
-    NuisanceConfig,
-    estimate_comparators,
-    estimate_contrast,
-)
+from .estimators import COMPARATORS, KnownProbabilities, MEAN_ESTIMATORS, NuisanceConfig
 from .inference import (
-    add_interval,
+    HOMOGENEITY_ESTIMATORS,
     ancova_center_outcome_test,
     default_assumption_specs,
+    estimate_effects,
     homogeneity_test,
-    wald_ci,
 )
 from .nuisance import DesignSpec
 from .simulation import (
@@ -47,7 +39,6 @@ from .simulation import (
 )
 
 COMMANDS = ("analyze", "check-assumptions", "simulate", "oracle")
-HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -285,28 +276,17 @@ def cmd_analyze(cfg, outdir):
     )
     validate_positivity(data, arms=sorted(set((a, a_prime))))
     configs = _resolve_nuisance_configs(cfg, data)
+    if set(estimators) & set(COMPARATORS) and (a, a_prime) not in ((1, 0), (0, 1)):
+        raise ConfigError("comparators require the contrast arms to be 0 and 1")
 
     records = []
-    for estimator in estimators:
-        if estimator in COMPARATORS:
-            rec = estimate_comparators(data, estimator)
-            if (a, a_prime) == (0, 1):
-                rec = dataclasses.replace(rec, value=-rec.value)
-            elif (a, a_prime) != (1, 0):
-                raise ConfigError("comparators require the contrast arms to be 0 and 1")
-            rec = add_interval(rec, alpha=alpha)
+    for rec in estimate_effects(data, estimators, (a, a_prime), configs, alpha):
+        if rec.center == 0:  # a comparator: one number for every center
             records.extend(
-                dataclasses.replace(rec, center=c, arms=(a, a_prime))
-                for c in range(1, data.m + 1)
+                dataclasses.replace(rec, center=c) for c in range(1, data.m + 1)
             )
-            continue
-        nuis_cfg = configs.get(estimator)
-        bundle = FittedNuisances(data, nuis_cfg) if nuis_cfg is not None else None
-        for c in range(1, data.m + 1):
-            rec = estimate_contrast(
-                data, estimator, c, a, a_prime, nuis_cfg, nuisances=bundle
-            )
-            records.append(add_interval(rec, alpha=alpha))
+        else:
+            records.append(rec)
 
     echo = _echo(cfg)
     counts = cell_counts(data)

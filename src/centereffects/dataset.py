@@ -100,6 +100,7 @@ class TrialDataset:
 
         for arr in (self.covariates, self.center, self.arm, self.outcome):
             arr.setflags(write=False)
+        object.__setattr__(self, "_arms", tuple(int(a) for a in np.unique(self.arm)))
 
     @property
     def n(self):
@@ -116,7 +117,7 @@ class TrialDataset:
     @property
     def arms(self):
         """Observed arms, ascending."""
-        return tuple(int(a) for a in np.unique(self.arm))
+        return self._arms
 
     def original_label(self, c):
         """Original input label behind canonical center id ``c``."""

@@ -424,11 +424,6 @@ class FixedNuisances:
         return self.arm_probability(arm)
 
 
-def fit_nuisances(data, cfg):
-    """Build a reusable lazily fitted nuisance bundle for (data, cfg)."""
-    return FittedNuisances(data, cfg)
-
-
 # ---------------------------------------------------------------------------
 # validation helpers
 # ---------------------------------------------------------------------------
@@ -607,7 +602,11 @@ def _variant_name(base, variant):
 # ---------------------------------------------------------------------------
 
 
-def _mean_estimate(data, estimator, c, a, cfg, variant, nuisances):
+def estimate_mean(data, estimator, c, a, cfg=None, variant="dr", nuisances=None):
+    """Mean potential outcome under arm a in center c by the named estimator.
+
+    ``variant`` applies to phi and psi only; tau and chi ignore it.
+    """
     if estimator == "tau":
         return estimate_tau(data, c, a)
     if estimator == "phi":
@@ -623,13 +622,22 @@ def _mean_estimate(data, estimator, c, a, cfg, variant, nuisances):
 
 def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nuisances=None):
     """Center-specific average treatment effect: mean(c, a) − mean(c, a′)."""
-    rec_a = _mean_estimate(data, estimator, c, a, cfg, variant, nuisances)
-    rec_b = _mean_estimate(data, estimator, c, a_prime, cfg, variant, nuisances)
+    rec_a = estimate_mean(data, estimator, c, a, cfg, variant, nuisances)
+    rec_b = estimate_mean(data, estimator, c, a_prime, cfg, variant, nuisances)
     value = rec_a.value - rec_b.value
     influence = rec_a.influence - rec_b.influence
     return _record(
         "contrast", rec_a.estimator, rec_a.center, (int(a), int(a_prime)), value, influence
     )
+
+
+def center_contrasts(data, estimator, a, a_prime, cfg=None):
+    """Contrast records for centers 1..m, sharing one fitted nuisance bundle."""
+    nuisances = FittedNuisances(data, cfg) if estimator != "tau" else None
+    return [
+        estimate_contrast(data, estimator, c, a, a_prime, cfg, nuisances=nuisances)
+        for c in range(1, data.m + 1)
+    ]
 
 
 def estimate_comparators(data, which, covariates=None):

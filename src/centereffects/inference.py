@@ -9,6 +9,7 @@ treatment.
 """
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,15 +28,16 @@ from .errors import (
     TestError,
 )
 from .estimators import (
-    FittedNuisances,
-    estimate_chi,
+    COMPARATORS,
+    center_contrasts,
+    estimate_comparators,
     estimate_contrast,
-    estimate_phi,
-    estimate_psi,
-    estimate_tau,
+    estimate_mean,
     with_interval_fields,
 )
 from .nuisance import DesignSpec, build_design, fit_ols
+
+HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
 
 
 @dataclass(frozen=True)
@@ -132,6 +134,29 @@ def add_interval(record, alpha=0.05):
     )
 
 
+def estimate_effects(data, estimators, arms, configs, alpha=0.05):
+    """Interval-carrying contrast records for every requested estimator.
+
+    A comparator gives one record with center 0, its sign flipped when
+    ``arms`` is (0, 1); any other estimator gives one record per center,
+    using ``configs[estimator]`` as its nuisance configuration.
+    """
+    a, a_prime = arms
+    records = []
+    for estimator in estimators:
+        if estimator in COMPARATORS:
+            if (a, a_prime) not in ((1, 0), (0, 1)):
+                raise ParameterError("comparators require the contrast arms to be 0 and 1")
+            rec = estimate_comparators(data, estimator)
+            if (a, a_prime) == (0, 1):
+                rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
+            records.append(add_interval(rec, alpha=alpha))
+        else:
+            contrasts = center_contrasts(data, estimator, a, a_prime, configs.get(estimator))
+            records.extend(add_interval(rec, alpha=alpha) for rec in contrasts)
+    return records
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------
@@ -164,16 +189,9 @@ def evaluate_estimand(data, spec, cfg=None, nuisances=None):
             data, spec.estimator, spec.center, spec.arms[0], spec.arms[1],
             cfg, variant=spec.variant, nuisances=nuisances,
         )
-    c, a = spec.center, spec.arms[0]
-    if spec.estimator == "tau":
-        return estimate_tau(data, c, a)
-    if spec.estimator == "phi":
-        return estimate_phi(data, c, a, cfg, variant=spec.variant, nuisances=nuisances)
-    if spec.estimator == "psi":
-        return estimate_psi(data, c, a, cfg, variant=spec.variant, nuisances=nuisances)
-    if spec.estimator == "chi":
-        return estimate_chi(data, c, a, cfg, nuisances=nuisances)
-    raise ParameterError(f"unknown estimator {spec.estimator!r}")
+    return estimate_mean(
+        data, spec.estimator, spec.center, spec.arms[0], cfg, spec.variant, nuisances
+    )
 
 
 def _resample(data, rng):
@@ -236,19 +254,14 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     m = data.m
     if m < 2:
         raise InsufficientDataError("homogeneity test needs at least 2 centers")
-    if estimator not in ("tau", "phi", "psi"):
+    if estimator not in HOMOGENEITY_ESTIMATORS:
         raise ParameterError(
-            f"homogeneity test supports tau, phi, psi (got {estimator!r})"
+            f"homogeneity test supports {', '.join(HOMOGENEITY_ESTIMATORS)} "
+            f"(got {estimator!r})"
         )
-    nuisances = FittedNuisances(data, cfg) if estimator != "tau" else None
-    deltas = np.empty(m)
-    influence = np.empty((data.n, m))
-    for c in range(1, m + 1):
-        rec = estimate_contrast(
-            data, estimator, c, a, a_prime, cfg, nuisances=nuisances
-        )
-        deltas[c - 1] = rec.value
-        influence[:, c - 1] = rec.influence
+    records = center_contrasts(data, estimator, a, a_prime, cfg)
+    deltas = np.array([rec.value for rec in records])
+    influence = np.column_stack([rec.influence for rec in records])
 
     sigma = np.cov(influence, rowvar=False, ddof=1) / data.n
     # D rows: contrast of each center against center 1

@@ -172,17 +172,16 @@ def build_design(spec, data, arm_filter=None):
 # ---------------------------------------------------------------------------
 
 
-def _pivoted_rank(X):
-    """Pivoted QR rank detection. Returns (rank, pivot order)."""
+def _pivoted_qr(X):
+    """Economic pivoted QR with rank detection. Returns (Q, R, pivot order, rank)."""
     if X.shape[1] == 0:
-        return 0, np.array([], dtype=int)
-    _, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        return None, None, np.array([], dtype=int), 0
+    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
     diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return 0, piv
+    if diag[0] == 0.0:
+        return Q, R, piv, 0
     tol = diag[0] * max(X.shape) * np.finfo(np.float64).eps
-    rank = int(np.sum(diag > tol))
-    return rank, piv
+    return Q, R, piv, int(np.sum(diag > tol))
 
 
 def _warn_dropped(dropped, column_names, model):
@@ -238,14 +237,7 @@ def fit_ols(design, y, column_names=None):
         rss = float(y @ y)
         return LinearFit(np.zeros(0), (), rss, n, tuple(column_names or ()), np.zeros(0))
 
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        rank = 0
-    else:
-        tol = diag[0] * max(n, p) * np.finfo(np.float64).eps
-        rank = int(np.sum(diag > tol))
-
+    Q, R, piv, rank = _pivoted_qr(X)
     coef = np.zeros(p)
     unscaled = np.full(p, np.nan)
     if rank > 0:
@@ -329,7 +321,7 @@ def fit_logistic(
     if yv.min() == yv.max():
         raise DegenerateFitError("logistic outcome has a single class")
 
-    rank, piv = _pivoted_rank(X)
+    _, _, piv, rank = _pivoted_qr(X)
     keep = np.sort(piv[:rank])
     dropped = tuple(sorted(int(j) for j in piv[rank:]))
     _warn_dropped(dropped, column_names, "fit_logistic")
@@ -490,7 +482,7 @@ def fit_multinomial(
             f"multinomial fit needs every category 1..m observed; missing {missing}"
         )
 
-    rank, piv = _pivoted_rank(X)
+    _, _, piv, rank = _pivoted_qr(X)
     keep = np.sort(piv[:rank])
     dropped = tuple(sorted(int(j) for j in piv[rank:]))
     _warn_dropped(dropped, column_names, "fit_multinomial")

@@ -26,14 +26,8 @@ from .errors import (
     ParameterError,
     StudyError,
 )
-from .estimators import (
-    FittedNuisances,
-    KnownProbabilities,
-    NuisanceConfig,
-    estimate_comparators,
-    estimate_contrast,
-)
-from .inference import se_from_influence, wald_ci
+from .estimators import COMPARATORS, MEAN_ESTIMATORS, KnownProbabilities, NuisanceConfig
+from .inference import estimate_effects
 from .nuisance import reference_softmax
 
 #: center-selection coefficients, rows k = 2..10, columns (1, X1, X2, X3)
@@ -314,8 +308,6 @@ def true_center_ates_quadrature(scenario, nodes=40):
 # study configuration
 # ---------------------------------------------------------------------------
 
-CONTRAST_ESTIMATORS = ("tau", "phi", "psi", "chi")
-COMPARATOR_ESTIMATORS = ("pooled", "fe1", "fe2")
 DEFAULT_ESTIMATORS = ("tau", "phi", "psi", "pooled", "fe1", "fe2")
 
 
@@ -356,24 +348,10 @@ def _replicate_records(data, estimators, arms, configs, alpha):
     (value, se, ci_low, ci_high) tuple, with center 0 for the single-number
     comparators.
     """
-    a, a_prime = arms
-    records = {}
-    for estimator in estimators:
-        if estimator in COMPARATOR_ESTIMATORS:
-            rec = estimate_comparators(data, estimator)
-            value = rec.value if (a, a_prime) == (1, 0) else -rec.value
-            ci = wald_ci(value, rec.se, alpha=alpha, method="ols")
-            records[(0, estimator)] = (value, rec.se, ci.ci_low, ci.ci_high)
-            continue
-        cfg = configs.get(estimator)
-        nuis = FittedNuisances(data, cfg) if cfg is not None else None
-        for c in range(1, data.m + 1):
-            rec = estimate_contrast(
-                data, estimator, c, a, a_prime, cfg, nuisances=nuis
-            )
-            se = se_from_influence(rec.influence)
-            ci = wald_ci(rec.value, se, alpha=alpha, method="influence_curve")
-            records[(c, estimator)] = (rec.value, se, ci.ci_low, ci.ci_high)
+    records = {
+        (rec.center, rec.estimator): (rec.value, rec.se, rec.ci_low, rec.ci_high)
+        for rec in estimate_effects(data, estimators, arms, configs, alpha)
+    }
     sizes = np.bincount(data.center - 1, minlength=data.m)
     return records, sizes
 
@@ -496,10 +474,10 @@ def run_study(
     """
     estimators = tuple(estimators)
     for est in estimators:
-        if est not in CONTRAST_ESTIMATORS + COMPARATOR_ESTIMATORS:
+        if est not in MEAN_ESTIMATORS + COMPARATORS:
             raise ParameterError(f"unknown study estimator {est!r}")
     arms = (int(arms[0]), int(arms[1]))
-    if any(est in COMPARATOR_ESTIMATORS for est in estimators):
+    if any(est in COMPARATORS for est in estimators):
         if arms not in ((1, 0), (0, 1)):
             raise ParameterError("comparators require the contrast arms to be 0 and 1")
     if replicates < 1:
@@ -546,7 +524,7 @@ def run_study(
 
     cells = {}
     for estimator in estimators:
-        comparator = estimator in COMPARATOR_ESTIMATORS
+        comparator = estimator in COMPARATORS
         for c in range(1, m + 1):
             key = (0, estimator) if comparator else (c, estimator)
             vals = np.array([rec[key][0] for rec, _ in kept])

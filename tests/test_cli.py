@@ -391,6 +391,23 @@ def test_check_assumptions_custom_estimator_list(tmp_path):
     assert [t["estimator"] for t in tests] == [None, "tau"]
 
 
+@pytest.mark.parametrize("command, flags, outputs", [
+    ("analyze", ["--estimators", "tau,phi,psi,chi,pooled,fe1,fe2", "--arms", "0,1"],
+     ["report.json", "estimates.csv"]),
+    ("check-assumptions", [], ["report.json"]),
+], ids=["analyze", "check-assumptions"])
+def test_byte_exact_rerun_from_echoed_config(tmp_path, command, flags, outputs):
+    csv_path = write_trial_csv(tmp_path, n=300, seed=8)
+    out1 = tmp_path / "run1"
+    assert cli.main([command, "--input", csv_path, "--output", str(out1), *flags]) == 0
+
+    rerun_cfg = write_config(tmp_path, read_report(out1)["config"], name="echo.json")
+    out2 = tmp_path / "run2"
+    assert cli.main([command, "--config", rerun_cfg, "--output", str(out2)]) == 0
+    for name in outputs:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from centereffects import (
     AliasedColumnsWarning,
     ComparatorError,
     DivisionError,
+    FittedNuisances,
     FixedNuisances,
     InsufficientDataError,
     KnownProbabilities,
@@ -26,7 +27,6 @@ from centereffects import (
     estimate_phi,
     estimate_psi,
     estimate_tau,
-    fit_nuisances,
     from_arrays,
 )
 
@@ -396,7 +396,7 @@ def test_influence_mean_zero_all_estimators():
     for _ in range(5):
         d = random_dataset(rng, n=60, m=3)
         cfg = simple_config()
-        bundle = fit_nuisances(d, cfg)
+        bundle = FittedNuisances(d, cfg)
         for c in range(1, 4):
             for a in (0, 1):
                 for rec in (
@@ -459,6 +459,8 @@ def test_center_permutation_equivariance():
             psi_cfg = simple_config()
             assert estimate_psi(d2, c2, a, psi_cfg).value == pytest.approx(
                 estimate_psi(d, c, a, psi_cfg).value, abs=1e-5)
+            assert estimate_chi(d2, c2, a, psi_cfg).value == pytest.approx(
+                estimate_chi(d, c, a, psi_cfg).value, abs=1e-5)
 
 
 # ---------------------------------------------------------------------------
