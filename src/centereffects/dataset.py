@@ -51,7 +51,10 @@ def _as_int_1d(x, name):
     if a.dtype.kind == "f":
         if not np.all(np.isfinite(a)) or not np.all(a == np.round(a)):
             raise ShapeError(f"{name} must contain integers only")
-    out = a.astype(np.int64)
+    try:
+        out = a.astype(np.int64)
+    except (TypeError, ValueError):
+        raise ShapeError(f"{name} must contain integers only") from None
     if a.dtype.kind not in "iuf" and not np.all(np.asarray(out, dtype=a.dtype) == a):
         raise ShapeError(f"{name} must contain integers only")
     return out

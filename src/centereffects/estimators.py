@@ -153,19 +153,25 @@ class NuisanceConfig:
         if isinstance(ms, KnownProbabilities):
             raise SpecError("membership_spec must be a design, not arm probabilities")
         object.__setattr__(self, "membership_spec", _coerce_spec(ms, "membership_spec"))
+        _reject_center_terms(self.membership_spec, "membership model")
         if not 0.0 <= self.weight_floor < 1.0:
             raise ParameterError("weight_floor must lie in [0, 1)")
         if self.ridge < 0.0:
             raise ParameterError("ridge must be nonnegative")
 
 
-def _spec_uses_centers(spec):
+def _reject_center_terms(spec, what):
+    """SpecError when ``spec`` has a center term (``C`` or an interaction with it).
+
+    The membership model predicts C, and the pooled outcome models of psi and
+    chi are fit across (or away from) the target center, so none may use
+    center indicators.
+    """
+    if spec is None:
+        return
     for term in spec.terms:
-        if term.kind == "center":
-            return True
-        if term.kind == "interaction" and any(p.kind == "center" for p in term.parts):
-            return True
-    return False
+        if any(p.kind == "center" for p in term.parts or (term,)):
+            raise SpecError(f"{what} must not contain center terms")
 
 
 # ---------------------------------------------------------------------------
@@ -225,90 +231,87 @@ def _record(estimand, estimator, center, arms, value, influence):
 
 
 class FittedNuisances:
-    """Lazily fitted, cached nuisance evaluations for one (data, config) pair.
+    """Lazily fitted nuisance evaluations for one (data, config) pair.
 
     All methods return per-observation vectors aligned with the full dataset;
-    estimators index into them as needed. Reusing one bundle across centers
-    and arms avoids refitting shared models.
+    estimators index into them as needed. Designs and (read-only) predictions
+    are memoised in ``fits``, keyed by what determines them: model, design
+    spec value, row subset and, for the GLMs, ridge. Bundles for different
+    configurations on one dataset may share a ``fits`` dict, so a model that
+    two configurations specify alike is fit once; a bundle built without one
+    keeps its own. A ``fits`` dict must never see a second dataset.
     """
 
-    def __init__(self, data: TrialDataset, cfg: NuisanceConfig):
+    def __init__(self, data: TrialDataset, cfg: NuisanceConfig, fits=None):
         if cfg is None:
             raise ConfigError("nuisance configuration required")
         self.data = data
         self.cfg = cfg
-        self._outcome = {}
-        self._donor_outcome = {}
-        self._donor_treatment = {}
-        self._treatment_fit = None
-        self._membership_probs = None
-        self._design_cache = {}
+        self._fits = {} if fits is None else fits
 
-    # -- designs ------------------------------------------------------------
+    def _rows(self, donor, arm):
+        """Rows outside center ``donor`` and in arm ``arm``; None leaves either open."""
+        if donor is None and arm is None:
+            return slice(None)
+        rows = True if donor is None else self.data.center != donor
+        return rows if arm is None else rows & (self.data.arm == arm)
 
-    def _design(self, spec):
-        key = id(spec)
-        if key not in self._design_cache:
-            self._design_cache[key] = build_design(spec, self.data)
-        return self._design_cache[key]
+    def _predicted(self, model, spec, donor=None, arm=None):
+        """Every row's prediction from the ``model`` fit of ``spec`` on a row subset.
+
+        ``model`` is "outcome" (OLS of Y), "treatment" (logistic Pr[A=1]) or
+        "membership" (multinomial Pr[C=c]).
+        """
+        if spec is None:
+            raise ConfigError(f"{model} model specification missing")
+        ridge = None if model == "outcome" else self.cfg.ridge
+        key = (model, spec, donor, arm, ridge)
+        if key not in self._fits:
+            if model == "treatment" and set(self.data.arms) != {0, 1}:
+                raise SpecError("fitted treatment models require arms coded {0,1}")
+            if ("design", spec) not in self._fits:
+                self._fits["design", spec] = build_design(spec, self.data)
+            X, names = self._fits["design", spec]
+            rows = self._rows(donor, arm)
+            if model == "outcome":
+                fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
+            elif model == "treatment":
+                fit = fit_logistic(
+                    X[rows], self.data.arm[rows].astype(np.float64), ridge=ridge,
+                    column_names=names,
+                )
+            else:
+                fit = fit_multinomial(
+                    X[rows], self.data.center[rows], ridge=ridge, column_names=names
+                )
+            prediction = predict(fit, X)
+            prediction.flags.writeable = False
+            self._fits[key] = prediction
+        return self._fits[key]
 
     # -- outcome models -----------------------------------------------------
 
     def outcome_mean(self, arm):
         """Fitted E[Y | ·, A=arm] for every row, from a within-arm fit."""
-        if arm not in self._outcome:
-            if self.cfg.outcome_spec is None:
-                raise ConfigError("outcome model specification missing")
-            X, names = self._design(self.cfg.outcome_spec)
-            rows = self.data.arm == arm
-            fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
-            self._outcome[arm] = predict(fit, X)
-        return self._outcome[arm]
+        return self._predicted("outcome", self.cfg.outcome_spec, arm=arm)
 
     def donor_outcome_mean(self, c, arm):
         """Within-arm outcome fit on all centers except c, evaluated everywhere."""
-        key = (c, arm)
-        if key not in self._donor_outcome:
-            if self.cfg.outcome_spec is None:
-                raise ConfigError("outcome model specification missing")
-            X, names = self._design(self.cfg.outcome_spec)
-            rows = (self.data.center != c) & (self.data.arm == arm)
-            fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
-            self._donor_outcome[key] = predict(fit, X)
-        return self._donor_outcome[key]
+        return self._predicted("outcome", self.cfg.outcome_spec, c, arm)
 
     # -- treatment models ---------------------------------------------------
 
-    def _fitted_treatment_probability(self, rows=None):
-        """Logistic Pr[A=1 | design], fit on ``rows`` (all rows when None)."""
-        ts = self.cfg.treatment_spec
-        if ts is None:
-            raise ConfigError("treatment model specification missing")
-        if set(self.data.arms) != {0, 1}:
-            raise SpecError("fitted treatment models require arms coded {0,1}")
-        X, names = self._design(ts)
-        if rows is None:
-            fit = self._treatment_fit
-            if fit is None:
-                fit = fit_logistic(
-                    X, self.data.arm.astype(np.float64), ridge=self.cfg.ridge,
-                    column_names=names,
-                )
-                self._treatment_fit = fit
-        else:
-            fit = fit_logistic(
-                X[rows], self.data.arm[rows].astype(np.float64), ridge=self.cfg.ridge,
-                column_names=names,
-            )
-        return predict(fit, X)
-
-    def arm_probability(self, arm):
-        """Pr[A=arm | X, C] per row: known by design or from the fitted model."""
+    def _arm_probability(self, arm, donor=None):
+        """Known Pr[A=arm | C], or the logistic model's fit outside center ``donor``."""
         ts = self.cfg.treatment_spec
         if isinstance(ts, KnownProbabilities):
             return ts.for_rows(self.data.center, arm)
-        p1 = self._fitted_treatment_probability()
+        p1 = self._predicted("treatment", ts, donor)
         return p1 if arm == 1 else 1.0 - p1
+
+    def arm_probability(self, arm):
+        """Pr[A=arm | X, C] per row: known by design or from the fitted model."""
+        return self._arm_probability(arm)
 
     def marginal_arm_probability(self, arm):
         """Pr[A=arm | X] per row, marginal over centers.
@@ -334,37 +337,19 @@ class FittedNuisances:
                     "treatment_decomposition to form the marginal arm probability"
                 )
             return np.full(self.data.n, ts.per_center(arm, self.data.m)[0])
-        p1 = self._fitted_treatment_probability()
-        return p1 if arm == 1 else 1.0 - p1
+        return self._arm_probability(arm)
 
     def donor_arm_probability(self, c, arm):
         """Pr[A=arm | X] per row from the donor pool (all centers except c)."""
-        ts = self.cfg.treatment_spec
-        if isinstance(ts, KnownProbabilities):
-            return ts.for_rows(self.data.center, arm)
-        key = (c,)
-        if key not in self._donor_treatment:
-            rows = self.data.center != c
-            self._donor_treatment[key] = self._fitted_treatment_probability(rows)
-        p1 = self._donor_treatment[key]
-        return p1 if arm == 1 else 1.0 - p1
+        return self._arm_probability(arm, donor=c)
 
     # -- membership model ---------------------------------------------------
 
     def membership(self):
         """(n, m) matrix of fitted Pr[C=c | X]; identically 1 when m = 1."""
-        if self._membership_probs is None:
-            if self.data.m == 1:
-                self._membership_probs = np.ones((self.data.n, 1))
-            else:
-                if self.cfg.membership_spec is None:
-                    raise ConfigError("membership model specification missing")
-                X, names = self._design(self.cfg.membership_spec)
-                fit = fit_multinomial(
-                    X, self.data.center, ridge=self.cfg.ridge, column_names=names
-                )
-                self._membership_probs = predict(fit, X)
-        return self._membership_probs
+        if self.data.m == 1:
+            return np.ones((self.data.n, 1))
+        return self._predicted("membership", self.cfg.membership_spec)
 
 
 class FixedNuisances:
@@ -535,8 +520,8 @@ def estimate_psi(data, c, a, cfg, variant="dr", nuisances=None):
     if variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     nuis = _resolve_nuisances(data, cfg, nuisances)
-    if cfg is not None and cfg.outcome_spec is not None and _spec_uses_centers(cfg.outcome_spec):
-        raise SpecError("pooled outcome model must not contain center terms")
+    if cfg is not None:
+        _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
     arm_ind = data.arm == a
     if not np.any(arm_ind):
         raise PositivityError(f"no rows in arm {a}")
@@ -569,6 +554,8 @@ def estimate_chi(data, c, a, cfg, nuisances=None):
     if data.m < 2:
         raise NoDonorError("transport estimator needs at least two centers")
     nuis = _resolve_nuisances(data, cfg, nuisances)
+    if cfg is not None:
+        _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
     donor_ind = data.center != c
     cell = donor_ind & (data.arm == a)
     if not np.any(cell):
@@ -631,9 +618,13 @@ def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nu
     )
 
 
-def center_contrasts(data, estimator, a, a_prime, cfg=None):
-    """Contrast records for centers 1..m, sharing one fitted nuisance bundle."""
-    nuisances = FittedNuisances(data, cfg) if estimator != "tau" else None
+def center_contrasts(data, estimator, a, a_prime, cfg=None, fits=None):
+    """Contrast records for centers 1..m, sharing one fitted nuisance bundle.
+
+    ``fits`` is the bundle's fitted-model memo (see FittedNuisances); pass one
+    dict per dataset to share fits with other estimators' bundles.
+    """
+    nuisances = FittedNuisances(data, cfg, fits) if estimator != "tau" else None
     return [
         estimate_contrast(data, estimator, c, a, a_prime, cfg, nuisances=nuisances)
         for c in range(1, data.m + 1)

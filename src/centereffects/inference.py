@@ -139,9 +139,12 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
 
     A comparator gives one record with center 0, its sign flipped when
     ``arms`` is (0, 1); any other estimator gives one record per center,
-    using ``configs[estimator]`` as its nuisance configuration.
+    using ``configs[estimator]`` as its nuisance configuration. All
+    estimators share one fitted-model memo, so a nuisance model that several
+    configurations specify alike is fit once.
     """
     a, a_prime = arms
+    fits = {}
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
@@ -152,7 +155,8 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
                 rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
             records.append(add_interval(rec, alpha=alpha))
         else:
-            contrasts = center_contrasts(data, estimator, a, a_prime, configs.get(estimator))
+            cfg = configs.get(estimator)
+            contrasts = center_contrasts(data, estimator, a, a_prime, cfg, fits)
             records.extend(add_interval(rec, alpha=alpha) for rec in contrasts)
     return records
 

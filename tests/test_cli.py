@@ -213,6 +213,26 @@ def test_analyze_nuisance_overrides_echoed(tmp_path):
     assert "psi" in echo["nuisance"] and "chi" in echo["nuisance"]
 
 
+@pytest.mark.parametrize("estimator, field, spec", [
+    ("psi", "membership_spec", ["1", "x1", "C"]),
+    ("chi", "outcome_spec", ["1", "x1:C"]),
+])
+def test_analyze_center_terms_in_pooled_models_exit_1(tmp_path, capsys, estimator, field, spec):
+    csv_path = write_trial_csv(tmp_path, n=200, seed=4)
+    cfg = write_config(tmp_path, {
+        "input": csv_path,
+        "estimators": [estimator],
+        "nuisance": {estimator: {
+            "outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
+            "membership_spec": ["1", "x1"], field: spec,
+        }},
+    })
+    assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "SpecError"
+    assert "center terms" in payload["message"]
+
+
 def test_analyze_unknown_nuisance_estimator(tmp_path, capsys):
     csv_path = write_trial_csv(tmp_path, n=200, seed=4)
     cfg = write_config(tmp_path, {"input": csv_path, "nuisance": {"eta": {}}})

@@ -95,6 +95,20 @@ def test_fractional_center_rejected():
         )
 
 
+@pytest.mark.parametrize("values", [np.array(["x"] * 4), np.array([None] * 4)])
+def test_non_numeric_arm_or_center_rejected(values):
+    with pytest.raises(ShapeError, match="arm must contain integers"):
+        from_arrays([[0.0]] * 4, [1, 1, 2, 2], values, [0.0] * 4)
+    with pytest.raises(ShapeError, match="center must contain integers"):
+        TrialDataset(
+            covariates=[[0.0]] * 4,
+            covariate_names=("x1",),
+            center=values,
+            arm=[0, 1, 0, 1],
+            outcome=[0.0] * 4,
+        )
+
+
 def test_empty_dataset_rejected():
     with pytest.raises(EmptyInputError):
         TrialDataset(

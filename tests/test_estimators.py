@@ -386,6 +386,22 @@ def test_chi_overlap_violation():
         estimate_chi(d, 1, 1, cfg=None, nuisances=nuis)
 
 
+def test_chi_rejects_center_terms_in_outcome_model():
+    # a donor fit never sees the target center, so its indicator would be
+    # dropped and the target rows predicted at an arbitrary donor's level
+    d = random_dataset(np.random.default_rng(3), n=40, m=3)
+    for spec in (["1", "C"], ["1", "x1:C"]):
+        with pytest.raises(SpecError, match="center terms"):
+            estimate_chi(d, 1, 1, simple_config(outcome_spec=spec))
+
+
+def test_membership_model_rejects_center_terms():
+    # Pr[C=c | X] with center indicators on the right fits C on itself
+    for spec in (["1", "C"], ["1", "x1", "x1:C"], ["C"]):
+        with pytest.raises(SpecError, match="membership model"):
+            simple_config(membership_spec=spec)
+
+
 # ---------------------------------------------------------------------------
 # shared invariants
 # ---------------------------------------------------------------------------

@@ -5,10 +5,13 @@ P-value routes are validated against a frozen reference grid computed with
 50-digit arithmetic (regularized incomplete gamma/beta), and test statistics
 against second implementations built directly from OLS residual sums.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
 
+import centereffects.estimators as estimators_module
 from centereffects import (
     BootstrapError,
     DesignSpec,
@@ -22,8 +25,11 @@ from centereffects import (
     ancova_center_outcome_test,
     bootstrap_se,
     build_design,
+    center_contrasts,
+    default_nuisance_configs,
     estimate_comparators,
     estimate_contrast,
+    estimate_effects,
     estimate_tau,
     evaluate_estimand,
     fit_ols,
@@ -123,6 +129,49 @@ def test_estimand_spec_arm_count():
         EstimandSpec("tau", 1, (0, 1, 2))
     with pytest.raises(ParameterError):
         EstimandSpec("tau", 1, ())
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("ridge"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
+    # psi and chi share the membership model, phi and psi the intercept-only
+    # treatment model: one dataset fits each of them once
+    rng = np.random.default_rng(41)
+    n = 300
+    d = from_arrays(
+        rng.standard_normal((n, 1)), rng.integers(1, 4, size=n),
+        np.tile([0, 1], n // 2), rng.standard_normal(n),
+    )
+    configs = default_nuisance_configs(d.covariate_names)
+    estimators = ["tau", "phi", "psi", "chi"]
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    records = estimate_effects(d, estimators, (1, 0), configs)
+    assert multinomial == [0.0]
+    assert len(logistic) == 1 + d.m  # shared all-rows fit + chi's donor fits
+
+    for est in estimators:
+        got = [rec for rec in records if rec.estimator == est]
+        want = center_contrasts(d, est, 1, 0, configs.get(est))
+        assert len(got) == len(want) == d.m
+        for g, w in zip(got, want):
+            assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
+            assert g.influence.tobytes() == w.influence.tobytes()
+
+    multinomial.clear()
+    ridged = dict(configs, chi=dataclasses.replace(configs["chi"], ridge=1e-6))
+    estimate_effects(d, ["psi", "chi"], (1, 0), ridged)
+    assert multinomial == [0.0, 1e-6]
 
 
 # ---------------------------------------------------------------------------
