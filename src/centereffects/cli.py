@@ -342,9 +342,10 @@ def cmd_check_assumptions(cfg, outdir):
     entry = ancova.to_dict()
     entry["estimator"] = None
     tests.append(entry)
+    fits = {}
     for estimator in estimators:
         result = homogeneity_test(
-            data, estimator, a, a_prime, configs.get(estimator)
+            data, estimator, a, a_prime, configs.get(estimator), fits
         )
         entry = result.to_dict()
         entry["estimator"] = estimator

@@ -248,11 +248,12 @@ def _resolve_schema(header, schema):
 def load_csv(path, schema=None, drop_incomplete_rows=False):
     """Load a trial dataset from a UTF-8, comma-separated, headered CSV file.
 
+    A leading byte-order mark (as spreadsheet programs write) is ignored.
     ``schema`` maps roles to column names: keys center_col, arm_col,
     outcome_col, covariate_cols (list of names, or "rest" for all remaining
     columns). Missing cells reject the file unless ``drop_incomplete_rows``.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -196,6 +196,7 @@ class EstimateRecord:
     method: str = None
 
     def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
         if self.influence is not None:
             inf = np.asarray(self.influence, dtype=np.float64)
             inf.flags.writeable = False
@@ -212,17 +213,6 @@ class EstimateRecord:
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
         }
-
-
-def _record(estimand, estimator, center, arms, value, influence):
-    return EstimateRecord(
-        estimand=estimand,
-        estimator=estimator,
-        center=center,
-        arms=arms,
-        value=float(value),
-        influence=influence,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -414,24 +404,32 @@ class FixedNuisances:
 # ---------------------------------------------------------------------------
 
 
-def _check_center(data, c):
-    c = int(c)
+def _check_mean(data, estimator, c, a, cfg, variant):
+    """Validated (c, a): known estimator, center, arm and variant; nonempty weighted rows."""
+    if estimator not in MEAN_ESTIMATORS:
+        raise ParameterError(
+            f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}"
+        )
+    c, a = int(c), int(a)
     if not 1 <= c <= data.m:
         raise ParameterError(f"center {c} outside 1..{data.m}")
-    return c
-
-def _check_arm(data, a):
-    a = int(a)
     if a not in data.arms:
         raise ParameterError(f"arm {a} not present in data (arms: {data.arms})")
-    return a
-
-
-def _require_cell(data, c, a):
-    cell = (data.center == c) & (data.arm == a)
-    if not np.any(cell):
-        raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
-    return cell
+    if estimator in ("phi", "psi") and variant not in VARIANTS:
+        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if estimator in ("tau", "phi"):
+        if not np.any((data.center == c) & (data.arm == a)):
+            raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
+        return c, a
+    if estimator == "chi" and data.m < 2:
+        raise NoDonorError("transport estimator needs at least two centers")
+    if cfg is not None:
+        _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
+    if estimator == "psi" and not np.any(data.arm == a):
+        raise PositivityError(f"no rows in arm {a}")
+    if estimator == "chi" and not np.any((data.center != c) & (data.arm == a)):
+        raise PositivityError(f"donor pool has no rows in arm {a}")
+    return c, a
 
 
 def _floor(values, cfg):
@@ -441,25 +439,9 @@ def _floor(values, cfg):
     return values
 
 
-def _check_positive(values, mask, what):
-    bad = mask & (values <= 0.0)
-    if np.any(bad):
-        row = int(np.nonzero(bad)[0][0])
-        raise DivisionError(f"{what} is 0 at row {row}")
-
-
-def _resolve_nuisances(data, cfg, nuisances):
-    if nuisances is not None:
-        return nuisances
-    return FittedNuisances(data, cfg)
-
-
-def _finalize_mean(estimator, data, c, a, term, n_c):
-    n = data.n
-    value = float(term.sum() / n_c)
-    center_ind = (data.center == c).astype(np.float64)
-    influence = (n / n_c) * (term - center_ind * value)
-    return _record("mean", estimator, c, (a,), value, influence)
+def _columns(values):
+    """A per-row vector as an (n, 1) column; scalars and matrices pass through."""
+    return values[:, None] if np.ndim(values) == 1 else values
 
 
 # ---------------------------------------------------------------------------
@@ -467,79 +449,136 @@ def _finalize_mean(estimator, data, c, a, term, n_c):
 # ---------------------------------------------------------------------------
 
 
+def _weights(centers, rows, numerator, denominators):
+    """(n, k) F-ordered weights W = numerator / Π denominators on ``rows``, else 0.
+
+    Each denominator is a (values, message) pair; a value ≤ 0 on a weighted
+    row raises DivisionError with the message formatted for the first such
+    center, factor and row. Arguments are scalars, per-row vectors or (n, k)
+    matrices.
+    """
+    factors = [_columns(values) for values, _ in denominators]
+    bad = np.stack(np.broadcast_arrays(*[rows & (f <= 0.0) for f in factors]), axis=-1)
+    if bad.any():
+        j, i = np.argwhere(bad.any(axis=0))[0]  # first center, then factor
+        row = int(np.flatnonzero(bad[:, j, i])[0])
+        raise DivisionError(denominators[i][1].format(c=centers[j], row=row))
+    den = factors[0] if len(factors) == 1 else np.multiply(*factors)
+    weights = np.zeros((len(rows), len(centers)), order="F")
+    return np.divide(numerator, den, out=weights, where=rows)
+
+
+def _weighted_means(data, centers, ghat, weights=None):
+    """Augmented weighting means for ``centers``: values (k,), influence (n, k).
+
+    Column j is center c_j's estimate: term = W ⊙ (Y − ĝ) + 1{C=c_j}·ĝ, or
+    term = 1{C=c_j}·ĝ without weights (the om variant); value = Σ term / n_c
+    and influence = (n/n_c)·(term − 1{C=c_j}·value). ĝ is a scalar, a per-row
+    vector or an (n, k) matrix; ``weights`` (from ``_weights``) is consumed.
+    The influence is F-ordered, so each column sum equals the one-center sum
+    bit for bit.
+    """
+    in_center = data.center[:, None] == centers
+    n_c = np.count_nonzero(in_center, axis=0)
+    ghat = _columns(ghat)
+    scratch = np.multiply(in_center, ghat, out=np.empty(in_center.shape, order="F"))
+    if weights is None:
+        term, scratch = scratch, np.empty_like(scratch)
+    else:
+        term = weights
+        term *= data.outcome[:, None] - ghat
+        term += scratch
+    values = term.sum(axis=0) / n_c
+    term -= np.multiply(in_center, values, out=scratch)
+    term *= data.n / n_c
+    return values, term
+
+
+def _tau_means(data, centers, a):
+    """Crude cell means for ``centers``, each summed over its own cell only."""
+    values = np.empty(len(centers))
+    influence = np.zeros((data.n, len(centers)), order="F")
+    for j, c in enumerate(centers):
+        cell = (data.center == c) & (data.arm == a)
+        n_cell = int(cell.sum())
+        y_cell = data.outcome[cell]
+        values[j] = y_cell.sum() / n_cell
+        influence[cell, j] = (data.n / n_cell) * (y_cell - values[j])
+    return values, influence
+
+
+def _means(data, estimator, centers, a, cfg, variant, nuis):
+    """Means under arm ``a`` for validated ``centers``: values (k,), influence (n, k).
+
+    ``centers`` is a run of consecutive center ids, so the membership columns
+    are a view.
+    """
+    if estimator == "tau":
+        return _tau_means(data, centers, a)
+    in_arm = _columns(data.arm == a)
+    member = slice(centers[0] - 1, centers[-1])
+    if estimator == "chi":
+        p = nuis.membership()[:, member]
+        e = np.column_stack([nuis.donor_arm_probability(c, a) for c in centers])
+        weights = _weights(centers, (data.center[:, None] != centers) & in_arm, p, [
+            (_floor(1.0 - p, cfg), "membership probability for center {c} is 1 at "
+                                   "donor row {row} (no overlap)"),
+            (_floor(e, cfg), "donor arm probability is 0 at row {row}"),
+        ])
+        del e
+        ghat = np.column_stack([nuis.donor_outcome_mean(c, a) for c in centers])
+        return _weighted_means(data, centers, ghat, weights)
+    ghat = nuis.outcome_mean(a) if variant != "ipw" else 0.0
+    if variant == "om":
+        return _weighted_means(data, centers, ghat)
+    if estimator == "phi":
+        rows, numerator = (data.center[:, None] == centers) & in_arm, 1.0
+        e, what = nuis.arm_probability(a), "arm probability"
+    else:
+        rows, numerator = in_arm, nuis.membership()[:, member]
+        e, what = nuis.marginal_arm_probability(a), "marginal arm probability"
+    weights = _weights(centers, rows, numerator, [(_floor(e, cfg), what + " is 0 at row {row}")])
+    return _weighted_means(data, centers, ghat, weights)
+
+
+def estimate_mean(data, estimator, c, a, cfg=None, variant="dr", nuisances=None):
+    """Mean potential outcome under arm a in center c by the named estimator.
+
+    ``variant`` applies to phi and psi only; tau and chi ignore it. Without
+    ``nuisances``, the nuisance models are fit from ``cfg``.
+    """
+    c, a = _check_mean(data, estimator, c, a, cfg, variant)
+    if estimator != "tau" and nuisances is None:
+        nuisances = FittedNuisances(data, cfg)
+    values, influence = _means(data, estimator, np.array([c]), a, cfg, variant, nuisances)
+    if variant != "dr" and estimator in ("phi", "psi"):
+        estimator = f"{estimator}_{variant}"
+    return EstimateRecord("mean", estimator, c, (a,), values[0], influence[:, 0])
+
+
 def estimate_tau(data, c, a):
     """Crude estimator: mean outcome among center-c participants in arm a."""
-    c = _check_center(data, c)
-    a = _check_arm(data, a)
-    cell = _require_cell(data, c, a)
-    n_cell = int(cell.sum())
-    y_cell = data.outcome[cell]
-    value = float(y_cell.sum() / n_cell)
-    influence = np.zeros(data.n)
-    influence[cell] = (data.n / n_cell) * (y_cell - value)
-    return _record("mean", "tau", c, (a,), value, influence)
+    return estimate_mean(data, "tau", c, a)
 
 
 def estimate_phi(data, c, a, cfg, variant="dr", nuisances=None):
     """Augmented weighting estimator of the center-c mean under arm a.
 
-    ``variant``: "dr" uses both nuisances, "ipw" sets the outcome model to
-    zero, "om" keeps only the outcome-model term.
+    Weights 1/ê on the center-c, arm-a rows. ``variant``: "dr" uses both
+    nuisances, "ipw" sets the outcome model to zero, "om" keeps only the
+    outcome-model term.
     """
-    c = _check_center(data, c)
-    a = _check_arm(data, a)
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    cell = _require_cell(data, c, a)
-    nuis = _resolve_nuisances(data, cfg, nuisances)
-    center_ind = (data.center == c).astype(np.float64)
-    n_c = int(center_ind.sum())
-
-    if variant == "om":
-        ghat = nuis.outcome_mean(a)
-        term = center_ind * ghat
-    else:
-        ghat = nuis.outcome_mean(a) if variant == "dr" else 0.0
-        e = _floor(nuis.arm_probability(a), cfg)
-        _check_positive(e, cell, "arm probability")
-        w = np.zeros(data.n)
-        w[cell] = 1.0 / e[cell]
-        term = w * (data.outcome - ghat) + center_ind * ghat
-    return _finalize_mean(_variant_name("phi", variant), data, c, a, term, n_c)
+    return estimate_mean(data, "phi", c, a, cfg, variant, nuisances)
 
 
 def estimate_psi(data, c, a, cfg, variant="dr", nuisances=None):
     """Pooled doubly robust estimator of the center-c mean under arm a.
 
     The outcome model is pooled across centers (no center terms) and weights
-    combine the center-membership probability with the marginal arm
-    probability, so information is shared across all centers.
+    p̂_c / ê on every arm-a row combine the center-membership probability with
+    the marginal arm probability, so information is shared across all centers.
     """
-    c = _check_center(data, c)
-    a = _check_arm(data, a)
-    if variant not in VARIANTS:
-        raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    nuis = _resolve_nuisances(data, cfg, nuisances)
-    if cfg is not None:
-        _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    arm_ind = data.arm == a
-    if not np.any(arm_ind):
-        raise PositivityError(f"no rows in arm {a}")
-    center_ind = (data.center == c).astype(np.float64)
-    n_c = int(center_ind.sum())
-
-    if variant == "om":
-        gtilde = nuis.outcome_mean(a)
-        term = center_ind * gtilde
-    else:
-        gtilde = nuis.outcome_mean(a) if variant == "dr" else 0.0
-        p_c = nuis.membership()[:, c - 1]
-        e = _floor(nuis.marginal_arm_probability(a), cfg)
-        _check_positive(e, arm_ind, "marginal arm probability")
-        w = np.zeros(data.n)
-        w[arm_ind] = p_c[arm_ind] / e[arm_ind]
-        term = w * (data.outcome - gtilde) + center_ind * gtilde
-    return _finalize_mean(_variant_name("psi", variant), data, c, a, term, n_c)
+    return estimate_mean(data, "psi", c, a, cfg, variant, nuisances)
 
 
 def estimate_chi(data, c, a, cfg, nuisances=None):
@@ -549,39 +588,7 @@ def estimate_chi(data, c, a, cfg, nuisances=None):
     reweighted to the covariate distribution of center c via the membership
     odds p̂_c / (1 − p̂_c).
     """
-    c = _check_center(data, c)
-    a = _check_arm(data, a)
-    if data.m < 2:
-        raise NoDonorError("transport estimator needs at least two centers")
-    nuis = _resolve_nuisances(data, cfg, nuisances)
-    if cfg is not None:
-        _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    donor_ind = data.center != c
-    cell = donor_ind & (data.arm == a)
-    if not np.any(cell):
-        raise PositivityError(f"donor pool has no rows in arm {a}")
-    center_ind = (data.center == c).astype(np.float64)
-    n_c = int(center_ind.sum())
-
-    ghat = nuis.donor_outcome_mean(c, a)
-    p_c = nuis.membership()[:, c - 1]
-    one_minus = _floor(1.0 - p_c, cfg)
-    if np.any(cell & (one_minus <= 0.0)):
-        row = int(np.nonzero(cell & (one_minus <= 0.0))[0][0])
-        raise DivisionError(
-            f"membership probability for center {c} is 1 at donor row {row} "
-            "(no overlap)"
-        )
-    e = _floor(nuis.donor_arm_probability(c, a), cfg)
-    _check_positive(e, cell, "donor arm probability")
-    w = np.zeros(data.n)
-    w[cell] = p_c[cell] / (one_minus[cell] * e[cell])
-    term = w * (data.outcome - ghat) + center_ind * ghat
-    return _finalize_mean("chi", data, c, a, term, n_c)
-
-
-def _variant_name(base, variant):
-    return base if variant == "dr" else f"{base}_{variant}"
+    return estimate_mean(data, "chi", c, a, cfg, nuisances=nuisances)
 
 
 # ---------------------------------------------------------------------------
@@ -589,44 +596,37 @@ def _variant_name(base, variant):
 # ---------------------------------------------------------------------------
 
 
-def estimate_mean(data, estimator, c, a, cfg=None, variant="dr", nuisances=None):
-    """Mean potential outcome under arm a in center c by the named estimator.
-
-    ``variant`` applies to phi and psi only; tau and chi ignore it.
-    """
-    if estimator == "tau":
-        return estimate_tau(data, c, a)
-    if estimator == "phi":
-        return estimate_phi(data, c, a, cfg, variant=variant, nuisances=nuisances)
-    if estimator == "psi":
-        return estimate_psi(data, c, a, cfg, variant=variant, nuisances=nuisances)
-    if estimator == "chi":
-        return estimate_chi(data, c, a, cfg, nuisances=nuisances)
-    raise ParameterError(
-        f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}"
-    )
-
-
 def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nuisances=None):
     """Center-specific average treatment effect: mean(c, a) − mean(c, a′)."""
     rec_a = estimate_mean(data, estimator, c, a, cfg, variant, nuisances)
     rec_b = estimate_mean(data, estimator, c, a_prime, cfg, variant, nuisances)
-    value = rec_a.value - rec_b.value
-    influence = rec_a.influence - rec_b.influence
-    return _record(
-        "contrast", rec_a.estimator, rec_a.center, (int(a), int(a_prime)), value, influence
+    return EstimateRecord(
+        "contrast", rec_a.estimator, rec_a.center, (int(a), int(a_prime)),
+        rec_a.value - rec_b.value, rec_a.influence - rec_b.influence,
     )
 
 
 def center_contrasts(data, estimator, a, a_prime, cfg=None, fits=None):
-    """Contrast records for centers 1..m, sharing one fitted nuisance bundle.
+    """Contrast records for centers 1..m, from one all-centers pass per arm.
 
-    ``fits`` is the bundle's fitted-model memo (see FittedNuisances); pass one
-    dict per dataset to share fits with other estimators' bundles.
+    Record c equals ``estimate_contrast(data, estimator, c, a, a_prime, cfg)``
+    bit for bit, and errors name the first failing (center, arm) in that
+    center-major order. One fitted nuisance bundle serves every center;
+    ``fits`` is its fitted-model memo (see FittedNuisances), so pass one dict
+    per dataset to share fits with other estimators' bundles.
     """
     nuisances = FittedNuisances(data, cfg, fits) if estimator != "tau" else None
+    centers = np.arange(1, data.m + 1)
+    for c in centers:
+        for arm in (a, a_prime):
+            _check_mean(data, estimator, c, arm, cfg, "dr")
+    a, a_prime = int(a), int(a_prime)
+    values, influence = _means(data, estimator, centers, a, cfg, "dr", nuisances)
+    values_b, influence_b = _means(data, estimator, centers, a_prime, cfg, "dr", nuisances)
+    values -= values_b
+    influence -= influence_b
     return [
-        estimate_contrast(data, estimator, c, a, a_prime, cfg, nuisances=nuisances)
+        EstimateRecord("contrast", estimator, c, (a, a_prime), values[c - 1], influence[:, c - 1])
         for c in range(1, data.m + 1)
     ]
 
@@ -657,17 +657,9 @@ def estimate_comparators(data, which, covariates=None):
         raise ComparatorError("treatment column aliased by other regressors")
     if fit.df_residual <= 0:
         raise ComparatorError("saturated comparator regression: no residual degrees of freedom")
-    value = float(fit.coefficients[arm_col])
     se = float(np.sqrt(fit.unscaled_variance[arm_col] * fit.rss / fit.df_residual))
     return EstimateRecord(
-        estimand="contrast",
-        estimator=which,
-        center=0,
-        arms=(1, 0),
-        value=value,
-        influence=None,
-        se=se,
-        method="ols",
+        "contrast", which, 0, (1, 0), fit.coefficients[arm_col], se=se, method="ols"
     )
 
 

@@ -246,14 +246,16 @@ def bootstrap_se(data, spec, cfg=None, replicates=1000, seed=0, alpha=0.05):
 # ---------------------------------------------------------------------------
 
 
-def homogeneity_test(data, estimator, a, a_prime, cfg=None):
+def homogeneity_test(data, estimator, a, a_prime, cfg=None, fits=None):
     """Omnibus Wald test that all center-specific contrasts are equal.
 
     Builds the vector of per-center contrasts and its covariance from the
     per-observation influence contributions (shared nuisance fits are reused
     across centers, and their induced cross-center covariance is kept), then
     tests all differences against center 1 with a chi-square on m−1 degrees
-    of freedom.
+    of freedom. ``fits`` is the fitted-model memo passed to
+    ``center_contrasts``, so tests of several estimators on one dataset share
+    their common nuisance fits.
     """
     m = data.m
     if m < 2:
@@ -263,7 +265,7 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None):
             f"homogeneity test supports {', '.join(HOMOGENEITY_ESTIMATORS)} "
             f"(got {estimator!r})"
         )
-    records = center_contrasts(data, estimator, a, a_prime, cfg)
+    records = center_contrasts(data, estimator, a, a_prime, cfg, fits)
     deltas = np.array([rec.value for rec in records])
     influence = np.column_stack([rec.influence for rec in records])
 

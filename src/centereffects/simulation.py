@@ -482,6 +482,8 @@ def run_study(
             raise ParameterError("comparators require the contrast arms to be 0 and 1")
     if replicates < 1:
         raise ParameterError("study needs at least 1 replicate")
+    if workers < 1:
+        raise ParameterError(f"workers must be at least 1, got {workers}")
 
     configs = default_nuisance_configs(
         ("x1", "x2", "x3"), known_arm_prob=scenario.arm_prob

@@ -504,6 +504,17 @@ def test_simulate_rejects_bad_scenario(tmp_path, capsys):
     assert stderr_payload(capsys)["error"] == "ParameterError"
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
+    cfg = write_config(tmp_path, {"scenario": {**TWO_CENTER, "n": 50}, "workers": workers})
+    outdir = tmp_path / "o"
+    assert cli.main(["simulate", "--config", cfg, "--output", str(outdir)]) == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ParameterError"
+    assert "workers" in payload["message"]
+    assert not (outdir / "study_report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # oracle
 # ---------------------------------------------------------------------------

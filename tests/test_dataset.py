@@ -164,6 +164,18 @@ def test_load_csv_default_schema(tmp_path):
     np.testing.assert_allclose(d.covariates, [[0.1, 0.2], [1.5, 2.5], [0.0, 1.0]])
 
 
+def test_load_csv_ignores_byte_order_mark(tmp_path):
+    # spreadsheet programs prefix UTF-8 CSV files with a byte-order mark
+    text = "center,arm,outcome,x1\nB,0,1.5,0.1\nA,1,-2,0.3\nB,1,4.25,-1\n"
+    plain = load_csv(write_csv(tmp_path / "plain.csv", text))
+    (tmp_path / "bom.csv").write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    bom = load_csv(str(tmp_path / "bom.csv"))
+    assert bom.covariate_names == plain.covariate_names
+    assert bom.center_labels == plain.center_labels
+    for field in ("covariates", "center", "arm", "outcome"):
+        assert getattr(bom, field).tobytes() == getattr(plain, field).tobytes()
+
+
 def test_load_csv_custom_schema(tmp_path):
     p = write_csv(
         tmp_path / "t.csv",

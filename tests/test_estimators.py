@@ -1,12 +1,14 @@
 """Point estimator tests.
 
 Hand-evaluated examples pin each estimator formula with fixed nuisance values;
-algebraic identities (variant reductions, crude-mean equality, location
-equivariance, center permutation) are checked by brute force on seeded random
-datasets.
+algebraic identities (variant reductions, crude-mean equality, location and
+scale equivariance, center and row permutation, arm-code swap) are checked by
+brute force on seeded or hypothesis-drawn random datasets.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from centereffects import (
     AliasedColumnsWarning,
@@ -21,9 +23,12 @@ from centereffects import (
     ParameterError,
     PositivityError,
     SpecError,
+    center_contrasts,
+    default_nuisance_configs,
     estimate_chi,
     estimate_comparators,
     estimate_contrast,
+    estimate_effects,
     estimate_phi,
     estimate_psi,
     estimate_tau,
@@ -56,6 +61,41 @@ def random_dataset(rng, n=None, m=None):
         arm=arms,
         outcome=rng.standard_normal(n) * 3.0 + 1.0,
     )
+
+
+MEANS = ("tau", "phi", "psi", "chi")
+
+# invariance properties: few examples, small n, reproducible draws
+invariance_settings = settings(
+    max_examples=6, deadline=None, derandomize=True, database=None
+)
+seeds = st.integers(0, 2**32 - 1)
+sizes = st.integers(40, 120)
+center_counts = st.integers(2, 4)
+
+
+def effect_dataset(seed, n, m):
+    """Random dataset with covariate-dependent outcomes and center-specific effects."""
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, n=n, m=m)
+    y = d.covariates @ [1.0, -0.5] + d.arm * (1.0 + d.center) + rng.standard_normal(n)
+    return from_arrays(d.covariates, d.center, d.arm, y)
+
+
+def effects(d, arms=(1, 0)):
+    """{(estimator, center): (value, se)} for tau/phi/psi/chi by estimate_effects."""
+    configs = default_nuisance_configs(d.covariate_names)
+    return {
+        (rec.estimator, rec.center): (rec.value, rec.se)
+        for rec in estimate_effects(d, MEANS, arms, configs)
+    }
+
+
+def assert_effects_close(got, want, scale=1.0):
+    assert got.keys() == want.keys()
+    for key, (value, se) in want.items():
+        assert got[key][0] == pytest.approx(scale * value, rel=1e-6, abs=1e-8), key
+        assert got[key][1] == pytest.approx(abs(scale) * se, rel=1e-6, abs=1e-8), key
 
 
 # ---------------------------------------------------------------------------
@@ -451,6 +491,16 @@ def test_location_equivariance():
         assert rec_s.value == pytest.approx(rec_d.value, abs=1e-8)
 
 
+@invariance_settings
+@given(seed=seeds, n=sizes, m=center_counts,
+       scale=st.sampled_from([-3.5, -1.0, 0.25, 7.0]))
+def test_scale_equivariance(seed, n, m, scale):
+    # Y -> s*Y scales every contrast by s and every SE by |s|
+    d = effect_dataset(seed, n, m)
+    scaled = from_arrays(d.covariates, d.center, d.arm, d.outcome * scale)
+    assert_effects_close(effects(scaled), effects(d), scale)
+
+
 def test_center_permutation_equivariance():
     rng = np.random.default_rng(83)
     d = random_dataset(rng, n=80, m=3)
@@ -477,6 +527,68 @@ def test_center_permutation_equivariance():
                 estimate_psi(d, c, a, psi_cfg).value, abs=1e-5)
             assert estimate_chi(d2, c2, a, psi_cfg).value == pytest.approx(
                 estimate_chi(d, c, a, psi_cfg).value, abs=1e-5)
+
+
+@invariance_settings
+@given(seed=seeds, n=sizes, m=center_counts)
+def test_row_permutation_invariance(seed, n, m):
+    d = effect_dataset(seed, n, m)
+    order = np.random.default_rng(seed + 1).permutation(n)
+    labels = np.asarray(d.center_labels)[d.center - 1]
+    shuffled = from_arrays(
+        d.covariates[order], labels[order], d.arm[order], d.outcome[order]
+    )
+    # from_arrays numbers centers by first appearance; compare by label
+    ids = {label: c for c, label in enumerate(shuffled.center_labels, start=1)}
+    got = effects(shuffled)
+    want = {
+        (est, ids[d.center_labels[c - 1]]): v for (est, c), v in effects(d).items()
+    }
+    assert_effects_close(got, want)
+
+
+@invariance_settings
+@given(seed=seeds, n=sizes, m=center_counts)
+def test_arm_code_swap_invariance(seed, n, m):
+    # recoding arms 0 <-> 1 and swapping the contrast arms changes nothing
+    d = effect_dataset(seed, n, m)
+    swapped = from_arrays(d.covariates, d.center, 1 - d.arm, d.outcome)
+    assert_effects_close(effects(swapped, arms=(0, 1)), effects(d))
+
+
+# ---------------------------------------------------------------------------
+# all-centers evaluation
+# ---------------------------------------------------------------------------
+
+
+def test_center_contrasts_are_slices_of_per_center_estimates():
+    d = random_dataset(np.random.default_rng(97), n=90, m=3)
+    # a floor of 0.6 binds on the arm probabilities (about 0.5) and on some
+    # 1 - p_c membership complements
+    for cfg in (simple_config(), simple_config(weight_floor=0.6)):
+        fits = {}
+        for estimator in MEANS:
+            for arms in ((1, 0), (0, 1)):
+                records = center_contrasts(d, estimator, *arms, cfg, fits)
+                assert [rec.center for rec in records] == [1, 2, 3]
+                for c, rec in enumerate(records, start=1):
+                    want = estimate_contrast(d, estimator, c, *arms, cfg)
+                    assert (rec.estimator, rec.arms) == (want.estimator, want.arms)
+                    assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
+                    assert rec.influence.tobytes() == want.influence.tobytes()
+
+
+@pytest.mark.parametrize("estimator", ["tau", "phi"])
+def test_center_contrasts_name_first_empty_cell_center_by_center(estimator):
+    # center 2 has no arm-0 rows and center 3 no arm-1 rows: going center by
+    # center, (2, 0) comes before (3, 1)
+    d = from_arrays(
+        [[0.1], [0.4], [0.2], [0.9], [0.3], [0.7]],
+        [1, 1, 2, 2, 3, 3], [0, 1, 1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0, 6.0],
+    )
+    with pytest.raises(PositivityError, match="center 2, arm 0") as info:
+        center_contrasts(d, estimator, 1, 0, simple_config())
+    assert info.value.cells == ((2, 0),)
 
 
 # ---------------------------------------------------------------------------

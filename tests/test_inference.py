@@ -174,6 +174,28 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
     assert multinomial == [0.0, 1e-6]
 
 
+def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
+    # phi and psi specify the same intercept-only treatment model: with one
+    # fitted-model memo for the dataset it is fit once, and no statistic moves
+    rng = np.random.default_rng(43)
+    n = 300
+    d = from_arrays(
+        rng.standard_normal((n, 1)), rng.integers(1, 4, size=n),
+        np.tile([0, 1], n // 2), rng.standard_normal(n),
+    )
+    configs = default_nuisance_configs(d.covariate_names)
+    estimators = ["tau", "phi", "psi"]
+    unshared = [homogeneity_test(d, est, 1, 0, configs.get(est)) for est in estimators]
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    fits = {}
+    shared = [homogeneity_test(d, est, 1, 0, configs.get(est), fits) for est in estimators]
+    assert len(logistic) == 1
+    for got, want in zip(shared, unshared):
+        assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
+        assert np.float64(got.p_value).tobytes() == np.float64(want.p_value).tobytes()
+        assert got.df == want.df
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------

@@ -299,6 +299,13 @@ def test_run_study_rejects_bad_arms_for_comparators():
         small_study(estimators=("tau", "pooled"), arms=(1, 1))
 
 
+@pytest.mark.parametrize("workers", [0, -1])
+def test_run_study_rejects_nonpositive_workers(workers):
+    # rejected before the oracle runs or any process starts
+    with pytest.raises(ParameterError, match="workers"):
+        small_study(workers=workers)
+
+
 def test_run_study_surfaces_failures():
     # n = 12 with two centers: empty (center, arm) cells are frequent, so the
     # failure share blows through the tolerance
