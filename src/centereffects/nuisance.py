@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.special
 
+from .dataset import _as_int_1d
 from .errors import (
     AliasedColumnsWarning,
     ConvergenceWarning,
@@ -33,6 +34,7 @@ from .errors import (
 INTERCEPT_TOKEN = "1"
 CENTER_TOKEN = "C"
 ARM_TOKEN = "A"
+_INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one row block of fit_multinomial's Z
 
 
 @dataclass(frozen=True)
@@ -458,11 +460,15 @@ def fit_multinomial(
 ):
     """Multinomial maximum likelihood by Newton's method with step-halving.
 
-    ``category`` takes values 1..m with every category observed; category 1
-    is the reference. Convergence: max |score| < score_tol or relative
-    log-likelihood change < ll_tol. The likelihood stop matters on large
-    samples, where the absolute score threshold sits below the roundoff
+    ``category`` takes integer values 1..m with every category observed;
+    category 1 is the reference. Convergence: max |score| < score_tol or
+    relative log-likelihood change < ll_tol. The likelihood stop matters on
+    large samples, where the absolute score threshold sits below the roundoff
     noise floor of a log-likelihood summed over n rows.
+
+    The information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZᵀZ, where P_j
+    is category j's probability and Z[i, (j, a)] = P[i, j] X[i, a]. It is
+    summed over row blocks of about 2 MiB of Z each, bounding its memory.
     """
     X = np.asarray(design, dtype=np.float64)
     cat = np.asarray(category)
@@ -473,8 +479,11 @@ def fit_multinomial(
         raise EmptyFitError("cannot fit a multinomial model on zero rows")
     if cat.shape != (n,):
         raise ShapeError(f"category has shape {cat.shape}, expected ({n},)")
-    cat = cat.astype(np.int64)
-    m = int(cat.max(initial=0))
+    cat = _as_int_1d(cat, "category")
+    if cat.min() < 1:
+        low = np.unique(cat[cat < 1]).tolist()
+        raise DegenerateFitError(f"multinomial categories must be 1..m; found {low}")
+    m = int(cat.max())
     observed = set(np.unique(cat).tolist())
     if m < 2 or observed != set(range(1, m + 1)):
         missing = sorted(set(range(1, max(m, 2) + 1)) - observed)
@@ -490,40 +499,39 @@ def fit_multinomial(
     k = rank
     q = m - 1
 
-    # indicator matrix for categories 2..m
+    # indicator matrix for categories 2..m; ``chosen`` flat-indexes its ones
+    chosen = np.flatnonzero(cat > 1) * q + cat[cat > 1] - 2
     Y = np.zeros((n, q))
-    for j in range(q):
-        Y[:, j] = cat == j + 2
+    Y.ravel()[chosen] = 1.0
 
-    def loglik(eta):
-        full = np.concatenate([np.zeros((n, 1)), eta], axis=1)
-        lse = scipy.special.logsumexp(full, axis=1)
-        chosen = np.where(cat == 1, 0.0, np.take_along_axis(
-            full, (cat - 1).reshape(-1, 1), axis=1).ravel())
-        return float(chosen.sum() - lse.sum())
+    def softmax_loglik(eta):  # probabilities of categories 2..m and log-likelihood
+        shift = np.maximum(eta.max(axis=1), 0.0)
+        P = np.exp(eta - shift[:, None])
+        denom = np.exp(-shift) + P.sum(axis=1)
+        P /= denom[:, None]
+        return P, float(eta.ravel()[chosen].sum() - (shift + np.log(denom)).sum())
 
     B = np.zeros((q, k))
-    eta = Xk @ B.T
-    ll = loglik(eta)
+    P, ll = softmax_loglik(Xk @ B.T)
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        P = reference_softmax(eta)[:, 1:]  # (n, q)
         score = ((Y - P).T @ Xk).ravel()  # (q*k,)
         if np.max(np.abs(score), initial=0.0) < score_tol:
             converged = True
             iterations -= 1
             break
 
-        H = np.empty((q * k, q * k))
-        for j in range(q):
-            for l in range(j, q):
-                w = P[:, j] * ((1.0 if j == l else 0.0) - P[:, l])
-                block = (Xk * w[:, None]).T @ Xk
-                H[j * k:(j + 1) * k, l * k:(l + 1) * k] = block
-                if l != j:
-                    H[l * k:(l + 1) * k, j * k:(j + 1) * k] = block.T
+        rows = max(1, _INFORMATION_BLOCK_VALUES // (q * k))
+        H = np.zeros((q * k, q * k))
+        diagonal = np.zeros((q * k, k))
+        for start in range(0, n, rows):
+            Xb = Xk[start:start + rows]
+            Zb = (P[start:start + rows, :, None] * Xb[:, None, :]).reshape(len(Xb), q * k)
+            diagonal += Zb.T @ Xb
+            H -= Zb.T @ Zb
+        H.reshape(q, k, q, k)[range(q), :, range(q), :] += diagonal.reshape(q, k, k)
         if ridge > 0.0:
             H[np.diag_indices_from(H)] += ridge
         try:
@@ -531,17 +539,13 @@ def fit_multinomial(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, score, rcond=None)[0]
 
-        new_B = B + step.reshape(q, k)
-        new_eta = Xk @ new_B.T
-        new_ll = loglik(new_eta)
-        halvings = 0
-        while new_ll < ll and halvings < 50:
-            step *= 0.5
+        for _ in range(51):  # the Newton step, then up to 50 halvings
             new_B = B + step.reshape(q, k)
-            new_eta = Xk @ new_B.T
-            new_ll = loglik(new_eta)
-            halvings += 1
-        B, eta = new_B, new_eta
+            new_P, new_ll = softmax_loglik(Xk @ new_B.T)
+            if not new_ll < ll:
+                break
+            step *= 0.5
+        B, P = new_B, new_P
         if abs(new_ll - ll) < ll_tol * (1.0 + abs(ll)):
             ll = new_ll
             converged = True

@@ -4,11 +4,15 @@ Fitted coefficients are checked against values worked out by hand (closed-form
 group means / log-odds) and against estimating-equation residuals, never
 against the fitter's own output.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.special
 
 from centereffects import (
     AliasedColumnsWarning,
+    ConvergenceWarning,
     DegenerateFitError,
     DesignSpec,
     SeparationWarning,
@@ -24,6 +28,7 @@ from centereffects import (
     predict,
     reference_softmax,
 )
+from centereffects.nuisance import _INFORMATION_BLOCK_VALUES
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +338,120 @@ def test_multinomial_predict_rows_sum_to_one():
     assert P.shape == (50, 3)
     np.testing.assert_allclose(P.sum(axis=1), np.ones(50), atol=1e-12)
     assert np.all(P > 0)
+
+
+@pytest.mark.parametrize("labels, error, match", [
+    ([1.5, 1, 2, 2, 1, 1], ShapeError, "integers only"),
+    ([0, 1, 2, 2, 1, 0], DegenerateFitError, r"found \[0\]"),
+    ([1, 2, 2, 1, -1, 1], DegenerateFitError, r"found \[-1\]"),
+])
+def test_multinomial_rejects_bad_category_labels(labels, error, match):
+    with pytest.raises(error, match=match):
+        fit_multinomial(np.ones((6, 1)), np.array(labels))
+
+
+def _multinomial_sample(rng, n, m, k, scale=0.3):
+    X = np.column_stack([np.ones(n), rng.standard_normal((n, k - 1))])
+    probs = reference_softmax(X @ (scale * rng.standard_normal((m - 1, k))).T)
+    cat = 1 + (rng.random(n)[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+    assert set(cat.tolist()) == set(range(1, m + 1))
+    return X, cat
+
+
+def _reference_newton(X, cat, ridge=0.0, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
+    """Newton solve that builds the information matrix one (j, l) block at a time.
+
+    Same start, stopping rules and step-halving as fit_multinomial; X must
+    have full column rank. Returns (coefficients, iterations, converged,
+    log-likelihood).
+    """
+    n, k = X.shape
+    q = int(cat.max()) - 1
+    Y = (cat[:, None] == np.arange(2, q + 2)).astype(float)
+
+    def loglik(B):
+        full = np.column_stack([np.zeros(n), X @ B.T])
+        return float(full[np.arange(n), cat - 1].sum() - scipy.special.logsumexp(full, axis=1).sum())
+
+    B = np.zeros((q, k))
+    ll = loglik(B)
+    for iterations in range(1, max_iter + 1):
+        P = reference_softmax(X @ B.T)[:, 1:]
+        score = ((Y - P).T @ X).ravel()
+        if np.max(np.abs(score)) < score_tol:
+            return B, iterations - 1, True, ll
+        H = np.empty((q * k, q * k))
+        for j in range(q):
+            for l in range(q):
+                w = P[:, j] * (float(j == l) - P[:, l])
+                H[j * k:(j + 1) * k, l * k:(l + 1) * k] = (X * w[:, None]).T @ X
+        step = np.linalg.solve(H + ridge * np.eye(q * k), score)
+        new_B = B + step.reshape(q, k)
+        new_ll = loglik(new_B)
+        halvings = 0
+        while new_ll < ll and halvings < 50:
+            step *= 0.5
+            new_B = B + step.reshape(q, k)
+            new_ll = loglik(new_B)
+            halvings += 1
+        B, done, ll = new_B, abs(new_ll - ll) < ll_tol * (1.0 + abs(ll)), new_ll
+        if done:
+            return B, iterations, True, ll
+    return B, max_iter, False, ll
+
+
+@pytest.mark.parametrize("case", ["ridge", "aliased", "many_categories"])
+def test_multinomial_matches_blockwise_reference_newton(case):
+    rng = np.random.default_rng(41)
+    ridge, n, m, k = 0.0, 400, 4, 3
+    if case == "ridge":
+        ridge = 1e-3
+    elif case == "many_categories":
+        n, m, k = 4000, 60, 4
+        # the information matrix is summed over at least three row blocks
+        assert n >= 3 * (_INFORMATION_BLOCK_VALUES // ((m - 1) * k))
+    X, cat = _multinomial_sample(rng, n, m, k)
+    keep = list(range(k))
+    if case == "aliased":
+        X = np.column_stack([X, X[:, 1] + X[:, 2]])
+        with pytest.warns(AliasedColumnsWarning):
+            fit = fit_multinomial(X, cat)
+        assert len(fit.dropped_columns) == 1
+        assert np.all(fit.coefficients[:, fit.dropped_columns[0]] == 0.0)
+        keep = [j for j in range(k + 1) if j not in fit.dropped_columns]
+    else:
+        fit = fit_multinomial(X, cat, ridge=ridge)
+
+    B, iterations, converged, ll = _reference_newton(X[:, keep], cat, ridge=ridge)
+    assert (fit.iterations, fit.converged) == (iterations, converged)
+    assert fit.converged
+    np.testing.assert_allclose(fit.coefficients[:, keep], B, rtol=1e-10, atol=0.0)
+    assert fit.log_likelihood == pytest.approx(ll, rel=1e-12)
+
+
+def test_multinomial_warns_when_not_converged():
+    X, cat = _multinomial_sample(np.random.default_rng(43), 200, 3, 2)
+    with pytest.warns(ConvergenceWarning, match="did not converge in 1 iterations"):
+        fit = fit_multinomial(X, cat, max_iter=1)
+    assert not fit.converged
+    assert fit.iterations == 1
+    B, iterations, converged, ll = _reference_newton(X, cat, max_iter=1)
+    assert (iterations, converged) == (1, False)
+    np.testing.assert_allclose(fit.coefficients, B, rtol=1e-10, atol=0.0)
+
+
+def test_multinomial_memory_stays_below_one_unblocked_z():
+    # n x (m - 1) * k float64 values: the size of Z built for all rows at once
+    n, m, k = 20000, 30, 12
+    X, cat = _multinomial_sample(np.random.default_rng(5), n, m, k)
+    tracemalloc.start()
+    try:
+        fit = fit_multinomial(X, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < n * (m - 1) * k * 8
 
 
 def test_reference_softmax_by_hand():
