@@ -9,6 +9,8 @@ from __future__ import annotations
 import csv
 import logging
 from dataclasses import dataclass, field
+from itertools import compress, islice
+from operator import itemgetter
 
 import numpy as np
 
@@ -164,12 +166,10 @@ def relabel_centers(raw_labels):
 
     Returns (canonical id array, tuple of original labels in id order).
     """
-    lookup = {}
-    ids = np.empty(len(raw_labels), dtype=np.int64)
-    for i, lab in enumerate(raw_labels):
-        if lab not in lookup:
-            lookup[lab] = len(lookup) + 1
-        ids[i] = lookup[lab]
+    lookup = dict.fromkeys(raw_labels)
+    for c, lab in enumerate(lookup, start=1):
+        lookup[lab] = c
+    ids = np.fromiter(map(lookup.__getitem__, raw_labels), np.int64, len(raw_labels))
     return ids, tuple(lookup)
 
 
@@ -185,27 +185,125 @@ def from_arrays(covariates, center, arm, outcome, covariate_names=None):
     return TrialDataset(covariates, covariate_names, ids, arm, outcome, labels)
 
 
-def _parse_float(raw, column, row):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ParseError(
-            f"non-numeric value {raw!r} in column {column!r}, data row {row}"
-        ) from None
-    if not np.isfinite(value):
-        raise ParseError(
-            f"non-finite value {raw!r} in column {column!r}, data row {row}"
-        )
-    return value
+#: data rows parsed together; bounds the Python strings held at once
+_BLOCK_ROWS = 1 << 16
 
 
-def _parse_arm(raw, column, row):
+def _int_or_text(cell):
     try:
-        return int(raw)
+        return int(cell)
     except ValueError:
-        raise ParseError(
-            f"arm value {raw!r} is not an integer in column {column!r}, data row {row}"
-        ) from None
+        return cell
+
+
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return np.nan
+
+
+def _parse_row(row, row_no, width, used, names, drop_incomplete_rows):
+    """One data row checked cell by cell: (center label, arm, floats), or None if dropped.
+
+    Checks the field count, then every used cell for a missing token, then the
+    arm and float cells in column order, raising on the first bad one.
+    ``used`` and ``names`` list the center, arm, outcome and covariate columns.
+    """
+    if len(row) != width:
+        raise ParseError(f"data row {row_no} has {len(row)} fields, expected {width}")
+    cells = [row[j].strip() for j in used]
+    missing = [name for name, cell in zip(names, cells) if cell.lower() in MISSING_TOKENS]
+    if missing and drop_incomplete_rows:
+        return None
+    if missing:
+        raise MissingDataError(f"missing value in column {missing[0]!r}, data row {row_no} "
+                               "(set drop_incomplete_rows to delete such rows)")
+    arm = _int_or_text(cells[1])
+    if isinstance(arm, str):
+        raise ParseError(f"arm value {arm!r} is not an integer in column {names[1]!r}, "
+                         f"data row {row_no}")
+    values = []
+    for name, cell in zip(names[2:], cells[2:]):
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ParseError(f"non-numeric value {cell!r} in column {name!r}, "
+                             f"data row {row_no}") from None
+        if not np.isfinite(values[-1]):
+            raise ParseError(f"non-finite value {cell!r} in column {name!r}, data row {row_no}")
+    return _int_or_text(cells[0]), arm, values
+
+
+def _parse_block(rows, first_row, width, used, names, drop_incomplete_rows):
+    """Parse data rows ``first_row``, ``first_row + 1``, ... one column at a time.
+
+    Float columns go through one float() pass each, center and arm columns
+    through a dict of their distinct cells. A row is flagged when it has the
+    wrong field count, a float cell does not parse or is not finite, its arm
+    does not parse or its center is missing. Only flagged rows go through
+    ``_parse_row``, in row order, so the errors are those of a row-by-row
+    scan. Returns the kept rows' center labels (list), arms and float columns
+    (outcome first).
+    """
+    n, full = len(rows), rows
+    if set(map(len, rows)) - {width}:  # a row of empty cells is flagged in its place
+        full = [row if len(row) == width else [""] * width for row in rows]
+    values = np.empty((n, len(used) - 2))
+    for k, j in enumerate(used[2:]):
+        try:
+            values[:, k] = np.fromiter(map(float, map(itemgetter(j), full)), np.float64, n)
+        except ValueError:
+            values[:, k] = np.fromiter(map(_float_or_nan, map(itemgetter(j), full)),
+                                       np.float64, n)
+    flagged = ~np.isfinite(values).all(axis=1)
+
+    center_col, arm_col = (list(map(itemgetter(j), full)) for j in used[:2])
+    label_of = {cell: _int_or_text(cell.strip()) for cell in set(center_col)}
+    arm_of = {cell: _int_or_text(cell.strip()) for cell in set(arm_col)}
+    bad_centers = {cell for cell in label_of if cell.strip().lower() in MISSING_TOKENS}
+    bad_arms = {cell for cell, arm in arm_of.items() if isinstance(arm, str)}
+    arm_of.update(dict.fromkeys(bad_arms, 0))
+    for column, bad in ((center_col, bad_centers), (arm_col, bad_arms)):
+        if bad:
+            flagged |= np.fromiter(map(bad.__contains__, column), bool, n)
+    labels = list(map(label_of.__getitem__, center_col))
+    arms = np.fromiter(map(arm_of.__getitem__, arm_col), np.int64, n)
+
+    keep = np.ones(n, dtype=bool)
+    for i in np.flatnonzero(flagged).tolist():
+        parsed = _parse_row(rows[i], first_row + i, width, used, names, drop_incomplete_rows)
+        if parsed is None:
+            keep[i] = False
+        else:
+            labels[i], arms[i], values[i] = parsed
+    if not keep.all():
+        labels = list(compress(labels, keep.tolist()))
+        arms, values = arms[keep], values[keep]
+    return labels, arms, values
+
+
+def _unreadable(path, exc):
+    """ParseError for the first row of ``path`` that is not UTF-8 or csv.reader rejects.
+
+    csv.reader rejects a field over csv.field_size_limit(). The file is read
+    again with undecodable bytes escaped to find the row; ``exc`` is the
+    original error.
+    """
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
+        row_no = 0
+        try:
+            for row in csv.reader(fh):
+                "".join(row).encode("utf-8")  # escaped bytes are lone surrogates
+                row_no += 1
+        except UnicodeEncodeError:
+            problem = "is not valid UTF-8"
+        except csv.Error as err:
+            problem = f"cannot be read: {err}"
+        else:
+            return ParseError(f"{path}: cannot be read: {exc}")
+    where = f"data row {row_no}" if row_no else "the header"
+    return ParseError(f"{path}: {where} {problem}")
 
 
 def _resolve_schema(header, schema):
@@ -252,6 +350,8 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
     ``schema`` maps roles to column names: keys center_col, arm_col,
     outcome_col, covariate_cols (list of names, or "rest" for all remaining
     columns). Missing cells reject the file unless ``drop_incomplete_rows``.
+    Bad cells or rows and undecodable bytes raise a DataError naming the
+    first such row.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -259,63 +359,43 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: file is empty") from None
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise _unreadable(path, exc) from None
         header = [h.strip() for h in header]
         special, cov_cols, positions = _resolve_schema(header, schema)
+        names = [special["center_col"], special["arm_col"], special["outcome_col"]] + cov_cols
+        used = [positions[name] for name in names]
 
-        center_idx = positions[special["center_col"]]
-        arm_idx = positions[special["arm_col"]]
-        outcome_idx = positions[special["outcome_col"]]
-        cov_idx = [positions[c] for c in cov_cols]
-        used_idx = [center_idx, arm_idx, outcome_idx] + cov_idx
-        used_names = [special["center_col"], special["arm_col"], special["outcome_col"]] + cov_cols
+        labels, arms, values, read = [], [], [], 0
+        while True:
+            rows, failure = [], None
+            try:  # extend keeps the rows read before a failure; they may hold an earlier error
+                rows.extend(islice(reader, _BLOCK_ROWS))
+            except (UnicodeDecodeError, csv.Error) as exc:
+                failure = exc
+            kept = _parse_block(rows, read + 1, len(header), used, names, drop_incomplete_rows)
+            labels += kept[0]
+            arms.append(kept[1])
+            values.append(kept[2])
+            read += len(rows)
+            if failure is not None:
+                raise _unreadable(path, failure) from None
+            if len(rows) < _BLOCK_ROWS:
+                break
 
-        centers = []
-        arms = []
-        outcomes = []
-        covs = []
-        dropped = 0
-        for row_no, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise ParseError(
-                    f"data row {row_no} has {len(row)} fields, expected {len(header)}"
-                )
-            cells = [row[j].strip() for j in used_idx]
-            missing = [
-                used_names[k] for k, cell in enumerate(cells) if cell.lower() in MISSING_TOKENS
-            ]
-            if missing:
-                if drop_incomplete_rows:
-                    dropped += 1
-                    continue
-                raise MissingDataError(
-                    f"missing value in column {missing[0]!r}, data row {row_no} "
-                    "(set drop_incomplete_rows to delete such rows)"
-                )
-            raw_center = cells[0]
-            try:
-                center_label = int(raw_center)
-            except ValueError:
-                center_label = raw_center
-            centers.append(center_label)
-            arms.append(_parse_arm(cells[1], special["arm_col"], row_no))
-            outcomes.append(_parse_float(cells[2], special["outcome_col"], row_no))
-            covs.append(
-                [_parse_float(cells[3 + k], cov_cols[k], row_no) for k in range(len(cov_cols))]
-            )
-
-    if not outcomes:
+    if not labels:
         raise EmptyInputError(f"{path}: no data rows")
-    if dropped:
-        logger.warning("dropped %d incomplete row(s) from %s", dropped, path)
+    if read > len(labels):
+        logger.warning("dropped %d incomplete row(s) from %s", read - len(labels), path)
 
-    ids, labels = relabel_centers(centers)
+    ids, center_labels = relabel_centers(labels)
     return TrialDataset(
-        covariates=np.asarray(covs, dtype=np.float64),
+        covariates=np.concatenate([block[:, 1:] for block in values]),
         covariate_names=tuple(cov_cols),
         center=ids,
-        arm=np.asarray(arms, dtype=np.int64),
-        outcome=np.asarray(outcomes, dtype=np.float64),
-        center_labels=labels,
+        arm=np.concatenate(arms),
+        outcome=np.concatenate([block[:, 0] for block in values]),
+        center_labels=center_labels,
     )
 
 
@@ -351,8 +431,6 @@ def cell_counts(data, arms=None):
         in_arm = data.arm == a
         counts[:, j] = np.bincount(data.center[in_arm], minlength=data.m + 1)[1:]
     sizes = np.bincount(data.center, minlength=data.m + 1)[1:]
-    if counts.sum() != data.n and arms == data.arms:
-        raise ShapeError("arm values outside the declared arm set")
     return CellCounts(counts=counts, center_sizes=sizes, arms=arms)
 
 

@@ -286,6 +286,8 @@ def _bernoulli_loglik(eta, y):
     return float(y @ eta - np.logaddexp(0.0, eta).sum())
 
 
+_EPS = np.finfo(np.float64).eps
+
 #: a fitted probability this close to 0 or 1 at an observed point marks the
 #: point as perfectly classified, i.e. (quasi-)complete separation
 _SEPARATION_PROB = 1e-14
@@ -304,10 +306,13 @@ def fit_logistic(
     """Bernoulli maximum likelihood via iteratively reweighted least squares.
 
     Convergence: max |score| < score_tol or relative log-likelihood change
-    < ll_tol. Step-halving keeps the log-likelihood non-decreasing. A
-    coefficient sup-norm above ``separation_bound`` is treated as complete
-    separation: a SeparationWarning is issued and the fit is returned with
-    converged=False.
+    < ll_tol. A step is halved only when it lowers the log-likelihood ll by
+    more than n·eps·(1 + |ll|): the worst-case rounding error of a sum of n
+    log-probabilities (all ≤ 0, so their absolute values add up to |ll|). A
+    smaller fall is roundoff, and halving on it makes the coefficients depend
+    on the row order. A coefficient sup-norm above ``separation_bound`` is
+    treated as complete separation: a SeparationWarning is issued and the fit
+    is returned with converged=False.
     """
     X = np.asarray(design, dtype=np.float64)
     yv = np.asarray(y, dtype=np.float64)
@@ -352,16 +357,14 @@ def fit_logistic(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, score, rcond=None)[0]
 
-        new_beta = beta + step
-        new_eta = Xk @ new_beta
-        new_ll = _bernoulli_loglik(new_eta, yv)
-        halvings = 0
-        while new_ll < ll and halvings < 50:
-            step *= 0.5
+        floor = ll - n * _EPS * (1.0 + abs(ll))
+        for _ in range(51):  # the Newton step, then up to 50 halvings
             new_beta = beta + step
             new_eta = Xk @ new_beta
             new_ll = _bernoulli_loglik(new_eta, yv)
-            halvings += 1
+            if not new_ll < floor:
+                break
+            step *= 0.5
         beta, eta = new_beta, new_eta
 
         if np.max(np.abs(beta), initial=0.0) > separation_bound:
@@ -464,7 +467,8 @@ def fit_multinomial(
     category 1 is the reference. Convergence: max |score| < score_tol or
     relative log-likelihood change < ll_tol. The likelihood stop matters on
     large samples, where the absolute score threshold sits below the roundoff
-    noise floor of a log-likelihood summed over n rows.
+    noise floor of a log-likelihood summed over n rows; as in fit_logistic, a
+    step is halved only when ll falls by more than that floor, n·eps·(1 + |ll|).
 
     The information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZᵀZ, where P_j
     is category j's probability and Z[i, (j, a)] = P[i, j] X[i, a]. It is
@@ -539,10 +543,11 @@ def fit_multinomial(
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, score, rcond=None)[0]
 
+        floor = ll - n * _EPS * (1.0 + abs(ll))
         for _ in range(51):  # the Newton step, then up to 50 halvings
             new_B = B + step.reshape(q, k)
             new_P, new_ll = softmax_loglik(Xk @ new_B.T)
-            if not new_ll < ll:
+            if not new_ll < floor:
                 break
             step *= 0.5
         B, P = new_B, new_P

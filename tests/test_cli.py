@@ -1,5 +1,6 @@
 """End-to-end command-line checks: exit codes, output files, reproducibility."""
 
+import csv
 import json
 
 import numpy as np
@@ -275,6 +276,27 @@ def test_unreadable_input_is_data_error(tmp_path, capsys):
     ])
     assert code == 2
     assert stderr_payload(capsys)["error"] == "DataError"
+
+
+def test_input_not_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"center,arm,outcome,x1\n1,0,1.5,2\n2,1,\xe9,2\n")
+    code = cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"] == f"{path}: data row 2 is not valid UTF-8"
+
+
+def test_input_field_over_size_limit_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "wide.csv"
+    big = "1" * (csv.field_size_limit() + 1)
+    path.write_text(f"center,arm,outcome,x1\n1,0,1.5,2\n2,1,{big},2\n", encoding="utf-8")
+    code = cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"].startswith(f"{path}: data row 2 cannot be read: field larger")
 
 
 def test_usage_errors_exit_1(capsys):
