@@ -46,15 +46,25 @@ def _as_float_1d(x, name):
     return a
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def _as_int_1d(x, name):
     a = np.asarray(x)
     if a.ndim != 1:
         raise ShapeError(f"{name} must be 1-dimensional")
+    outside = ShapeError(f"{name} must contain 64-bit integers only")
     if a.dtype.kind == "f":
         if not np.all(np.isfinite(a)) or not np.all(a == np.round(a)):
             raise ShapeError(f"{name} must contain integers only")
+        if np.any((a < -2.0 ** 63) | (a >= 2.0 ** 63)):
+            raise outside
+    elif a.dtype.kind == "u" and a.max(initial=0) > _INT64_MAX:
+        raise outside
     try:
         out = a.astype(np.int64)
+    except OverflowError:
+        raise outside from None
     except (TypeError, ValueError):
         raise ShapeError(f"{name} must contain integers only") from None
     if a.dtype.kind not in "iuf" and not np.all(np.asarray(out, dtype=a.dtype) == a):
@@ -223,6 +233,9 @@ def _parse_row(row, row_no, width, used, names, drop_incomplete_rows):
     if isinstance(arm, str):
         raise ParseError(f"arm value {arm!r} is not an integer in column {names[1]!r}, "
                          f"data row {row_no}")
+    if not _INT64_MIN <= arm <= _INT64_MAX:
+        raise ParseError(f"arm value {cells[1]!r} is not a 64-bit integer in column "
+                         f"{names[1]!r}, data row {row_no}")
     values = []
     for name, cell in zip(names[2:], cells[2:]):
         try:
@@ -241,9 +254,9 @@ def _parse_block(rows, first_row, width, used, names, drop_incomplete_rows):
     Float columns go through one float() pass each, center and arm columns
     through a dict of their distinct cells. A row is flagged when it has the
     wrong field count, a float cell does not parse or is not finite, its arm
-    does not parse or its center is missing. Only flagged rows go through
-    ``_parse_row``, in row order, so the errors are those of a row-by-row
-    scan. Returns the kept rows' center labels (list), arms and float columns
+    is not a 64-bit integer or its center is missing. Only flagged rows go
+    through ``_parse_row``, in row order, so the errors are those of a
+    row-by-row scan. Returns the kept rows' center labels (list), arms and float columns
     (outcome first).
     """
     n, full = len(rows), rows
@@ -262,7 +275,8 @@ def _parse_block(rows, first_row, width, used, names, drop_incomplete_rows):
     label_of = {cell: _int_or_text(cell.strip()) for cell in set(center_col)}
     arm_of = {cell: _int_or_text(cell.strip()) for cell in set(arm_col)}
     bad_centers = {cell for cell in label_of if cell.strip().lower() in MISSING_TOKENS}
-    bad_arms = {cell for cell, arm in arm_of.items() if isinstance(arm, str)}
+    bad_arms = {cell for cell, arm in arm_of.items()
+                if isinstance(arm, str) or not _INT64_MIN <= arm <= _INT64_MAX}
     arm_of.update(dict.fromkeys(bad_arms, 0))
     for column, bad in ((center_col, bad_centers), (arm_col, bad_arms)):
         if bad:

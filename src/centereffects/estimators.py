@@ -40,9 +40,11 @@ from .errors import (
 from .nuisance import (
     DesignSpec,
     build_design,
+    factor_cells,
     fit_logistic,
     fit_multinomial,
     fit_ols,
+    fit_ols_cells,
     predict,
 )
 
@@ -226,7 +228,10 @@ class FittedNuisances:
     All methods return per-observation vectors aligned with the full dataset;
     estimators index into them as needed. Designs and (read-only) predictions
     are memoised in ``fits``, keyed by what determines them: model, design
-    spec value, row subset and, for the GLMs, ridge. Bundles for different
+    spec value, row subset and, for the GLMs, ridge. The donor outcome fits
+    share one ``factor_cells`` result per spec and arm: each center's rows of
+    that arm are factored once, and the fit without center c solves the
+    other centers' stacked factors. Bundles for different
     configurations on one dataset may share a ``fits`` dict, so a model that
     two configurations specify alike is fit once; a bundle built without one
     keeps its own. A ``fits`` dict must never see a second dataset.
@@ -262,21 +267,35 @@ class FittedNuisances:
             if ("design", spec) not in self._fits:
                 self._fits["design", spec] = build_design(spec, self.data)
             X, names = self._fits["design", spec]
-            rows = self._rows(donor, arm)
-            if model == "outcome":
-                fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
-            elif model == "treatment":
-                fit = fit_logistic(
-                    X[rows], self.data.arm[rows].astype(np.float64), ridge=ridge,
-                    column_names=names,
-                )
+            if model == "outcome" and donor is not None:
+                fit = fit_ols_cells(self._outcome_cells(spec, arm), donor, column_names=names)
             else:
-                fit = fit_multinomial(
-                    X[rows], self.data.center[rows], ridge=ridge, column_names=names
-                )
+                rows = self._rows(donor, arm)
+                if model == "outcome":
+                    fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
+                elif model == "treatment":
+                    fit = fit_logistic(
+                        X[rows], self.data.arm[rows].astype(np.float64), ridge=ridge,
+                        column_names=names,
+                    )
+                else:
+                    fit = fit_multinomial(
+                        X[rows], self.data.center[rows], ridge=ridge, column_names=names
+                    )
             prediction = predict(fit, X)
             prediction.flags.writeable = False
             self._fits[key] = prediction
+        return self._fits[key]
+
+    def _outcome_cells(self, spec, arm):
+        """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised in ``fits``."""
+        key = ("outcome cells", spec, arm)
+        if key not in self._fits:
+            X, _ = self._fits["design", spec]
+            rows = self._rows(None, arm)
+            self._fits[key] = factor_cells(
+                X[rows], self.data.outcome[rows], self.data.center[rows]
+            )
         return self._fits[key]
 
     # -- outcome models -----------------------------------------------------
@@ -286,7 +305,11 @@ class FittedNuisances:
         return self._predicted("outcome", self.cfg.outcome_spec, arm=arm)
 
     def donor_outcome_mean(self, c, arm):
-        """Within-arm outcome fit on all centers except c, evaluated everywhere."""
+        """Within-arm outcome fit on all centers except c, evaluated everywhere.
+
+        The fit comes from the other centers' R factors (``fit_ols_cells``):
+        its fitted values match fit_ols on those rows up to roundoff.
+        """
         return self._predicted("outcome", self.cfg.outcome_spec, c, arm)
 
     # -- treatment models ---------------------------------------------------

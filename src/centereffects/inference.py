@@ -35,7 +35,7 @@ from .estimators import (
     estimate_mean,
     with_interval_fields,
 )
-from .nuisance import DesignSpec, build_design, fit_ols
+from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
 
 HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
 
@@ -314,6 +314,13 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     A small p-value indicates the outcome depends on center membership even
     after covariates and treatment, i.e. pooling across centers as if they
     shared one outcome law is suspect.
+
+    Both models are fit by ``fit_ols_cells`` from per-center R factors of
+    their designs: each center's rows are reduced to at most p + 1 rows over
+    the columns nonzero in it, and the stacked factors are solved by fit_ols's
+    pivoted QR, with its rank tolerance evaluated at n data rows. The degrees
+    of freedom are n minus each model's detected rank, and the RSS are those
+    of fit_ols up to roundoff.
     """
     if (base_spec is None) != (extended_spec is None):
         raise SpecError("supply both model specs or neither")
@@ -326,8 +333,8 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
         missing = sorted(set(base_names) - set(ext_names))
         raise SpecError(f"extended model must nest the base model; missing {missing}")
 
-    fit_b = fit_ols(Xb, data.outcome, column_names=base_names)
-    fit_e = fit_ols(Xe, data.outcome, column_names=ext_names)
+    fit_b = fit_ols_cells(factor_cells(Xb, data.outcome, data.center), column_names=base_names)
+    fit_e = fit_ols_cells(factor_cells(Xe, data.outcome, data.center), column_names=ext_names)
     if fit_e.df_residual <= 0:
         raise SaturatedModelError(
             "extended model leaves no residual degrees of freedom"

@@ -10,6 +10,9 @@ specifications can round-trip through config files.
 All fits are deterministic: rank handling uses pivoted QR, aliased columns are
 dropped with a warning and recorded with structurally zero coefficients, and
 no regularization is applied unless a ridge jitter is explicitly requested.
+A least-squares problem whose rows fall into cells (centers) can be reduced
+to one small R factor per cell (``factor_cells``); ``fit_ols_cells`` then fits
+any union of cells from their stacked factors with fit_ols's own solve.
 """
 from __future__ import annotations
 
@@ -17,8 +20,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.special
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dtrtrs
 
 from .dataset import _as_int_1d
 from .errors import (
@@ -125,13 +128,9 @@ def _atom_columns(term, data):
             raise SpecError(f"unknown covariate {term.name!r} in design")
         return data.covariate(term.name).reshape(-1, 1), [term.name]
     if term.kind == "center":
-        m = data.m
-        cols = np.zeros((n, max(m - 1, 0)))
-        names = []
-        for c in range(2, m + 1):
-            cols[:, c - 2] = data.center == c
-            names.append(f"{CENTER_TOKEN}{c}")
-        return cols, names
+        ids = np.arange(2, data.m + 1)
+        cols = (data.center[:, None] == ids).astype(np.float64)
+        return cols, [f"{CENTER_TOKEN}{c}" for c in ids]
     if term.kind == "arm":
         if not set(data.arms) <= {0, 1}:
             raise SpecError("arm indicator term requires arms coded {0,1}")
@@ -152,9 +151,8 @@ def build_design(spec, data, arm_filter=None):
             cols, nm = _atom_columns(term.parts[0], data)
             for part in term.parts[1:]:
                 pcols, pnames = _atom_columns(part, data)
-                cols = np.concatenate(
-                    [cols[:, [i]] * pcols for i in range(cols.shape[1])], axis=1
-                )
+                # column (i, j) is cols[:, i] * pcols[:, j], i-major
+                cols = (cols[:, :, None] * pcols[:, None, :]).reshape(data.n, -1)
                 nm = [f"{a}:{b}" for a in nm for b in pnames]
         else:
             cols, nm = _atom_columns(term, data)
@@ -174,16 +172,51 @@ def build_design(spec, data, arm_filter=None):
 # ---------------------------------------------------------------------------
 
 
-def _pivoted_qr(X):
-    """Economic pivoted QR with rank detection. Returns (Q, R, pivot order, rank)."""
-    if X.shape[1] == 0:
-        return None, None, np.array([], dtype=int), 0
-    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+def _lapack(routine, *args, **kwargs):
+    """A LAPACK routine's outputs, with the workspace its query asks for.
+
+    This is how scipy.linalg calls it (the workspace size can select a
+    blocked algorithm), so results are bitwise scipy.linalg's.
+    """
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    out = routine(*args, lwork=int(work[0]), **kwargs)
+    if out[-1] < 0:
+        raise ValueError(f"illegal argument {-out[-1]} to {routine.__name__}")
+    return out[:-2]
+
+
+def _pivoted_qr(X, n=None):
+    """Economic pivoted QR with rank detection. Returns (Q, R, pivot order, rank).
+
+    Bitwise ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` without
+    its per-call overhead. The rank tolerance is diag[0]·max(n, p)·eps, where
+    ``n`` is the number of data rows behind ``X`` (default: its own row
+    count; X may be stacked R factors of more rows).
+    """
+    rows, p = X.shape
+    if X.size == 0:
+        return None, None, np.arange(p), 0
+    qr, piv, tau = _lapack(dgeqp3, np.asarray_chkfinite(X))
+    piv -= 1
+    R = np.triu(qr[:p] if rows >= p else qr)
+    Q = _lapack(dorgqr, qr[:, :rows] if rows < p else qr, tau, overwrite_a=1)[0]
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
         return Q, R, piv, 0
-    tol = diag[0] * max(X.shape) * np.finfo(np.float64).eps
+    tol = diag[0] * max(rows if n is None else n, p) * np.finfo(np.float64).eps
     return Q, R, piv, int(np.sum(diag > tol))
+
+
+def _solve_upper(R, B):
+    """R⁻¹B for an upper-triangular R, by LAPACK trtrs called as
+    scipy.linalg.solve_triangular calls it."""
+    if R.flags.f_contiguous:
+        x, info = dtrtrs(R, B)
+    else:  # trtrs takes Fortran order: solve the transposed, lower system
+        x, info = dtrtrs(R.T, B, lower=1, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
+    return x
 
 
 def _warn_dropped(dropped, column_names, model):
@@ -219,50 +252,144 @@ class LinearFit:
     unscaled_variance: np.ndarray = field(default=None, repr=False)
 
 
+def _least_squares(M, b, n, rss0=0.0, column_names=None):
+    """min ‖b − Mβ‖ by pivoted QR, for a problem of ``n`` data rows.
+
+    M and b are the design and outcome themselves, or stacked R factors and
+    Qᵀy whose other rows left the residual sum of squares ``rss0``.
+    """
+    p = M.shape[1]
+    names = tuple(column_names or ())
+    if p == 0:
+        return LinearFit(np.zeros(0), (), rss0 + float(b @ b), n, names, np.zeros(0))
+
+    Q, R, piv, rank = _pivoted_qr(M, n)
+    coef = np.zeros(p)
+    unscaled = np.full(p, np.nan)
+    if rank > 0:
+        qty = Q.T @ np.asarray_chkfinite(b)
+        coef[piv[:rank]] = _solve_upper(R[:rank, :rank], qty[:rank])
+        rinv = _solve_upper(R[:rank, :rank], np.eye(rank))
+        unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)
+
+    resid = b - M @ coef
+    return LinearFit(
+        coefficients=coef,
+        dropped_columns=tuple(sorted(int(j) for j in piv[rank:])),
+        rss=rss0 + float(resid @ resid),
+        df_residual=n - rank,
+        column_names=names,
+        unscaled_variance=unscaled,
+    )
+
+
 def fit_ols(design, y, column_names=None):
     """Least squares with pivoted-QR rank detection.
 
     Aliased columns are dropped (warning), recorded in ``dropped_columns``,
-    and given coefficient 0 so predictions use the full design width.
+    and given coefficient 0 so predictions use the full design width. The
+    rank tolerance is diag(R)[0]·max(n, p)·eps on the pivoted R of the design.
+    ``fit_ols_cells`` solves the same problem from per-cell R factors.
     """
     X = np.asarray(design, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeError("design must be 2-dimensional")
-    n, p = X.shape
+    n = X.shape[0]
     if n == 0:
         raise EmptyFitError("cannot fit a linear model on zero rows")
     if y.shape != (n,):
         raise ShapeError(f"y has shape {y.shape}, expected ({n},)")
+    fit = _least_squares(X, y, n, column_names=column_names)
+    _warn_dropped(fit.dropped_columns, column_names, "fit_ols")
+    return fit
 
-    if p == 0:
-        rss = float(y @ y)
-        return LinearFit(np.zeros(0), (), rss, n, tuple(column_names or ()), np.zeros(0))
 
-    Q, R, piv, rank = _pivoted_qr(X)
-    coef = np.zeros(p)
-    unscaled = np.full(p, np.nan)
-    if rank > 0:
-        qty = Q.T @ y
-        beta = scipy.linalg.solve_triangular(R[:rank, :rank], qty[:rank])
-        coef[piv[:rank]] = beta
-        rinv = scipy.linalg.solve_triangular(
-            R[:rank, :rank], np.eye(rank), lower=False
-        )
-        unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)
-    dropped = tuple(sorted(int(j) for j in piv[rank:]))
-    _warn_dropped(dropped, column_names, "fit_ols")
+@dataclass(frozen=True)
+class CellFactors:
+    """Per-cell R factors of a least-squares problem whose rows fall into cells.
 
-    resid = y - X @ coef
-    rss = float(resid @ resid)
-    return LinearFit(
-        coefficients=coef,
-        dropped_columns=dropped,
+    Cell j's rows [X_j | y_j], over the columns nonzero in that cell, have the
+    unpivoted QR factor [[R_j, b_j], [0, ρ_j]]. ``R`` stacks the R_j, widened
+    to the full design with zero columns, ``qty`` stacks the b_j, and ``cell``
+    holds the label of each stacked row. ``labels``, ``rss`` (ρ_j²) and
+    ``rows`` (data rows) have one entry per cell. Since Σ R_jᵀR_j = XᵀX and
+    ‖y − Xβ‖² = Σ (‖b_j − R_jβ‖² + ρ_j²), the rows of any set of cells are
+    fit from their factors alone: R_j has at most p rows, whatever the cell's
+    size.
+    """
+
+    R: np.ndarray
+    qty: np.ndarray
+    cell: np.ndarray
+    labels: np.ndarray
+    rss: np.ndarray
+    rows: np.ndarray
+
+
+def factor_cells(design, y, cells):
+    """CellFactors of the rows of ``design`` and ``y``, split by the labels ``cells``."""
+    X = np.asarray(design, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    cells = np.asarray(cells)
+    if X.ndim != 2:
+        raise ShapeError("design must be 2-dimensional")
+    n, p = X.shape
+    if y.shape != (n,) or cells.shape != (n,):
+        raise ShapeError(f"y and cells must have shape ({n},)")
+    if n == 0:
+        raise EmptyFitError("cannot fit a linear model on zero rows")
+    labels, inverse, rows = np.unique(cells, return_inverse=True, return_counts=True)
+    order = np.argsort(inverse, kind="stable")
+    R, qty, rss = [], [], np.zeros(len(labels))
+    for j, idx in enumerate(np.split(order, np.cumsum(rows)[:-1])):
+        Xj = X[idx]
+        nz = np.flatnonzero(Xj.any(axis=0))
+        k = len(nz)
+        A = np.empty((len(idx), k + 1), order="F")
+        A[:, :k] = Xj[:, nz]
+        A[:, k] = y[idx]
+        F = np.triu(_lapack(dgeqrf, A, overwrite_a=1)[0][:k + 1])
+        r = min(len(idx), k)
+        Rj = np.zeros((r, p))
+        Rj[:, nz] = F[:r, :k]
+        R.append(Rj)
+        qty.append(F[:r, k])
+        if len(idx) > k:
+            rss[j] = F[k, k] ** 2
+    return CellFactors(
+        R=np.concatenate(R),
+        qty=np.concatenate(qty),
+        cell=np.repeat(labels, [len(b) for b in qty]),
+        labels=labels,
         rss=rss,
-        df_residual=n - rank,
-        column_names=tuple(column_names or ()),
-        unscaled_variance=unscaled,
+        rows=rows,
     )
+
+
+def fit_ols_cells(factors, leave_out=None, column_names=None):
+    """``fit_ols`` on the rows of every cell but ``leave_out``, from their R factors.
+
+    Rank detection, tolerance (with n the rows fit) and the triangular solves
+    are fit_ols's, applied to the stacked factors, so rank, df, RSS, fitted
+    values and, on a full-rank design, coefficients agree with fit_ols on the
+    rows themselves up to roundoff. Which of two exactly aliased columns of
+    equal norm is dropped is decided by roundoff, so ``dropped_columns``, the
+    coefficients of aliased columns and predictions on rows where those
+    columns are not aliased may differ from fit_ols's.
+    """
+    take = stacked = slice(None)
+    if leave_out is not None:
+        take, stacked = factors.labels != leave_out, factors.cell != leave_out
+    n = int(factors.rows[take].sum())
+    if n == 0:
+        raise EmptyFitError("cannot fit a linear model on zero rows")
+    fit = _least_squares(
+        factors.R[stacked], factors.qty[stacked], n, float(factors.rss[take].sum()),
+        column_names,
+    )
+    _warn_dropped(fit.dropped_columns, column_names, "fit_ols")
+    return fit
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,18 @@ def test_input_not_utf8_is_parse_error(tmp_path, capsys):
     assert payload["message"] == f"{path}: data row 2 is not valid UTF-8"
 
 
+def test_arm_beyond_int64_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "big_arm.csv"
+    path.write_text("center,arm,outcome,x1\n1,0,1.5,2\n2,99999999999999999999,1,2\n",
+                    encoding="utf-8")
+    code = cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ParseError"
+    assert payload["message"] == ("arm value '99999999999999999999' is not a 64-bit "
+                                  "integer in column 'arm', data row 2")
+
+
 def test_input_field_over_size_limit_is_parse_error(tmp_path, capsys):
     path = tmp_path / "wide.csv"
     big = "1" * (csv.field_size_limit() + 1)

@@ -249,6 +249,34 @@ def test_load_csv_non_integer_arm(tmp_path):
         load_csv(p)
 
 
+@pytest.mark.parametrize("arm", ["99999999999999999999", "-9223372036854775809"])
+def test_load_csv_arm_beyond_int64_names_row_and_column(tmp_path, arm):
+    p = write_csv(tmp_path / "t.csv", f"center,treat,outcome,x1\n1,0,1.0,0.5\n2,{arm},1.0,0.5\n")
+    with pytest.raises(ParseError) as err:
+        load_csv(p, schema={"arm_col": "treat"})
+    assert str(err.value) == (f"arm value {arm!r} is not a 64-bit integer in column 'treat', "
+                              "data row 2")
+    # the int64 limits themselves load
+    p = write_csv(tmp_path / "u.csv", "center,arm,outcome,x1\n1,9223372036854775807,1.0,0.5\n"
+                                      "2,-9223372036854775808,1.0,0.5\n")
+    assert load_csv(p).arms == (-(2 ** 63), 2 ** 63 - 1)
+
+
+@pytest.mark.parametrize("arm", [
+    [0, 99999999999999999999],
+    [0, -(2 ** 63) - 1],
+    np.array([0, 2 ** 63], dtype=np.uint64),
+    np.array([0.0, 1e20]),
+    np.array([0.0, 2.0 ** 63]),
+])
+def test_arm_beyond_int64_is_shape_error(arm):
+    with pytest.raises(ShapeError, match="arm must contain 64-bit integers only"):
+        from_arrays([[0.0], [1.0]], [1, 1], arm, [0.0, 1.0])
+    # -2**63 is the smallest int64 and converts exactly
+    d = from_arrays([[0.0], [1.0]], [1, 1], np.array([0.0, -2.0 ** 63]), [0.0, 1.0])
+    assert d.arms == (-(2 ** 63), 0)
+
+
 def test_load_csv_ragged_row(tmp_path):
     p = write_csv(tmp_path / "t.csv", "center,arm,outcome,x1\n1,0,1.0\n")
     with pytest.raises(ParseError, match="fields"):

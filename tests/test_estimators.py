@@ -5,6 +5,8 @@ algebraic identities (variant reductions, crude-mean equality, location and
 scale equivariance, center and row permutation, arm-code swap) are checked by
 brute force on seeded or hypothesis-drawn random datasets.
 """
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from centereffects import (
     AliasedColumnsWarning,
     ComparatorError,
+    DesignSpec,
     DivisionError,
     FittedNuisances,
     FixedNuisances,
@@ -23,6 +26,7 @@ from centereffects import (
     ParameterError,
     PositivityError,
     SpecError,
+    build_design,
     center_contrasts,
     default_nuisance_configs,
     estimate_chi,
@@ -32,7 +36,9 @@ from centereffects import (
     estimate_phi,
     estimate_psi,
     estimate_tau,
+    fit_ols,
     from_arrays,
+    predict,
 )
 
 
@@ -424,6 +430,65 @@ def test_chi_overlap_violation():
     )
     with pytest.raises(DivisionError, match="overlap"):
         estimate_chi(d, 1, 1, cfg=None, nuisances=nuis)
+
+
+def donor_reference(d, spec, c, a):
+    """Donor outcome prediction from fit_ols on the arm-a rows outside center c."""
+    X, names = build_design(DesignSpec.parse(spec), d)
+    rows = (d.center != c) & (d.arm == a)
+    return predict(fit_ols(X[rows], d.outcome[rows], column_names=names), X)
+
+
+@pytest.mark.parametrize("m", [2, 3, 60])
+@pytest.mark.filterwarnings("ignore::centereffects.AliasedColumnsWarning")  # m = 2: a 1-row pool
+def test_donor_outcome_means_match_per_donor_fit_ols(m):
+    rng = np.random.default_rng(m)
+    counts = rng.integers(4, 12, size=(m, 2))
+    counts[0, 1] = 1  # n_{1,1} = 1
+    center = np.repeat(np.repeat(np.arange(1, m + 1), 2), counts.ravel())
+    arm = np.repeat(np.tile([0, 1], m), counts.ravel())
+    x = rng.standard_normal((len(arm), 2))
+    d = from_arrays(x, center, arm, x @ [1.0, -2.0] + rng.standard_normal(len(arm)))
+    spec = ["1", "x1", "x2", "x1:x2"]
+    fits = {}
+    nuis = FittedNuisances(d, simple_config(outcome_spec=spec), fits)
+    for c in range(1, m + 1):
+        for a in (0, 1):
+            want = donor_reference(d, spec, c, a)
+            np.testing.assert_allclose(nuis.donor_outcome_mean(c, a), want,
+                                       rtol=1e-10, atol=1e-10 * np.abs(want).max())
+    # each arm's centers are factored once, for every donor fit
+    assert sum(key[0] == "outcome cells" for key in fits) == 2
+
+
+@pytest.mark.parametrize("outside", [2.5, 1.0, -1.0])
+def test_donor_fit_aliased_only_without_one_center(outside):
+    # x1 equals ``outside`` except in center 2, so only center 2's donor pool
+    # has x1 aliased with the intercept
+    rng = np.random.default_rng(12)
+    center, arm = np.repeat([1, 2, 3], 20), np.tile([0, 1], 30)
+    x = np.column_stack([np.full(60, outside), rng.standard_normal(60)])
+    x[center == 2, 0] = rng.standard_normal(20)
+    d = from_arrays(x, center, arm, rng.standard_normal(60))
+    spec = ["1", "x1", "x2"]
+    nuis = FittedNuisances(d, simple_config(outcome_spec=spec))
+    for a in (0, 1):
+        with pytest.warns(AliasedColumnsWarning) as got:
+            value = nuis.donor_outcome_mean(2, a)
+        with pytest.warns(AliasedColumnsWarning) as want:
+            reference = donor_reference(d, spec, 2, a)
+        if outside == 2.5:
+            np.testing.assert_allclose(value, reference, rtol=1e-10, atol=1e-10)
+            assert [str(w.message) for w in got] == [str(w.message) for w in want]
+            assert str(got[0].message) == "fit_ols: dropped aliased design column(s) 1"
+        else:  # the norms tie exactly: roundoff picks the column, which moves
+            # the predictions in center 2 but not the fitted values
+            rows = (d.center != 2) & (d.arm == a)
+            np.testing.assert_allclose(value[rows], reference[rows], rtol=1e-10, atol=1e-10)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", AliasedColumnsWarning)
+            for c in (1, 3):
+                nuis.donor_outcome_mean(c, a)
 
 
 def test_chi_rejects_center_terms_in_outcome_model():

@@ -5,9 +5,11 @@ group means / log-odds) and against estimating-equation residuals, never
 against the fitter's own output.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.special
 
 from centereffects import (
@@ -15,6 +17,7 @@ from centereffects import (
     ConvergenceWarning,
     DegenerateFitError,
     DesignSpec,
+    EmptyFitError,
     Scenario,
     SeparationWarning,
     ShapeError,
@@ -30,7 +33,8 @@ from centereffects import (
     predict,
     reference_softmax,
 )
-from centereffects.nuisance import _INFORMATION_BLOCK_VALUES
+from centereffects.inference import default_assumption_specs
+from centereffects.nuisance import _INFORMATION_BLOCK_VALUES, factor_cells, fit_ols_cells
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +117,30 @@ def test_build_design_single_center_has_no_center_columns():
     assert X.shape == (2, 1)
 
 
+def _reference_columns(term, d):
+    """One design term column by column, as products of atom columns left to right."""
+    atoms = {"C": [(f"C{c}", (d.center == c).astype(float)) for c in range(2, d.m + 1)],
+             "A": [("A", d.arm.astype(float))]}
+    cols = [("", None)]
+    for part in term.split(":"):
+        options = atoms.get(part) or [(part, d.covariate(part))]
+        cols = [(f"{a}:{b}" if a else b, x if v is None else v * x)
+                for a, v in cols for b, x in options]
+    return cols
+
+
+def test_build_design_matches_per_column_reference():
+    rng = np.random.default_rng(8)
+    n, m = 50, 6
+    d = from_arrays(rng.standard_normal((n, 2)), rng.permutation(np.arange(n) % m + 1),
+                    rng.integers(0, 2, n), rng.standard_normal(n))
+    terms = ("C", "x1:C", "C:x2", "A:C", "x1:A:C", "x2:C:A")
+    X, names = build_design(DesignSpec(terms), d)
+    reference = [col for term in terms for col in _reference_columns(term, d)]
+    assert names == [name for name, _ in reference]
+    assert X.tobytes() == np.column_stack([col for _, col in reference]).tobytes()
+
+
 def test_arm_term_requires_binary_arms():
     d = from_arrays([[1.0], [2.0]], [1, 1], [0, 2], [0.0, 1.0])
     with pytest.raises(SpecError):
@@ -190,6 +218,105 @@ def test_ols_matches_lstsq_and_orthogonal_residuals():
         np.testing.assert_allclose(X.T @ resid, np.zeros(p), atol=1e-8)
         np.testing.assert_allclose(fit.rss, resid @ resid, rtol=1e-10)
         assert fit.df_residual == n - p
+
+
+def _scipy_ols(X, y):
+    """fit_ols's solve through scipy.linalg: (coefficients, unscaled variance, rank, pivots)."""
+    Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(R))
+    rank = int(np.sum(diag > diag[0] * max(X.shape) * np.finfo(float).eps)) if diag[0] else 0
+    coef, unscaled = np.zeros(X.shape[1]), np.full(X.shape[1], np.nan)
+    if rank:
+        coef[piv[:rank]] = scipy.linalg.solve_triangular(R[:rank, :rank], (Q.T @ y)[:rank])
+        rinv = scipy.linalg.solve_triangular(R[:rank, :rank], np.eye(rank), lower=False)
+        unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)
+    return coef, unscaled, rank, piv
+
+
+def test_fit_ols_is_bitwise_scipy_linalg_solve():
+    rng = np.random.default_rng(41)
+    for trial in range(60):
+        n = int(rng.choice([2, 5, 40, 700]))
+        X = rng.standard_normal((n, int(rng.integers(1, 12)))) * 10.0 ** rng.integers(-3, 4)
+        if trial % 3 == 0 and X.shape[1] > 2:
+            X[:, -1] = 2.5 * X[:, 0]  # aliased
+        if trial % 5 == 0:
+            X = np.asfortranarray(X)
+        y = rng.standard_normal(n)
+        coef, unscaled, rank, piv = _scipy_ols(X, y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", AliasedColumnsWarning)
+            fit = fit_ols(X, y)
+        assert fit.coefficients.tobytes() == coef.tobytes()
+        assert fit.unscaled_variance.tobytes() == unscaled.tobytes()
+        assert fit.dropped_columns == tuple(sorted(piv[rank:].tolist()))
+        assert fit.rss == float((y - X @ coef) @ (y - X @ coef))
+
+
+def _ancova_design(rng):
+    """A random ANCOVA extended design, with single-arm centers, one-row cells
+    and covariates constant within a center."""
+    m, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+    sizes = rng.integers(1, 25, m)
+    center = np.repeat(np.arange(1, m + 1), sizes)
+    n = len(center)
+    arm = rng.integers(0, 2, n)
+    arm[center == rng.integers(1, m + 1)] = rng.integers(0, 2)  # a single-arm center
+    x = rng.standard_normal((n, k))
+    for c in rng.integers(1, m + 1, 2):  # constant within a center
+        x[center == c, rng.integers(0, k)] = rng.choice([0.0, 1.0, rng.standard_normal()])
+    if arm.min() == arm.max():
+        arm[0] = 1 - arm[0]
+    d = from_arrays(x, center, arm, rng.standard_normal(n) + x @ rng.standard_normal(k))
+    base, extended = default_assumption_specs(d)
+    return d, base, extended
+
+
+def test_fit_ols_cells_matches_fit_ols_on_random_ancova_designs():
+    rng = np.random.default_rng(2024)
+    worst_rss = worst_fitted = 0.0
+    for _ in range(300):
+        d, base, extended = _ancova_design(rng)
+        for spec in (base, extended):
+            X, _ = build_design(spec, d)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AliasedColumnsWarning)
+                plain = fit_ols(X, d.outcome)
+                cells = fit_ols_cells(factor_cells(X, d.outcome, d.center))
+            assert cells.df_residual == plain.df_residual
+            if plain.df_residual > 0:
+                worst_rss = max(worst_rss, abs(cells.rss - plain.rss) / plain.rss)
+            fitted = X @ plain.coefficients
+            worst_fitted = max(worst_fitted, np.linalg.norm(X @ cells.coefficients - fitted)
+                               / np.linalg.norm(fitted))
+    assert worst_rss <= 1e-10
+    assert worst_fitted <= 1e-10
+
+
+def test_fit_ols_cells_leave_out_equals_fit_on_remaining_rows():
+    rng = np.random.default_rng(6)
+    center = np.repeat([1, 2, 3, 4], [7, 1, 5, 9])
+    X = np.column_stack([np.ones(22), rng.standard_normal((22, 2))])
+    y = rng.standard_normal(22)
+    factors = factor_cells(X, y, center)
+    assert factors.R.shape[0] <= 3 * 4
+    for c in (None, 1, 2, 3, 4):
+        rows = center != c
+        plain = fit_ols(X[rows], y[rows])
+        cells = fit_ols_cells(factors, leave_out=c)
+        assert cells.df_residual == plain.df_residual == rows.sum() - 3
+        np.testing.assert_allclose(cells.coefficients, plain.coefficients, rtol=1e-12)
+        np.testing.assert_allclose(cells.rss, plain.rss, rtol=1e-12)
+        np.testing.assert_allclose(cells.unscaled_variance, plain.unscaled_variance, rtol=1e-12)
+    with pytest.raises(EmptyFitError):
+        fit_ols_cells(factor_cells(X[:5], y[:5], center[:5]), leave_out=1)
+
+
+def test_fit_ols_cells_zero_width_design():
+    y = np.array([1.0, 2.0, 3.0])
+    fit = fit_ols_cells(factor_cells(np.zeros((3, 0)), y, [1, 2, 2]))
+    np.testing.assert_allclose(fit.rss, 14.0, rtol=1e-15)
+    assert (fit.coefficients.shape, fit.df_residual) == ((0,), 3)
 
 
 def test_ols_rejects_bad_shapes():
