@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.special
-import scipy.stats
 
 from .dataset import TrialDataset
 from .errors import (
@@ -287,7 +286,7 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None, fits=None):
     if statistic < 0.0:
         statistic = 0.0
     df = m - 1
-    p = float(scipy.stats.chi2.sf(statistic, df))
+    p = float(scipy.special.chdtrc(df, statistic))
     return TestResult(statistic=statistic, df=df, p_value=p, test="homogeneity_wald")
 
 
@@ -321,6 +320,14 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     pivoted QR, with its rank tolerance evaluated at n data rows. The degrees
     of freedom are n minus each model's detected rank, and the RSS are those
     of fit_ols up to roundoff.
+
+    An outcome the extended model fits exactly leaves no residual variation
+    to test against, and TestError is raised when the extended residuals are
+    at roundoff level: ‖y − ŷ‖ ≤ max(n, p)·ε·‖y‖, fit_ols's relative rank
+    tolerance with p the extended design's width. The scale is the
+    uncentered ‖y‖ because the residuals' roundoff grows with it: a constant
+    outcome has a centered sum of squares of exactly 0 but residuals of
+    order ε·|y|.
     """
     if (base_spec is None) != (extended_spec is None):
         raise SpecError("supply both model specs or neither")
@@ -344,10 +351,16 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     if df_num <= 0:
         # the extra terms added no rank (e.g. a single center): nothing to test
         return TestResult(statistic=0.0, df=(0, df_den), p_value=1.0, test="ancova_f")
+    y = data.outcome
+    if fit_e.rss <= (max(data.n, Xe.shape[1]) * np.finfo(np.float64).eps) ** 2 * (y @ y):
+        raise TestError(
+            "the extended model fits the outcome exactly (residuals at roundoff "
+            "level); the F test is undefined"
+        )
     statistic = ((fit_b.rss - fit_e.rss) / df_num) / (fit_e.rss / df_den)
     if statistic < 0.0:
         statistic = 0.0
-    p = float(scipy.stats.f.sf(statistic, df_num, df_den))
+    p = float(scipy.special.fdtrc(df_num, df_den, statistic))
     return TestResult(
         statistic=float(statistic), df=(df_num, df_den), p_value=p, test="ancova_f"
     )

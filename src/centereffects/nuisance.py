@@ -185,13 +185,13 @@ def _lapack(routine, *args, **kwargs):
     return out[:-2]
 
 
-def _pivoted_qr(X, n=None):
+def _pivoted_qr(X, n=None, form_q=False):
     """Economic pivoted QR with rank detection. Returns (Q, R, pivot order, rank).
 
     Bitwise ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` without
-    its per-call overhead. The rank tolerance is diag[0]·max(n, p)·eps, where
-    ``n`` is the number of data rows behind ``X`` (default: its own row
-    count; X may be stacked R factors of more rows).
+    its per-call overhead; Q is None unless ``form_q``. The rank tolerance is
+    diag[0]·max(n, p)·eps, where ``n`` is the number of data rows behind ``X``
+    (default: its own row count; X may be stacked R factors of more rows).
     """
     rows, p = X.shape
     if X.size == 0:
@@ -199,7 +199,8 @@ def _pivoted_qr(X, n=None):
     qr, piv, tau = _lapack(dgeqp3, np.asarray_chkfinite(X))
     piv -= 1
     R = np.triu(qr[:p] if rows >= p else qr)
-    Q = _lapack(dorgqr, qr[:, :rows] if rows < p else qr, tau, overwrite_a=1)[0]
+    Q = (_lapack(dorgqr, qr[:, :rows] if rows < p else qr, tau, overwrite_a=1)[0]
+         if form_q else None)
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
         return Q, R, piv, 0
@@ -263,7 +264,7 @@ def _least_squares(M, b, n, rss0=0.0, column_names=None):
     if p == 0:
         return LinearFit(np.zeros(0), (), rss0 + float(b @ b), n, names, np.zeros(0))
 
-    Q, R, piv, rank = _pivoted_qr(M, n)
+    Q, R, piv, rank = _pivoted_qr(M, n, form_q=True)
     coef = np.zeros(p)
     unscaled = np.full(p, np.nan)
     if rank > 0:

@@ -2,6 +2,10 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,6 +447,52 @@ def test_check_assumptions_custom_estimator_list(tmp_path):
     assert code == 0
     tests = read_report(outdir)["tests"]
     assert [t["estimator"] for t in tests] == [None, "tau"]
+
+
+def test_check_assumptions_outcome_fit_exactly_exits_3(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    data = ce.from_arrays(
+        rng.normal(size=(300, 2)), np.repeat([1, 2, 3], 100), rng.integers(0, 2, 300),
+        np.zeros(300),
+    )
+    path = tmp_path / "zero.csv"
+    ce.save_csv(data, path)
+    code = cli.main(["check-assumptions", "--input", str(path), "--output", str(tmp_path / "o")])
+    assert code == 3
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "TestError"
+    assert "fits the outcome exactly" in payload["message"]
+
+
+IMPORT_GRAPH_SCRIPT = """
+import sys
+from centereffects import cli
+csv_path, outdir, study = sys.argv[1:]
+assert cli.main(["analyze", "--input", csv_path, "--output", outdir + "/a",
+                 "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2", "--arms", "0,1"]) == 0
+assert cli.main(["check-assumptions", "--input", csv_path, "--output", outdir + "/c"]) == 0
+assert cli.main(["simulate", "--config", study, "--output", outdir + "/s"]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[:2] in
+             (["scipy", "stats"], ["scipy", "optimize"], ["scipy", "interpolate"])))
+"""
+
+
+def test_cli_commands_do_not_import_slow_scipy_subpackages(tmp_path):
+    # scipy.stats alone took 0.7 s of a 1.1 s `import centereffects.cli`
+    csv_path = write_trial_csv(tmp_path, n=300, seed=4)
+    study = write_config(tmp_path, {
+        "scenario": {**TWO_CENTER, "n": 150}, "replicates": 2, "oracle_n": 10_000,
+        "estimators": ["tau", "chi", "pooled"],
+    })
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GRAPH_SCRIPT, csv_path, str(tmp_path), study],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("command, flags, outputs", [

@@ -6,12 +6,14 @@ P-value routes are validated against a frozen reference grid computed with
 against second implementations built directly from OLS residual sums.
 """
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.stats
 
 import centereffects.estimators as estimators_module
+import centereffects.inference as inference_module
 from centereffects import (
     BootstrapError,
     DesignSpec,
@@ -432,6 +434,40 @@ def test_ancova_custom_nested_specs():
     assert res.p_value < 0.01
 
 
+def _exact_outcome_data(outcome):
+    rng = np.random.default_rng(1)
+    n = 300
+    x = rng.standard_normal((n, 2))
+    arm = rng.integers(0, 2, n)
+    return from_arrays(x, np.repeat([1, 2, 3], n // 3), arm, outcome(x, arm))
+
+
+@pytest.mark.parametrize("outcome", [
+    lambda x, a: np.full(len(a), 5.0),
+    lambda x, a: np.full(len(a), 1e6),
+    lambda x, a: np.zeros(len(a)),
+    lambda x, a: 2.0 + 3.0 * x[:, 0] - a,
+], ids=["constant_5", "constant_1e6", "zero", "linear"])
+def test_ancova_rejects_outcome_fit_exactly_by_extended_model(outcome):
+    # the residual sums of squares are roundoff (e.g. 2e-27 for y = 5), and
+    # their ratio is no F statistic
+    d = _exact_outcome_data(outcome)
+    with pytest.raises(TestError, match="fits the outcome exactly"):
+        ancova_center_outcome_test(d)
+
+
+@pytest.mark.parametrize("scale, shift", [(3.5, -40.0), (-0.01, 1e4), (1e6, 2.0), (1.0, 1e6)])
+def test_ancova_f_is_invariant_to_affine_outcome_change(scale, shift):
+    d = ancova_data(np.random.default_rng(36), center_effect=0.4)
+    moved = from_arrays(d.covariates, d.center, d.arm, scale * d.outcome + shift)
+    ref = ancova_center_outcome_test(d)
+    res = ancova_center_outcome_test(moved)
+    # a shift of 1e6 residual SDs leaves residuals of relative accuracy ~ε·1e6
+    assert res.df == ref.df
+    np.testing.assert_allclose(res.statistic, ref.statistic, rtol=1e-7)
+    np.testing.assert_allclose(res.p_value, ref.p_value, rtol=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # p-value routes against a frozen high-precision grid
 # ---------------------------------------------------------------------------
@@ -485,3 +521,70 @@ def test_chi2_pvalue_route_matches_reference_grid():
 def test_f_pvalue_route_matches_reference_grid():
     for d1, d2, x, ref in F_SF_GRID:
         assert abs(float(scipy.stats.f.sf(x, d1, d2)) - ref) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# p-value routes: bitwise scipy.stats
+# ---------------------------------------------------------------------------
+
+# 0, tiny, moderate, huge and overflowing (inf) statistics
+ROUTE_STATISTICS = (0.0, 1e-300, 3e-16, 0.37, 1.0, 4.2, 57.0, 1e8, 1e300, np.inf)
+
+
+@pytest.mark.parametrize("m", [2, 3, 6, 61, 400])
+def test_homogeneity_p_value_is_bitwise_chi2_sf(monkeypatch, m):
+    # centers 2..m get orthogonal influence (+1, -1 on two rows of their own),
+    # so the contrast covariance is diagonal and no term of the quadratic form
+    # overflows to -inf
+    n = 2 * (m - 1)
+    influence = np.zeros((n, m))
+    for j in range(1, m):
+        influence[2 * j - 2:2 * j, j] = (1.0, -1.0)
+    direction = np.concatenate([[0.0], np.random.default_rng(m).uniform(0.5, 2.0, m - 1)])
+    records = []
+    monkeypatch.setattr(inference_module, "center_contrasts", lambda *args: records)
+    data = SimpleNamespace(m=m, n=n)
+
+    def contrasts(scale):
+        return [SimpleNamespace(value=v * scale, influence=influence[:, j])
+                for j, v in enumerate(direction)]
+
+    records[:] = contrasts(1.0)
+    unit = homogeneity_test(data, "tau", 1, 0).statistic
+    seen = []
+    for target in ROUTE_STATISTICS:
+        records[:] = contrasts(1e200 if target == np.inf else np.sqrt(target / unit))
+        with np.errstate(over="ignore"):
+            res = homogeneity_test(data, "tau", 1, 0)
+        assert res.df == m - 1
+        assert res.p_value == float(scipy.stats.chi2.sf(res.statistic, m - 1))
+        seen.append(res.statistic)
+    assert seen[0] == 0.0 and 0.0 < seen[1] < 1e-299 and seen[-1] == np.inf
+    assert 1e299 < seen[-2] < np.inf
+
+
+@pytest.mark.parametrize("df_num, df_den", [
+    (1, 1), (1, 30), (2, 7), (4, 294), (42, 9697), (295, 9697), (400, 99990),
+])
+def test_ancova_p_value_is_bitwise_f_sf(monkeypatch, df_num, df_den):
+    d = ancova_data(np.random.default_rng(37))
+    fits = []
+    monkeypatch.setattr(inference_module, "factor_cells", lambda *args: None)
+    monkeypatch.setattr(inference_module, "fit_ols_cells", lambda *a, **k: fits.pop(0))
+    for target in ROUTE_STATISTICS:
+        if target == 3e-16:  # the smallest nonzero statistic from rss near 1
+            rss_base = np.nextafter(1.0, 2.0)
+        else:
+            rss_base = 1.0 + target * df_num / df_den
+        fits[:] = [SimpleNamespace(rss=rss_base, df_residual=df_den + df_num),
+                   SimpleNamespace(rss=1.0, df_residual=df_den)]
+        res = ancova_center_outcome_test(d)
+        assert res.df == (df_num, df_den)
+        assert res.p_value == float(scipy.stats.f.sf(res.statistic, df_num, df_den))
+    assert res.statistic == np.inf and res.p_value == 0.0
+
+    # the extra terms add no rank: nothing to test
+    fits[:] = [SimpleNamespace(rss=2.0, df_residual=df_den),
+               SimpleNamespace(rss=1.0, df_residual=df_den)]
+    res = ancova_center_outcome_test(d)
+    assert (res.statistic, res.df, res.p_value) == (0.0, (0, df_den), 1.0)

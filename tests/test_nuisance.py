@@ -34,7 +34,12 @@ from centereffects import (
     reference_softmax,
 )
 from centereffects.inference import default_assumption_specs
-from centereffects.nuisance import _INFORMATION_BLOCK_VALUES, factor_cells, fit_ols_cells
+from centereffects.nuisance import (
+    _INFORMATION_BLOCK_VALUES,
+    _pivoted_qr,
+    factor_cells,
+    fit_ols_cells,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +256,22 @@ def test_fit_ols_is_bitwise_scipy_linalg_solve():
         assert fit.unscaled_variance.tobytes() == unscaled.tobytes()
         assert fit.dropped_columns == tuple(sorted(piv[rank:].tolist()))
         assert fit.rss == float((y - X @ coef) @ (y - X @ coef))
+
+
+def test_pivoted_qr_forms_q_only_on_request():
+    rng = np.random.default_rng(43)
+    for shape in [(700, 4), (40, 11), (5, 9), (1, 3)]:
+        X = rng.standard_normal(shape)
+        X[:, -1] = X[:, 0]  # aliased: rank below width
+        Q, R, piv = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        no_q = _pivoted_qr(X)
+        with_q = _pivoted_qr(X, form_q=True)
+        assert no_q[0] is None
+        assert with_q[0].tobytes() == Q.tobytes()
+        for out in (no_q, with_q):
+            assert out[1].tobytes() == R.tobytes()
+            assert out[2].tolist() == piv.tolist()
+        assert no_q[3] == with_q[3] == min(shape[0], shape[1] - 1)
 
 
 def _ancova_design(rng):
