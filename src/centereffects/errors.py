@@ -116,7 +116,7 @@ class AliasedColumnsWarning(UserWarning):
 
 
 class SeparationWarning(UserWarning):
-    """Complete or quasi-complete separation detected in a logistic fit."""
+    """Complete or quasi-complete separation detected in a logistic or multinomial fit."""
 
 
 class ConvergenceWarning(UserWarning):

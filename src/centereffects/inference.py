@@ -267,10 +267,17 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None, fits=None):
     records = center_contrasts(data, estimator, a, a_prime, cfg, fits)
     deltas = np.array([rec.value for rec in records])
     influence = np.column_stack([rec.influence for rec in records])
+    if not np.all(np.isfinite(influence)):
+        raise TestError("non-finite influence contributions; the contrasts cannot be tested")
 
+    # the statistic is invariant to one scale of influence and contrasts; a
+    # power of two near 1/max|influence| keeps the covariance from overflowing
+    # and is exact, so it changes no digit on data that does not overflow
+    exponent = -np.frexp(np.abs(influence).max())[1]
+    influence = np.ldexp(influence, exponent)
     sigma = np.cov(influence, rowvar=False, ddof=1) / data.n
     # D rows: contrast of each center against center 1
-    diffs = deltas[1:] - deltas[0]
+    diffs = np.ldexp(deltas[1:] - deltas[0], exponent)
     M = sigma[1:, 1:] - sigma[1:, :1] - sigma[:1, 1:] + sigma[0, 0]
     try:
         solved = scipy.linalg.solve(M, diffs, assume_a="sym")

@@ -1,8 +1,9 @@
 """Design matrices and nuisance-model fitting.
 
 Three model families cover every nuisance the effect estimators need: linear
-outcome regressions (OLS), binary logistic treatment models (IRLS), and
-multinomial logistic center-membership models (Newton with step-halving).
+outcome regressions (OLS), binary logistic treatment models, and
+multinomial logistic center-membership models; one reference-category Newton
+driver with step-halving fits both logistic families.
 Designs are declared as ordered term lists ("1", covariate names, "C" for
 center indicators, "A" for the arm indicator, "a:b" products) so model
 specifications can round-trip through config files.
@@ -37,7 +38,7 @@ from .errors import (
 INTERCEPT_TOKEN = "1"
 CENTER_TOKEN = "C"
 ARM_TOKEN = "A"
-_INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one row block of fit_multinomial's Z
+_INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one row block of _newton's Z
 
 
 @dataclass(frozen=True)
@@ -394,7 +395,7 @@ def fit_ols_cells(factors, leave_out=None, column_names=None):
 
 
 # ---------------------------------------------------------------------------
-# binary logistic model
+# logistic and multinomial models: one reference-category Newton driver
 # ---------------------------------------------------------------------------
 
 
@@ -407,148 +408,6 @@ class LogisticFit:
     separated: bool = False
     log_likelihood: float = np.nan
     column_names: tuple = ()
-
-
-def _bernoulli_loglik(eta, y):
-    # sum y*eta - log(1 + exp(eta)), stable
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
-
-
-_EPS = np.finfo(np.float64).eps
-
-#: a fitted probability this close to 0 or 1 at an observed point marks the
-#: point as perfectly classified, i.e. (quasi-)complete separation
-_SEPARATION_PROB = 1e-14
-
-
-def fit_logistic(
-    design,
-    y,
-    ridge=0.0,
-    max_iter=100,
-    score_tol=1e-8,
-    ll_tol=1e-10,
-    separation_bound=1e3,
-    column_names=None,
-):
-    """Bernoulli maximum likelihood via iteratively reweighted least squares.
-
-    Convergence: max |score| < score_tol or relative log-likelihood change
-    < ll_tol. A step is halved only when it lowers the log-likelihood ll by
-    more than n·eps·(1 + |ll|): the worst-case rounding error of a sum of n
-    log-probabilities (all ≤ 0, so their absolute values add up to |ll|). A
-    smaller fall is roundoff, and halving on it makes the coefficients depend
-    on the row order. A coefficient sup-norm above ``separation_bound`` is
-    treated as complete separation: a SeparationWarning is issued and the fit
-    is returned with converged=False.
-    """
-    X = np.asarray(design, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n, p = X.shape
-    if n == 0:
-        raise EmptyFitError("cannot fit a logistic model on zero rows")
-    if yv.shape != (n,):
-        raise ShapeError(f"y has shape {yv.shape}, expected ({n},)")
-    if not np.all((yv == 0.0) | (yv == 1.0)):
-        raise ShapeError("logistic outcome must be coded 0/1")
-    if yv.min() == yv.max():
-        raise DegenerateFitError("logistic outcome has a single class")
-
-    _, _, piv, rank = _pivoted_qr(X)
-    keep = np.sort(piv[:rank])
-    dropped = tuple(sorted(int(j) for j in piv[rank:]))
-    _warn_dropped(dropped, column_names, "fit_logistic")
-    Xk = X[:, keep]
-
-    beta = np.zeros(rank)
-    eta = Xk @ beta
-    ll = _bernoulli_loglik(eta, yv)
-    converged = False
-    separated = False
-    iterations = 0
-
-    for iterations in range(1, max_iter + 1):
-        prob = scipy.special.expit(eta)
-        score = Xk.T @ (yv - prob)
-        if np.max(np.abs(score), initial=0.0) < score_tol:
-            converged = True
-            iterations -= 1
-            break
-        w = prob * (1.0 - prob)
-        H = (Xk * w[:, None]).T @ Xk
-        if ridge > 0.0:
-            H = H + ridge * np.eye(rank)
-        try:
-            step = np.linalg.solve(H, score)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, score, rcond=None)[0]
-
-        floor = ll - n * _EPS * (1.0 + abs(ll))
-        for _ in range(51):  # the Newton step, then up to 50 halvings
-            new_beta = beta + step
-            new_eta = Xk @ new_beta
-            new_ll = _bernoulli_loglik(new_eta, yv)
-            if not new_ll < floor:
-                break
-            step *= 0.5
-        beta, eta = new_beta, new_eta
-
-        if np.max(np.abs(beta), initial=0.0) > separation_bound:
-            separated = True
-            warnings.warn(
-                "complete separation suspected: coefficient norm exceeds "
-                f"{separation_bound:g}",
-                SeparationWarning,
-                stacklevel=2,
-            )
-            break
-        if abs(new_ll - ll) < ll_tol * (1.0 + abs(ll)):
-            ll = new_ll
-            converged = True
-            break
-        ll = new_ll
-    else:
-        iterations = max_iter
-
-    # A likelihood plateau can look like convergence while the MLE is off at
-    # infinity; fitted probabilities indistinguishable from 0/1 at observed
-    # points give separation away regardless of how the loop exited.
-    if not separated:
-        prob = scipy.special.expit(eta)
-        if prob.min(initial=0.5) < _SEPARATION_PROB or prob.max(initial=0.5) > 1.0 - _SEPARATION_PROB:
-            separated = True
-            converged = False
-            warnings.warn(
-                "complete separation suspected: fitted probabilities reach 0 or 1",
-                SeparationWarning,
-                stacklevel=2,
-            )
-
-    if not converged and not separated:
-        warnings.warn(
-            f"logistic fit did not converge in {max_iter} iterations",
-            ConvergenceWarning,
-            stacklevel=2,
-        )
-
-    coef = np.zeros(p)
-    coef[keep] = beta
-    return LogisticFit(
-        coefficients=coef,
-        converged=converged,
-        iterations=iterations,
-        dropped_columns=dropped,
-        separated=separated,
-        log_likelihood=_bernoulli_loglik(X[:, keep] @ beta, yv),
-        column_names=tuple(column_names or ()),
-    )
-
-
-# ---------------------------------------------------------------------------
-# multinomial logistic model
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -565,6 +424,7 @@ class MultinomialFit:
     dropped_columns: tuple = ()
     log_likelihood: float = np.nan
     column_names: tuple = ()
+    separated: bool = False
 
 
 def reference_softmax(eta):
@@ -580,55 +440,49 @@ def reference_softmax(eta):
     return full
 
 
-def fit_multinomial(
-    design,
-    category,
-    ridge=0.0,
-    max_iter=200,
-    score_tol=1e-6,
-    ll_tol=1e-10,
-    column_names=None,
-):
-    """Multinomial maximum likelihood by Newton's method with step-halving.
+_EPS = np.finfo(np.float64).eps
+_LOGISTIC_SCORE_TOL = 1e-8
+_MULTINOMIAL_SCORE_TOL = 1e-6
+_LL_TOL = 1e-10  # relative log-likelihood change that ends the iteration
+#: a coefficient above this in absolute value marks (quasi-)complete separation
+_SEPARATION_BOUND = 1e3
+#: an observed category fitted with probability above 1 − this is perfectly
+#: classified, i.e. (quasi-)complete separation
+_SEPARATION_PROB = 1e-14
 
-    ``category`` takes integer values 1..m with every category observed;
-    category 1 is the reference. Convergence: max |score| < score_tol or
-    relative log-likelihood change < ll_tol. The likelihood stop matters on
+
+def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
+    """Maximum likelihood of the reference-category logit of ``cat`` (1..m) on X.
+
+    Returns the fit's fields, coefficients (m − 1, p) with dropped columns at 0.
+
+    The start is closed-form when a kept column is 1 on every row: that
+    column's coefficients are log(n_c / n_1), the intercept-only MLE, and the
+    others 0; otherwise the start is 0. Convergence: max |score| < score_tol
+    or relative log-likelihood change < 1e-10. The likelihood stop matters on
     large samples, where the absolute score threshold sits below the roundoff
-    noise floor of a log-likelihood summed over n rows; as in fit_logistic, a
-    step is halved only when ll falls by more than that floor, n·eps·(1 + |ll|).
+    of a log-likelihood summed over n rows. A step is halved only when it
+    lowers the log-likelihood ll by more than n·eps·(1 + |ll|), the worst-case
+    rounding error of a sum of n log-probabilities (all ≤ 0, so their absolute
+    values add up to |ll|); halving on a smaller fall makes the coefficients
+    depend on the row order.
 
     The information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZᵀZ, where P_j
     is category j's probability and Z[i, (j, a)] = P[i, j] X[i, a]. It is
     summed over row blocks of about 2 MiB of Z each, bounding its memory.
-    """
-    X = np.asarray(design, dtype=np.float64)
-    cat = np.asarray(category)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n, p = X.shape
-    if n == 0:
-        raise EmptyFitError("cannot fit a multinomial model on zero rows")
-    if cat.shape != (n,):
-        raise ShapeError(f"category has shape {cat.shape}, expected ({n},)")
-    cat = _as_int_1d(cat, "category")
-    if cat.min() < 1:
-        low = np.unique(cat[cat < 1]).tolist()
-        raise DegenerateFitError(f"multinomial categories must be 1..m; found {low}")
-    m = int(cat.max())
-    observed = set(np.unique(cat).tolist())
-    if m < 2 or observed != set(range(1, m + 1)):
-        missing = sorted(set(range(1, max(m, 2) + 1)) - observed)
-        raise DegenerateFitError(
-            f"multinomial fit needs every category 1..m observed; missing {missing}"
-        )
 
-    _, _, piv, rank = _pivoted_qr(X)
-    keep = np.sort(piv[:rank])
-    dropped = tuple(sorted(int(j) for j in piv[rank:]))
-    _warn_dropped(dropped, column_names, "fit_multinomial")
+    Separation ends the fit with a SeparationWarning and converged=False: a
+    coefficient above 1e3 in absolute value stops the iteration, and an
+    observed category fitted with probability above 1 − 1e-14 at the end
+    flags the fit however the iteration ended, since a likelihood plateau can
+    look like convergence while the MLE is off at infinity.
+    """
+    n, p = X.shape
+    _, _, piv, k = _pivoted_qr(X)
+    keep = np.sort(piv[:k])
+    dropped = tuple(sorted(int(j) for j in piv[k:]))
+    _warn_dropped(dropped, column_names, f"fit_{model}")
     Xk = X[:, keep]
-    k = rank
     q = m - 1
 
     # indicator matrix for categories 2..m; ``chosen`` flat-indexes its ones
@@ -644,6 +498,10 @@ def fit_multinomial(
         return P, float(eta.ravel()[chosen].sum() - (shift + np.log(denom)).sum())
 
     B = np.zeros((q, k))
+    ones = np.flatnonzero((Xk == 1.0).all(axis=0))
+    if len(ones):
+        counts = np.bincount(cat, minlength=m + 1)[1:]
+        B[:, ones[0]] = np.log(counts[1:] / counts[0])
     P, ll = softmax_loglik(Xk @ B.T)
     converged = False
     iterations = 0
@@ -678,33 +536,101 @@ def fit_multinomial(
             if not new_ll < floor:
                 break
             step *= 0.5
-        B, P = new_B, new_P
-        if abs(new_ll - ll) < ll_tol * (1.0 + abs(ll)):
-            ll = new_ll
+        B, P, ll, previous = new_B, new_P, new_ll, ll
+        if np.max(np.abs(B), initial=0.0) > _SEPARATION_BOUND:
+            break
+        if abs(ll - previous) < _LL_TOL * (1.0 + abs(previous)):
             converged = True
             break
-        ll = new_ll
     else:
         iterations = max_iter
 
-    if not converged:
+    observed = max(P.ravel()[chosen].max(initial=0.0), 1.0 - P[cat == 1].sum(axis=1).min())
+    separated = bool(np.max(np.abs(B), initial=0.0) > _SEPARATION_BOUND
+                     or observed > 1.0 - _SEPARATION_PROB)
+    if separated:
+        converged = False
         warnings.warn(
-            f"multinomial fit did not converge in {max_iter} iterations",
+            f"complete separation suspected: a coefficient exceeds {_SEPARATION_BOUND:g} "
+            "in absolute value or an observed category's fitted probability reaches 1",
+            SeparationWarning,
+            stacklevel=3,
+        )
+    elif not converged:
+        warnings.warn(
+            f"{model} fit did not converge in {max_iter} iterations",
             ConvergenceWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
 
     coef = np.zeros((q, p))
     coef[:, keep] = B
-    return MultinomialFit(
-        coefficients=coef,
-        converged=converged,
-        iterations=iterations,
-        m=m,
-        dropped_columns=dropped,
-        log_likelihood=ll,
+    return dict(
+        coefficients=coef, converged=converged, iterations=iterations,
+        dropped_columns=dropped, separated=separated, log_likelihood=ll,
         column_names=tuple(column_names or ()),
     )
+
+
+def fit_logistic(design, y, ridge=0.0, max_iter=100, column_names=None):
+    """Bernoulli maximum likelihood: the reference-category Newton fit with m = 2.
+
+    Category 1 is y = 0. The start, stopping and step-halving rules and the
+    separation rules are those of the multinomial fit; the score tolerance
+    is 1e-8. A separated fit issues a SeparationWarning and is returned with
+    separated=True and converged=False.
+    """
+    X = np.asarray(design, dtype=np.float64)
+    yv = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError("design must be 2-dimensional")
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyFitError("cannot fit a logistic model on zero rows")
+    if yv.shape != (n,):
+        raise ShapeError(f"y has shape {yv.shape}, expected ({n},)")
+    if not np.all((yv == 0.0) | (yv == 1.0)):
+        raise ShapeError("logistic outcome must be coded 0/1")
+    if yv.min() == yv.max():
+        raise DegenerateFitError("logistic outcome has a single class")
+
+    fit = _newton(X, yv.astype(np.intp) + 1, 2, ridge, max_iter, _LOGISTIC_SCORE_TOL,
+                  column_names, "logistic")
+    return LogisticFit(**dict(fit, coefficients=fit["coefficients"][0]))
+
+
+def fit_multinomial(design, category, ridge=0.0, max_iter=200, column_names=None):
+    """Multinomial maximum likelihood by the reference-category Newton fit.
+
+    ``category`` takes integer values 1..m with every category observed;
+    category 1 is the reference. The score tolerance is 1e-6. A separated fit
+    issues a SeparationWarning and is returned with separated=True and
+    converged=False.
+    """
+    X = np.asarray(design, dtype=np.float64)
+    cat = np.asarray(category)
+    if X.ndim != 2:
+        raise ShapeError("design must be 2-dimensional")
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyFitError("cannot fit a multinomial model on zero rows")
+    if cat.shape != (n,):
+        raise ShapeError(f"category has shape {cat.shape}, expected ({n},)")
+    cat = _as_int_1d(cat, "category")
+    if cat.min() < 1:
+        low = np.unique(cat[cat < 1]).tolist()
+        raise DegenerateFitError(f"multinomial categories must be 1..m; found {low}")
+    m = int(cat.max())
+    observed = set(np.unique(cat).tolist())
+    if m < 2 or observed != set(range(1, m + 1)):
+        missing = sorted(set(range(1, max(m, 2) + 1)) - observed)
+        raise DegenerateFitError(
+            f"multinomial fit needs every category 1..m observed; missing {missing}"
+        )
+
+    return MultinomialFit(m=m, **_newton(
+        X, cat, m, ridge, max_iter, _MULTINOMIAL_SCORE_TOL, column_names, "multinomial"
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -728,23 +654,13 @@ def predict(fit, rows):
     if X.ndim != 2:
         raise ShapeError("rows must be 1- or 2-dimensional")
 
+    if not isinstance(fit, (LinearFit, LogisticFit, MultinomialFit)):
+        raise ShapeError(f"unknown fit type {type(fit).__name__}")
+    width = fit.coefficients.shape[-1]
+    if X.shape[1] != width:
+        raise ShapeError(f"rows have {X.shape[1]} columns, fit expects {width}")
     if isinstance(fit, LinearFit):
-        if X.shape[1] != fit.coefficients.shape[0]:
-            raise ShapeError(
-                f"rows have {X.shape[1]} columns, fit expects {fit.coefficients.shape[0]}"
-            )
         return X @ fit.coefficients
     if isinstance(fit, LogisticFit):
-        if X.shape[1] != fit.coefficients.shape[0]:
-            raise ShapeError(
-                f"rows have {X.shape[1]} columns, fit expects {fit.coefficients.shape[0]}"
-            )
         return np.clip(scipy.special.expit(X @ fit.coefficients), _PROB_LO, _PROB_HI)
-    if isinstance(fit, MultinomialFit):
-        if X.shape[1] != fit.coefficients.shape[1]:
-            raise ShapeError(
-                f"rows have {X.shape[1]} columns, fit expects {fit.coefficients.shape[1]}"
-            )
-        probs = reference_softmax(X @ fit.coefficients.T)
-        return np.clip(probs, _PROB_LO, _PROB_HI)
-    raise ShapeError(f"unknown fit type {type(fit).__name__}")
+    return np.clip(reference_softmax(X @ fit.coefficients.T), _PROB_LO, _PROB_HI)

@@ -6,6 +6,7 @@ P-value routes are validated against a frozen reference grid computed with
 against second implementations built directly from OLS residual sums.
 """
 import dataclasses
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -337,6 +338,31 @@ def test_homogeneity_singular_covariance():
     )
     with pytest.raises(TestError):
         homogeneity_test(d, "tau", 1, 0)
+
+
+def test_homogeneity_statistic_survives_outcome_scale_near_overflow():
+    # at 1e152 the influence products overflow in the covariance unless the
+    # influence is rescaled first; the statistic is scale-invariant
+    rng = np.random.default_rng(5)
+    n, m = 600, 6
+    x = rng.standard_normal((n, 2))
+    centers = rng.integers(1, m + 1, size=n)
+    arms = rng.integers(0, 2, size=n)
+    y = x[:, 0] + arms * (1.0 + 0.2 * centers) + rng.standard_normal(n)
+    unit = homogeneity_test(from_arrays(x, centers, arms, y), "tau", 1, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = homogeneity_test(from_arrays(x, centers, arms, y * 1e152), "tau", 1, 0)
+    assert huge.statistic == pytest.approx(unit.statistic, rel=1e-12)
+    assert huge.p_value == pytest.approx(unit.p_value, rel=1e-10)
+
+
+def test_homogeneity_rejects_non_finite_influence(monkeypatch):
+    records = [SimpleNamespace(value=0.0, influence=np.array([1.0, -1.0, 0.0])),
+               SimpleNamespace(value=1.0, influence=np.array([np.inf, 0.0, 1.0]))]
+    monkeypatch.setattr(inference_module, "center_contrasts", lambda *args: records)
+    with pytest.raises(TestError, match="non-finite influence"):
+        homogeneity_test(SimpleNamespace(m=2, n=3), "tau", 1, 0)
 
 
 def test_homogeneity_detects_heterogeneity():

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 import scipy.special
 
+import centereffects.nuisance as nuisance_module
 from centereffects import (
     AliasedColumnsWarning,
     ConvergenceWarning,
@@ -23,6 +24,7 @@ from centereffects import (
     ShapeError,
     SpecError,
     build_design,
+    default_nuisance_configs,
     fit_logistic,
     fit_multinomial,
     fit_ols,
@@ -33,7 +35,7 @@ from centereffects import (
     predict,
     reference_softmax,
 )
-from centereffects.inference import default_assumption_specs
+from centereffects.inference import default_assumption_specs, estimate_effects
 from centereffects.nuisance import (
     _INFORMATION_BLOCK_VALUES,
     _pivoted_qr,
@@ -440,7 +442,7 @@ def test_multinomial_intercept_only_counts():
     np.testing.assert_allclose(fit.coefficients[:, 0], [np.log(2.0), 0.0], atol=1e-8)
 
 
-def test_multinomial_two_categories_matches_logistic():
+def test_multinomial_two_categories_matches_logistic(monkeypatch):
     rng = np.random.default_rng(13)
     for _ in range(10):
         n = 80
@@ -453,7 +455,69 @@ def test_multinomial_two_categories_matches_logistic():
         multi = fit_multinomial(X, (y + 1).astype(int))
         if not (logit.converged and multi.converged):
             continue
+        # the looser multinomial score tolerance may stop one step earlier
+        assert multi.iterations <= logit.iterations
         np.testing.assert_allclose(multi.coefficients[0], logit.coefficients, atol=1e-6)
+        # at the logistic score tolerance both run the same iteration
+        with monkeypatch.context() as patch:
+            patch.setattr(nuisance_module, "_MULTINOMIAL_SCORE_TOL",
+                          nuisance_module._LOGISTIC_SCORE_TOL)
+            multi = fit_multinomial(X, (y + 1).astype(int))
+        np.testing.assert_array_equal(multi.coefficients[0], logit.coefficients)
+        assert multi.iterations == logit.iterations
+        assert multi.log_likelihood == logit.log_likelihood
+
+
+@pytest.mark.parametrize("m, n", [(2, 7), (2, 100_000), (10, 100_000), (60, 10_000)])
+def test_intercept_only_fits_start_at_their_closed_form(m, n):
+    # unbalanced counts in shuffled rows: the start log(n_c / n_1) is the MLE,
+    # so no Newton step is taken
+    rng = np.random.default_rng(m)
+    counts = 1 + rng.multinomial(n - m, rng.dirichlet(np.full(m, 0.5)))
+    cat = rng.permutation(np.repeat(np.arange(1, m + 1), counts))
+    want = np.log(counts[1:] / counts[0])
+    fits = [fit_multinomial(np.ones((n, 1)), cat)]
+    if m == 2:
+        fits.append(fit_logistic(np.ones((n, 1)), (cat == 2).astype(float)))
+    for fit in fits:
+        assert (fit.iterations, fit.converged, fit.separated) == (0, True, False)
+        np.testing.assert_allclose(fit.coefficients.reshape(-1), want, rtol=0.0, atol=1e-12)
+
+
+def test_warm_start_reaches_the_zero_start_fit():
+    # doubling the intercept column leaves no all-ones column, so that fit
+    # starts at zero; both starts reach the same MLE
+    X, cat = _multinomial_sample(np.random.default_rng(47), 2000, 4, 3, scale=0.6)
+    cold_X = X * [2.0, 1.0, 1.0]
+    for fit_glm, response in ((fit_multinomial, cat), (fit_logistic, (cat > 2).astype(float))):
+        warm, cold = fit_glm(X, response), fit_glm(cold_X, response)
+        assert warm.converged and cold.converged
+        np.testing.assert_allclose(warm.coefficients, cold.coefficients * [2.0, 1.0, 1.0],
+                                   rtol=0.0, atol=1e-8)
+
+
+def separated_membership_data():
+    """Center 3 holds exactly the rows with x1 > 0.8; every effect is 1."""
+    rng = np.random.default_rng(0)
+    n = 600
+    x = rng.standard_normal((n, 2))
+    center = np.where(x[:, 0] > 0.8, 3, rng.integers(1, 3, size=n))
+    arm = rng.integers(0, 2, size=n)
+    y = x[:, 0] + x[:, 1] + arm + rng.standard_normal(n)
+    return from_arrays(x, center, arm, y)
+
+
+def test_multinomial_separation_flagged():
+    d = separated_membership_data()
+    X, names = build_design(DesignSpec.parse(["1", "x1", "x2"]), d)
+    with pytest.warns(SeparationWarning):
+        fit = fit_multinomial(X, d.center, column_names=names)
+    assert fit.separated
+    assert not fit.converged
+    # the warning reaches the caller of the estimators that fit the model
+    configs = default_nuisance_configs(d.covariate_names)
+    with pytest.warns(SeparationWarning):
+        estimate_effects(d, ["chi"], (1, 0), configs)
 
 
 def test_multinomial_score_equation_zero():
@@ -524,6 +588,10 @@ def _reference_newton(X, cat, ridge=0.0, max_iter=200, score_tol=1e-6, ll_tol=1e
         return float(full[np.arange(n), cat - 1].sum() - scipy.special.logsumexp(full, axis=1).sum())
 
     B = np.zeros((q, k))
+    ones = [j for j in range(k) if np.all(X[:, j] == 1.0)]
+    if ones:  # the intercept-only MLE, log(n_c / n_1), with zero slopes
+        counts = np.array([np.sum(cat == c) for c in range(1, q + 2)])
+        B[:, ones[0]] = np.log(counts[1:] / counts[0])
     ll = loglik(B)
     for iterations in range(1, max_iter + 1):
         P = reference_softmax(X @ B.T)[:, 1:]
