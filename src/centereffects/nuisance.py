@@ -38,7 +38,7 @@ from .errors import (
 INTERCEPT_TOKEN = "1"
 CENTER_TOKEN = "C"
 ARM_TOKEN = "A"
-_INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one row block of _newton's Z
+_INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one block of _newton's Z
 
 
 @dataclass(frozen=True)
@@ -427,16 +427,17 @@ class MultinomialFit:
     separated: bool = False
 
 
-def reference_softmax(eta):
-    """Row-wise reference-category softmax: probabilities over (ref, 2..m).
+def reference_softmax(eta, axis=1):
+    """Reference-category softmax along ``axis``: probabilities over (ref, 2..m).
 
-    Column 0 is the reference category with linear predictor 0; ``eta`` holds
-    the predictors of categories 2..m.
+    ``eta`` holds the predictors of categories 2..m and position 0 along
+    ``axis`` is the reference category, with linear predictor 0: (n, m − 1)
+    → (n, m) by default, category-major (m − 1, n) → (m, n) with axis=0.
     """
-    full = np.concatenate([np.zeros((eta.shape[0], 1)), eta], axis=1)
-    full -= full.max(axis=1, keepdims=True)
+    full = np.insert(eta, 0, 0.0, axis=axis)
+    full -= full.max(axis=axis, keepdims=True)
     np.exp(full, out=full)
-    full /= full.sum(axis=1, keepdims=True)
+    full /= full.sum(axis=axis, keepdims=True)
     return full
 
 
@@ -467,9 +468,13 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
     values add up to |ll|); halving on a smaller fall makes the coefficients
     depend on the row order.
 
-    The information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZᵀZ, where P_j
-    is category j's probability and Z[i, (j, a)] = P[i, j] X[i, a]. It is
-    summed over row blocks of about 2 MiB of Z each, bounding its memory.
+    Per-category arrays are category-major: the predictors η, the
+    probabilities P and the indicators Y of categories 2..m are (m − 1, n),
+    so every softmax pass and the Z build run along the n rows. The
+    information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZZᵀ, where P_j is
+    category j's probability and Z[(j, a), i] = P[j, i] X[i, a]; the score
+    is (Y − P) X. The information is summed over blocks of data rows, about
+    2 MiB of Z each, bounding its memory.
 
     Separation ends the fit with a SeparationWarning and converged=False: a
     coefficient above 1e3 in absolute value stops the iteration, and an
@@ -482,32 +487,33 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
     keep = np.sort(piv[:k])
     dropped = tuple(sorted(int(j) for j in piv[k:]))
     _warn_dropped(dropped, column_names, f"fit_{model}")
-    Xk = X[:, keep]
+    XkT = np.ascontiguousarray(X[:, keep].T)  # (k, n)
     q = m - 1
 
-    # indicator matrix for categories 2..m; ``chosen`` flat-indexes its ones
-    chosen = np.flatnonzero(cat > 1) * q + cat[cat > 1] - 2
-    Y = np.zeros((n, q))
+    # indicator matrix for categories 2..m; ``chosen`` flat-indexes its ones, in row order
+    nonref = np.flatnonzero(cat > 1)
+    chosen = (cat[nonref] - 2) * n + nonref
+    Y = np.zeros((q, n))
     Y.ravel()[chosen] = 1.0
 
     def softmax_loglik(eta):  # probabilities of categories 2..m and log-likelihood
-        shift = np.maximum(eta.max(axis=1), 0.0)
-        P = np.exp(eta - shift[:, None])
-        denom = np.exp(-shift) + P.sum(axis=1)
-        P /= denom[:, None]
+        shift = np.maximum(eta.max(axis=0), 0.0)
+        P = np.exp(eta - shift)
+        denom = np.exp(-shift) + P.sum(axis=0)
+        P /= denom
         return P, float(eta.ravel()[chosen].sum() - (shift + np.log(denom)).sum())
 
     B = np.zeros((q, k))
-    ones = np.flatnonzero((Xk == 1.0).all(axis=0))
+    ones = np.flatnonzero((XkT == 1.0).all(axis=1))
     if len(ones):
         counts = np.bincount(cat, minlength=m + 1)[1:]
         B[:, ones[0]] = np.log(counts[1:] / counts[0])
-    P, ll = softmax_loglik(Xk @ B.T)
+    P, ll = softmax_loglik(B @ XkT)
     converged = False
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        score = ((Y - P).T @ Xk).ravel()  # (q*k,)
+        score = ((Y - P) @ XkT.T).ravel()  # (q*k,)
         if np.max(np.abs(score), initial=0.0) < score_tol:
             converged = True
             iterations -= 1
@@ -517,10 +523,10 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
         H = np.zeros((q * k, q * k))
         diagonal = np.zeros((q * k, k))
         for start in range(0, n, rows):
-            Xb = Xk[start:start + rows]
-            Zb = (P[start:start + rows, :, None] * Xb[:, None, :]).reshape(len(Xb), q * k)
-            diagonal += Zb.T @ Xb
-            H -= Zb.T @ Zb
+            block = slice(start, start + rows)
+            Zb = (P[:, None, block] * XkT[:, block]).reshape(q * k, -1)
+            diagonal += Zb @ XkT[:, block].T
+            H -= Zb @ Zb.T
         H.reshape(q, k, q, k)[range(q), :, range(q), :] += diagonal.reshape(q, k, k)
         if ridge > 0.0:
             H[np.diag_indices_from(H)] += ridge
@@ -532,7 +538,7 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
         floor = ll - n * _EPS * (1.0 + abs(ll))
         for _ in range(51):  # the Newton step, then up to 50 halvings
             new_B = B + step.reshape(q, k)
-            new_P, new_ll = softmax_loglik(Xk @ new_B.T)
+            new_P, new_ll = softmax_loglik(new_B @ XkT)
             if not new_ll < floor:
                 break
             step *= 0.5
@@ -545,7 +551,7 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
     else:
         iterations = max_iter
 
-    observed = max(P.ravel()[chosen].max(initial=0.0), 1.0 - P[cat == 1].sum(axis=1).min())
+    observed = max(P.ravel()[chosen].max(initial=0.0), 1.0 - P[:, cat == 1].sum(axis=0).min())
     separated = bool(np.max(np.abs(B), initial=0.0) > _SEPARATION_BOUND
                      or observed > 1.0 - _SEPARATION_PROB)
     if separated:
@@ -646,7 +652,8 @@ def predict(fit, rows):
 
     Linear fits return X @ beta; logistic fits return probabilities in the
     open interval (0,1); multinomial fits return an (n, m) probability matrix
-    whose rows sum to 1 within 1e-12.
+    whose rows sum to 1 within 1e-12, the transposed view of a category-major
+    (m, n) array (Fortran order: each category's column is contiguous).
     """
     X = np.asarray(rows, dtype=np.float64)
     if X.ndim == 1:
@@ -663,4 +670,5 @@ def predict(fit, rows):
         return X @ fit.coefficients
     if isinstance(fit, LogisticFit):
         return np.clip(scipy.special.expit(X @ fit.coefficients), _PROB_LO, _PROB_HI)
-    return np.clip(reference_softmax(X @ fit.coefficients.T), _PROB_LO, _PROB_HI)
+    P = reference_softmax(fit.coefficients @ X.T, axis=0)
+    return np.clip(P, _PROB_LO, _PROB_HI, out=P).T

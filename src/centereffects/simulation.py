@@ -15,7 +15,7 @@ independent Gauss-Hermite quadrature implementation.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -127,23 +127,14 @@ class Scenario:
 
     def to_dict(self):
         return {
-            "n": self.n,
-            "m": self.m,
+            **asdict(self),
             "membership_coeffs": [list(r) for r in self.membership_coeffs],
             "outcome_coeffs": list(self.outcome_coeffs),
-            "noise_sd": self.noise_sd,
-            "arm_prob": self.arm_prob,
-            "strength": self.strength,
-            "strong_doubles": self.strong_doubles,
         }
 
     @classmethod
     def from_dict(cls, d):
-        allowed = {
-            "n", "m", "membership_coeffs", "outcome_coeffs", "noise_sd",
-            "arm_prob", "strength", "strong_doubles",
-        }
-        unknown = set(d) - allowed
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ParameterError(f"unknown scenario fields: {sorted(unknown)}")
         return cls(**d)
@@ -155,19 +146,26 @@ class Scenario:
 
 
 def _membership_probabilities(scenario, X):
-    """(n, m) center probabilities at covariate rows X (n, 3)."""
+    """Category-major (m, n) center probabilities at covariate rows X (n, 3)."""
     coeffs = scenario.effective_membership_coeffs()
     if scenario.m == 1:
-        return np.ones((X.shape[0], 1))
+        return np.ones((1, X.shape[0]))
     design = np.concatenate([np.ones((X.shape[0], 1)), X], axis=1)
-    return reference_softmax(design @ coeffs.T)
+    return reference_softmax(coeffs @ design.T, axis=0)
 
 
 def _draw_centers(probs, u):
-    """Inverse-CDF center draw from per-row probabilities."""
-    cum = np.cumsum(probs, axis=1)
-    ids = 1 + (u[:, None] > cum).sum(axis=1)
-    return np.minimum(ids, probs.shape[1]).astype(np.int64)
+    """Inverse-CDF center draw from category-major (m, n) probabilities.
+
+    Subject i draws 1 + the number of its first m − 1 cumulative probabilities
+    below u[i]; the sums add the categories in order, one (n,) row at a time.
+    """
+    cum = np.zeros(len(u))
+    ids = np.ones(len(u), dtype=np.int64)
+    for p in probs[:-1]:
+        cum += p
+        ids += u > cum
+    return ids
 
 
 def generate_dataset(scenario, seed):
@@ -290,7 +288,8 @@ def true_center_ates_quadrature(scenario, nodes=40):
     X = np.column_stack([g1.ravel(), g2.ravel(), g3.ravel()])
     w1, w2, w3 = np.meshgrid(w, w, w, indexing="ij")
     weights = (w1 * w2 * w3).ravel()
-    probs = _membership_probabilities(scenario, X)
+    # row-major (N, m): BLAS then sums the N terms in the order it always has
+    probs = np.ascontiguousarray(_membership_probabilities(scenario, X).T)
     mass = weights @ probs  # E[p_c(X)] per center
     tilted = (weights * X[:, 0]) @ probs  # E[X1 p_c(X)] per center
     _, _, _, _, barm, binter = scenario.effective_outcome_coeffs()
@@ -356,17 +355,13 @@ def _replicate_records(data, estimators, arms, configs, alpha):
     return records, sizes
 
 
-def _run_one(scenario, master_seed, r, estimators, arms, configs, alpha):
-    data = generate_dataset(scenario, seed=(master_seed, r))
-    return _replicate_records(data, estimators, arms, configs, alpha)
-
-
 def _worker(args):
-    r = args[2]
+    scenario, master_seed, r, estimators, arms, configs, alpha = args
     try:
-        return r, _run_one(*args)
+        data = generate_dataset(scenario, seed=(master_seed, r))
+        return _replicate_records(data, estimators, arms, configs, alpha)
     except (CenterEffectsError, np.linalg.LinAlgError) as exc:
-        return r, exc
+        return exc
 
 
 @dataclass(frozen=True)
@@ -386,19 +381,7 @@ class CellSummary:
     bias_mc_se: float  # Monte Carlo SE of the bias estimate
 
     def to_dict(self):
-        return {
-            "center": self.center,
-            "estimator": self.estimator,
-            "true_value": self.true_value,
-            "bias": self.bias,
-            "mse": self.mse,
-            "coverage": self.coverage,
-            "avg_ci_width": self.avg_ci_width,
-            "avg_se": self.avg_se,
-            "empirical_sd": self.empirical_sd,
-            "avg_n_c": self.avg_n_c,
-            "bias_mc_se": self.bias_mc_se,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -471,6 +454,13 @@ def run_study(
     (1−alpha) intervals, and compare against the oracle truth. Replicates on
     which any estimator fails are dropped and counted; more than 2% failures
     aborts the study. Deterministic given master_seed, for any ``workers``.
+
+    The replicates go to an executor, ``workers`` processes when workers > 1
+    and one thread otherwise, while the calling thread computes the oracle
+    (unless ``oracle`` is supplied; it must hold m finite values). The
+    oracle's large array operations release the GIL, so it runs beside the
+    replicates. If the oracle fails or the call is interrupted, queued
+    replicates are cancelled and the error is raised.
     """
     estimators = tuple(estimators)
     for est in estimators:
@@ -485,30 +475,27 @@ def run_study(
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
 
-    configs = default_nuisance_configs(
-        ("x1", "x2", "x3"), known_arm_prob=scenario.arm_prob
-    )
-    if oracle is None:
-        oracle = true_center_ates(scenario, oracle_n, oracle_seed)
-    truths = np.asarray(oracle.values)
+    if oracle is not None and (len(oracle.values) != scenario.m
+                               or not np.all(np.isfinite(oracle.values))):
+        raise ParameterError(f"oracle values must be {scenario.m} finite numbers")
+    import concurrent.futures  # not at module level: analyze never needs it
+
+    configs = default_nuisance_configs(("x1", "x2", "x3"), known_arm_prob=scenario.arm_prob)
+    args = [(scenario, master_seed, r, estimators, arms, configs, alpha)
+            for r in range(replicates)]
+    pool = (concurrent.futures.ProcessPoolExecutor(max_workers=workers) if workers > 1
+            else concurrent.futures.ThreadPoolExecutor(max_workers=1))
+    with pool:
+        try:
+            outcomes = pool.map(_worker, args, chunksize=8)
+            if oracle is None:
+                oracle = true_center_ates(scenario, oracle_n, oracle_seed)
+            results = list(outcomes)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
     if arms == (0, 1):
-        truths = -truths
-        oracle = replace(
-            oracle, values=tuple(float(v) for v in truths)
-        )
-
-    args = [
-        (scenario, master_seed, r, estimators, arms, configs, alpha)
-        for r in range(replicates)
-    ]
-    if workers > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = dict(pool.map(_worker, args, chunksize=8))
-        results = [outcomes[r] for r in range(replicates)]
-    else:
-        results = [_worker(a)[1] for a in args]
+        oracle = replace(oracle, values=tuple(-float(v) for v in oracle.values))
 
     failures = sum(1 for res in results if isinstance(res, Exception))
     if failures > 0.02 * replicates:
@@ -529,11 +516,8 @@ def run_study(
         comparator = estimator in COMPARATORS
         for c in range(1, m + 1):
             key = (0, estimator) if comparator else (c, estimator)
-            vals = np.array([rec[key][0] for rec, _ in kept])
-            ses = np.array([rec[key][1] for rec, _ in kept])
-            lows = np.array([rec[key][2] for rec, _ in kept])
-            highs = np.array([rec[key][3] for rec, _ in kept])
-            truth = float(truths[c - 1])
+            vals, ses, lows, highs = np.array([rec[key] for rec, _ in kept]).T
+            truth = float(oracle.values[c - 1])
             covered = (lows <= truth) & (truth <= highs)
             R = len(vals)
             cells[(c, estimator)] = CellSummary(

@@ -495,6 +495,36 @@ def test_cli_commands_do_not_import_slow_scipy_subpackages(tmp_path):
     assert done.stdout.strip().splitlines()[-1] == "[]"
 
 
+IMPORT_GUARD_SCRIPT = """
+import sys
+import numpy, scipy.linalg.lapack, scipy.special
+def concurrent_modules():
+    return {m for m in sys.modules if m.split(".")[0] == "concurrent"}
+preloaded = concurrent_modules()  # scipy.special's numpy.testing may import concurrent.futures
+from centereffects import cli, simulation
+csv_path, outdir = sys.argv[1:]
+assert cli.main(["analyze", "--input", csv_path, "--output", outdir + "/a",
+                 "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2", "--arms", "0,1"]) == 0
+assert cli.main(["check-assumptions", "--input", csv_path, "--output", outdir + "/c"]) == 0
+print("concurrent" in vars(simulation), sorted(concurrent_modules() - preloaded))
+"""
+
+
+def test_analyze_and_check_assumptions_do_not_import_concurrent_futures(tmp_path):
+    # run_study imports concurrent.futures inside the function, so the other
+    # commands' startup never pays for it
+    csv_path = write_trial_csv(tmp_path, n=300, seed=4)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD_SCRIPT, csv_path, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "False []"
+
+
 @pytest.mark.parametrize("command, flags, outputs", [
     ("analyze", ["--estimators", "tau,phi,psi,chi,pooled,fe1,fe2", "--arms", "0,1"],
      ["report.json", "estimates.csv"]),
@@ -596,6 +626,21 @@ def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
     payload = stderr_payload(capsys)
     assert payload["error"] == "ParameterError"
     assert "workers" in payload["message"]
+    assert not (outdir / "study_report.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_oracle_failure_exit_code(tmp_path, capsys, workers):
+    # one oracle draw leaves a center without draws
+    cfg = write_config(tmp_path, {
+        "scenario": {**TWO_CENTER, "n": 300}, "replicates": 200, "oracle_n": 1,
+        "estimators": ["tau", "phi"], "workers": workers,
+    })
+    outdir = tmp_path / "o"
+    assert cli.main(["simulate", "--config", cfg, "--output", str(outdir)]) == 2
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "InsufficientDataError"
+    assert "no oracle draws" in payload["message"]
     assert not (outdir / "study_report.json").exists()
 
 

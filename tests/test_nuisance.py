@@ -702,6 +702,18 @@ def test_predict_probability_clipping():
     assert np.all(p > 0.0) and np.all(p < 1.0)
 
 
+def test_multinomial_predict_matches_row_major_softmax():
+    # predict runs its softmax category-major and adds the m probabilities of
+    # a row one after another; the row-major reference adds them pairwise, so
+    # the two may differ in the last bits (4 ulp here, and on the strong scenario)
+    X, cat = _multinomial_sample(np.random.default_rng(11), 3000, 12, 4, scale=0.8)
+    fit = fit_multinomial(X, cat)
+    probs = predict(fit, X)
+    assert probs.shape == (3000, 12) and probs.flags.f_contiguous
+    np.testing.assert_array_max_ulp(probs, reference_softmax(X @ fit.coefficients.T), maxulp=4)
+    np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+
+
 def test_multinomial_coefficients_do_not_depend_on_row_order():
     # the last Newton step gains less than the log-likelihood's roundoff here;
     # halving it on a roundoff-sized fall moved the coefficients by 4e-8

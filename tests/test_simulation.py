@@ -4,12 +4,18 @@ The generator is validated against closed-form properties (noise-free
 regression recovery, membership frequencies vs an independent quadrature of
 the selection model) and the two oracles are cross-checked against each other.
 """
+import threading
+import time
+
 import numpy as np
 import pytest
 
+import centereffects.simulation as simulation_module
 from centereffects import (
     DesignSpec,
+    InsufficientDataError,
     KnownProbabilities,
+    OracleReport,
     ParameterError,
     Scenario,
     StudyError,
@@ -17,6 +23,7 @@ from centereffects import (
     default_nuisance_configs,
     fit_ols,
     generate_dataset,
+    reference_softmax,
     run_study,
     true_center_ate,
     true_center_ates,
@@ -319,3 +326,80 @@ def test_run_study_oracle_override():
     rep = small_study(oracle=fixed)
     assert rep.oracle.method == "quadrature"
     assert rep.cell(1, "tau").true_value == fixed.values[0]
+
+
+@pytest.mark.parametrize("values", [(1.0,), (1.0, float("nan"))], ids=["short", "nan"])
+def test_run_study_rejects_bad_supplied_oracle(monkeypatch, values):
+    # rejected before any replicate is submitted
+    drawn = []
+    monkeypatch.setattr(simulation_module, "generate_dataset", lambda *a, **k: drawn.append(a))
+    bad = OracleReport(values=values, mc_se=(0.0,) * len(values), draws=1, seed=0,
+                       method="quadrature")
+    with pytest.raises(ParameterError, match="oracle"):
+        small_study(oracle=bad)
+    assert drawn == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_run_study_oracle_failure_cancels_queued_replicates(workers):
+    # the oracle runs after every replicate is queued; its failure must cancel
+    # the queue, not wait for it, and leave no executor thread behind
+    sc = two_center_scenario(n=1000)
+    estimators = ("tau", "phi", "psi")
+    fixed = true_center_ates_quadrature(sc)
+    start = time.perf_counter()
+    run_study(sc, replicates=8, estimators=estimators, oracle=fixed)
+    serial = (time.perf_counter() - start) / 8 * 1000
+    threads = threading.active_count()
+    start = time.perf_counter()
+    # one oracle draw leaves a center without draws
+    with pytest.raises(InsufficientDataError, match="no oracle draws"):
+        run_study(sc, replicates=1000, estimators=estimators, oracle_n=1, workers=workers)
+    assert time.perf_counter() - start < 0.25 * serial
+    assert threading.active_count() == threads
+
+
+def test_run_study_identical_across_execution_modes():
+    sc = two_center_scenario(n=400)
+    kw = dict(replicates=8, estimators=("tau", "phi", "psi", "chi", "pooled"),
+              master_seed=5, oracle_n=200_000, oracle_seed=4)
+    serial = run_study(sc, **kw)
+    parallel = run_study(sc, workers=2, **kw)
+    supplied = run_study(sc, oracle=true_center_ates(sc, 200_000, 4), **kw)
+    assert serial.failures == parallel.failures == supplied.failures == 0
+    assert serial.cells == parallel.cells == supplied.cells
+    assert serial.oracle == parallel.oracle == supplied.oracle
+
+
+def _row_major_centers(scenario, seed):
+    """Centers drawn as generate_dataset draws them, by a row-major inverse CDF."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((scenario.n, 3))
+    u = rng.random(scenario.n)
+    design = np.column_stack([np.ones(scenario.n), X])
+    probs = reference_softmax(design @ scenario.effective_membership_coeffs().T)
+    ids = 1 + (u[:, None] > np.cumsum(probs, axis=1)).sum(axis=1)
+    return np.minimum(ids, scenario.m)
+
+
+def test_center_draws_match_row_major_reference():
+    sc = Scenario.strong()
+    for r in range(100):
+        np.testing.assert_array_equal(
+            generate_dataset(sc, seed=(1003, r)).center, _row_major_centers(sc, (1003, r)))
+
+
+def test_quadrature_oracle_matches_row_major_reference():
+    # the oracle's category-major softmax normalizes each row by a sum taken
+    # in another order, which may move its values in the last bits only
+    sc = Scenario.strong()
+    x, w = np.polynomial.hermite_e.hermegauss(40)
+    w = w / w.sum()
+    grid = [g.ravel() for g in np.meshgrid(x, x, x, indexing="ij")]
+    weights = np.prod([g.ravel() for g in np.meshgrid(w, w, w, indexing="ij")], axis=0)
+    design = np.column_stack([np.ones(len(weights))] + grid)
+    probs = reference_softmax(design @ sc.effective_membership_coeffs().T)
+    _, _, _, _, barm, binter = sc.effective_outcome_coeffs()
+    expected = barm + binter * (((weights * grid[0]) @ probs) / (weights @ probs))
+    got = np.array(true_center_ates_quadrature(sc).values)
+    np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
