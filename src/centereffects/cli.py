@@ -66,17 +66,10 @@ def _build_parser():
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
-        p.add_argument("--input", metavar="PATH", help="input dataset CSV")
         p.add_argument("--output", metavar="DIR", help="output directory (default .)")
-        p.add_argument("--seed", type=int, metavar="N", help="master random seed")
-        p.add_argument(
-            "--replicates", type=int, metavar="N", help="simulation/bootstrap replicates"
-        )
-        p.add_argument("--alpha", type=float, metavar="F", help="interval level (default 0.05)")
-        p.add_argument(
-            "--estimators", metavar="LIST", help="comma-separated estimator names"
-        )
-        p.add_argument("--arms", metavar="A,A2", help="contrast arms, e.g. 1,0")
+        for key, (kind, metavar, flag_help) in _FLAGS.items():
+            if key in _COMMAND_KEYS[name]:
+                p.add_argument(f"--{key}", type=kind, metavar=metavar, help=flag_help)
     return parser
 
 
@@ -84,27 +77,18 @@ def _build_parser():
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-_CONFIG_KEYS = {
-    "command", "input", "schema", "estimators", "arms", "alpha", "seed",
-    "replicates", "nuisance", "scenario", "oracle_n", "oracle_seed",
-    "workers", "base_spec", "extended_spec", "drop_incomplete_rows",
+#: the config keys each command reads; a config file may also hold "command"
+#: (naming the same command) and "output"
+_DATA_KEYS = ("input", "schema", "drop_incomplete_rows", "estimators", "arms", "nuisance")
+_COMMAND_KEYS = {
+    "analyze": _DATA_KEYS + ("alpha",),
+    "check-assumptions": _DATA_KEYS + ("base_spec", "extended_spec"),
+    "simulate": (
+        "scenario", "replicates", "seed", "alpha", "estimators", "arms", "oracle_n",
+        "oracle_seed", "workers",
+    ),
+    "oracle": ("scenario", "oracle_n", "seed"),
 }
-
-
-def _load_config_file(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError("config file must hold a JSON object")
-    unknown = set(cfg) - _CONFIG_KEYS - {"output"}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
 
 
 def _parse_arms(text):
@@ -117,27 +101,47 @@ def _parse_arms(text):
         raise UsageError(f"arms must be integers, got {text!r}") from None
 
 
+def _parse_list(text):
+    return [e.strip() for e in text.split(",") if e.strip()]
+
+
+#: keys that a flag can also set: (parser, metavar, help); a command has the
+#: flag only when it reads the key
+_FLAGS = {
+    "input": (str, "PATH", "input dataset CSV"),
+    "seed": (int, "N", "random seed"),
+    "replicates": (int, "N", "simulation replicates"),
+    "alpha": (float, "F", "interval level (default 0.05)"),
+    "estimators": (_parse_list, "LIST", "comma-separated estimator names"),
+    "arms": (_parse_arms, "A,A2", "contrast arms, e.g. 1,0"),
+}
+
+
+def _load_config_file(path, command):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError("config file must hold a JSON object")
+    if cfg.get("command", command) != command:
+        raise ConfigError(f"config file is for command {cfg['command']!r}, not {command!r}")
+    unread = set(cfg) - set(_COMMAND_KEYS[command]) - {"command", "output"}
+    if unread:
+        raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
+    return cfg
+
+
 def _merge_config(args):
     """Effective config: file values overridden by explicit flags."""
-    cfg = _load_config_file(args.config) if args.config else {}
+    cfg = _load_config_file(args.config, args.command) if args.config else {}
     cfg["command"] = args.command
-    if args.input is not None:
-        cfg["input"] = args.input
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.replicates is not None:
-        cfg["replicates"] = args.replicates
-    if args.alpha is not None:
-        cfg["alpha"] = args.alpha
-    if args.estimators is not None:
-        cfg["estimators"] = [e.strip() for e in args.estimators.split(",") if e.strip()]
-    if args.arms is not None:
-        cfg["arms"] = _parse_arms(args.arms)
-    if "arms" in cfg:
-        arms = cfg["arms"]
-        if not (isinstance(arms, (list, tuple)) and len(arms) == 2):
-            raise ConfigError("config arms must be a pair")
-        cfg["arms"] = [int(arms[0]), int(arms[1])]
+    for key in _FLAGS:
+        if getattr(args, key, None) is not None:
+            cfg[key] = getattr(args, key)
     output = args.output if args.output is not None else cfg.pop("output", ".")
     return cfg, Path(output)
 
@@ -258,8 +262,10 @@ def _arm_pair(cfg, data=None):
             raise ConfigError(
                 f"data arms are {data.arms}; choose a contrast with --arms"
             )
+    elif not (isinstance(arms, (list, tuple)) and len(arms) == 2):
+        raise ConfigError("config arms must be a pair")
     cfg["arms"] = [int(arms[0]), int(arms[1])]
-    return int(arms[0]), int(arms[1])
+    return cfg["arms"]
 
 
 # ---------------------------------------------------------------------------

@@ -428,7 +428,7 @@ class FixedNuisances:
 
 
 def _check_mean(data, estimator, c, a, cfg, variant):
-    """Validated (c, a): known estimator, center, arm and variant; nonempty weighted rows."""
+    """Check (c, a): known estimator, center, arm and variant; nonempty weighted rows."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(
             f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}"
@@ -443,7 +443,7 @@ def _check_mean(data, estimator, c, a, cfg, variant):
     if estimator in ("tau", "phi"):
         if not np.any((data.center == c) & (data.arm == a)):
             raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
-        return c, a
+        return
     if estimator == "chi" and data.m < 2:
         raise NoDonorError("transport estimator needs at least two centers")
     if cfg is not None:
@@ -452,7 +452,6 @@ def _check_mean(data, estimator, c, a, cfg, variant):
         raise PositivityError(f"no rows in arm {a}")
     if estimator == "chi" and not np.any((data.center != c) & (data.arm == a)):
         raise PositivityError(f"donor pool has no rows in arm {a}")
-    return c, a
 
 
 def _floor(values, cfg):
@@ -564,19 +563,42 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
     return _weighted_means(data, centers, ghat, weights)
 
 
+def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None, fits=None):
+    """Mean (one arm) or contrast (two arms) records for consecutive ``centers``.
+
+    Every (center, arm) pair is validated, center by center, before anything
+    is fitted. One nuisance bundle (``nuisances``, else one fit from ``cfg``
+    with the ``fits`` memo) serves every center and arm, and each arm gets
+    one all-centers pass: a contrast is the first arm's pass minus the
+    second's.
+    """
+    for c in centers:
+        for a in arms:
+            _check_mean(data, estimator, c, a, cfg, variant)
+    centers, arms = np.array([int(c) for c in centers]), tuple(int(a) for a in arms)
+    if estimator != "tau" and nuisances is None:
+        nuisances = FittedNuisances(data, cfg, fits)
+    values, influence = _means(data, estimator, centers, arms[0], cfg, variant, nuisances)
+    if len(arms) == 2:
+        values_b, influence_b = _means(data, estimator, centers, arms[1], cfg, variant, nuisances)
+        values -= values_b
+        influence -= influence_b
+    if variant != "dr" and estimator in ("phi", "psi"):
+        estimator = f"{estimator}_{variant}"
+    estimand = "mean" if len(arms) == 1 else "contrast"
+    return [
+        EstimateRecord(estimand, estimator, int(c), arms, values[j], influence[:, j])
+        for j, c in enumerate(centers)
+    ]
+
+
 def estimate_mean(data, estimator, c, a, cfg=None, variant="dr", nuisances=None):
     """Mean potential outcome under arm a in center c by the named estimator.
 
     ``variant`` applies to phi and psi only; tau and chi ignore it. Without
     ``nuisances``, the nuisance models are fit from ``cfg``.
     """
-    c, a = _check_mean(data, estimator, c, a, cfg, variant)
-    if estimator != "tau" and nuisances is None:
-        nuisances = FittedNuisances(data, cfg)
-    values, influence = _means(data, estimator, np.array([c]), a, cfg, variant, nuisances)
-    if variant != "dr" and estimator in ("phi", "psi"):
-        estimator = f"{estimator}_{variant}"
-    return EstimateRecord("mean", estimator, c, (a,), values[0], influence[:, 0])
+    return _estimates(data, estimator, [c], [a], cfg, variant, nuisances)[0]
 
 
 def estimate_tau(data, c, a):
@@ -621,37 +643,19 @@ def estimate_chi(data, c, a, cfg, nuisances=None):
 
 def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nuisances=None):
     """Center-specific average treatment effect: mean(c, a) − mean(c, a′)."""
-    rec_a = estimate_mean(data, estimator, c, a, cfg, variant, nuisances)
-    rec_b = estimate_mean(data, estimator, c, a_prime, cfg, variant, nuisances)
-    return EstimateRecord(
-        "contrast", rec_a.estimator, rec_a.center, (int(a), int(a_prime)),
-        rec_a.value - rec_b.value, rec_a.influence - rec_b.influence,
-    )
+    return _estimates(data, estimator, [c], [a, a_prime], cfg, variant, nuisances)[0]
 
 
 def center_contrasts(data, estimator, a, a_prime, cfg=None, fits=None):
     """Contrast records for centers 1..m, from one all-centers pass per arm.
 
     Record c equals ``estimate_contrast(data, estimator, c, a, a_prime, cfg)``
-    bit for bit, and errors name the first failing (center, arm) in that
-    center-major order. One fitted nuisance bundle serves every center;
-    ``fits`` is its fitted-model memo (see FittedNuisances), so pass one dict
-    per dataset to share fits with other estimators' bundles.
+    bit for bit: both come from the same computation, and errors name the
+    first failing (center, arm) in center-major order. ``fits`` is the
+    fitted-model memo of the one nuisance bundle (see FittedNuisances), so
+    pass one dict per dataset to share fits with other estimators' bundles.
     """
-    nuisances = FittedNuisances(data, cfg, fits) if estimator != "tau" else None
-    centers = np.arange(1, data.m + 1)
-    for c in centers:
-        for arm in (a, a_prime):
-            _check_mean(data, estimator, c, arm, cfg, "dr")
-    a, a_prime = int(a), int(a_prime)
-    values, influence = _means(data, estimator, centers, a, cfg, "dr", nuisances)
-    values_b, influence_b = _means(data, estimator, centers, a_prime, cfg, "dr", nuisances)
-    values -= values_b
-    influence -= influence_b
-    return [
-        EstimateRecord("contrast", estimator, c, (a, a_prime), values[c - 1], influence[:, c - 1])
-        for c in range(1, data.m + 1)
-    ]
+    return _estimates(data, estimator, range(1, data.m + 1), [a, a_prime], cfg, fits=fits)
 
 
 def estimate_comparators(data, which, covariates=None):

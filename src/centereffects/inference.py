@@ -28,10 +28,9 @@ from .errors import (
 )
 from .estimators import (
     COMPARATORS,
+    _estimates,
     center_contrasts,
     estimate_comparators,
-    estimate_contrast,
-    estimate_mean,
     with_interval_fields,
 )
 from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
@@ -187,14 +186,9 @@ class EstimandSpec:
 
 def evaluate_estimand(data, spec, cfg=None, nuisances=None):
     """Compute the EstimateRecord an EstimandSpec describes."""
-    if len(spec.arms) == 2:
-        return estimate_contrast(
-            data, spec.estimator, spec.center, spec.arms[0], spec.arms[1],
-            cfg, variant=spec.variant, nuisances=nuisances,
-        )
-    return estimate_mean(
-        data, spec.estimator, spec.center, spec.arms[0], cfg, spec.variant, nuisances
-    )
+    return _estimates(
+        data, spec.estimator, [spec.center], spec.arms, cfg, spec.variant, nuisances
+    )[0]
 
 
 def _resample(data, rng):
@@ -213,12 +207,12 @@ def _resample(data, rng):
 def bootstrap_se(data, spec, cfg=None, replicates=1000, seed=0, alpha=0.05):
     """Nonparametric bootstrap SE and normal interval for one estimand.
 
-    Rows are resampled with replacement from the whole sample and every
-    nuisance model is refit inside each resample. Resamples on which the
-    estimator fails (e.g. an empty cell) are skipped and counted; more than
-    10% failures aborts. Deterministic given ``seed``: replicate r draws from
-    a fresh generator keyed by (seed, r), so results do not depend on
-    execution order.
+    Rows are resampled with replacement from the whole sample, and each
+    resample refits every nuisance model once (a contrast's two means share
+    one fitted bundle). Resamples on which the estimator fails (e.g. an empty
+    cell) are skipped and counted; more than 10% failures aborts.
+    Deterministic given ``seed``: replicate r draws from a fresh generator
+    keyed by (seed, r), so results do not depend on execution order.
     """
     if replicates < 2:
         raise ParameterError("bootstrap needs at least 2 replicates")

@@ -139,12 +139,8 @@ def _atom_columns(term, data):
     raise SpecError(f"not an atomic term: {term}")
 
 
-def build_design(spec, data, arm_filter=None):
-    """Expand a DesignSpec on a dataset.
-
-    Returns (matrix, column names). With ``arm_filter`` set, only rows with
-    that arm are returned (columns are identical to the unfiltered design).
-    """
+def build_design(spec, data):
+    """Expand a DesignSpec on a dataset: returns (matrix, column names)."""
     blocks = []
     names = []
     for term in spec.terms:
@@ -163,8 +159,6 @@ def build_design(spec, data, arm_filter=None):
         X = np.concatenate(blocks, axis=1)
     else:
         X = np.zeros((data.n, 0))
-    if arm_filter is not None:
-        X = X[data.arm == arm_filter]
     return X, names
 
 

@@ -525,21 +525,69 @@ def test_analyze_and_check_assumptions_do_not_import_concurrent_futures(tmp_path
     assert done.stdout.strip().splitlines()[-1] == "False []"
 
 
-@pytest.mark.parametrize("command, flags, outputs", [
-    ("analyze", ["--estimators", "tau,phi,psi,chi,pooled,fe1,fe2", "--arms", "0,1"],
-     ["report.json", "estimates.csv"]),
-    ("check-assumptions", [], ["report.json"]),
-], ids=["analyze", "check-assumptions"])
-def test_byte_exact_rerun_from_echoed_config(tmp_path, command, flags, outputs):
-    csv_path = write_trial_csv(tmp_path, n=300, seed=8)
-    out1 = tmp_path / "run1"
-    assert cli.main([command, "--input", csv_path, "--output", str(out1), *flags]) == 0
+TRIAL, STUDY = "<trial.csv>", "<study.json>"
 
-    rerun_cfg = write_config(tmp_path, read_report(out1)["config"], name="echo.json")
+
+@pytest.mark.parametrize("command, flags, outputs", [
+    ("analyze", ["--input", TRIAL, "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2",
+                 "--arms", "0,1"], ["report.json", "estimates.csv"]),
+    ("check-assumptions", ["--input", TRIAL], ["report.json"]),
+    ("simulate", ["--config", STUDY, "--replicates", "2", "--arms", "0,1"],
+     ["study_report.json", "study_report.csv", "study_coverage.csv"]),
+    ("oracle", ["--config", STUDY, "--seed", "3"], ["report.json"]),
+], ids=["analyze", "check-assumptions", "simulate", "oracle"])
+def test_byte_exact_rerun_from_echoed_config(tmp_path, command, flags, outputs):
+    inputs = {
+        TRIAL: write_trial_csv(tmp_path, n=300, seed=8),
+        STUDY: write_config(tmp_path, {
+            "scenario": {**TWO_CENTER, "n": 150}, "oracle_n": 10_000,
+        }, name="study.json"),
+    }
+    out1 = tmp_path / "run1"
+    flags = [inputs.get(flag, flag) for flag in flags]
+    assert cli.main([command, *flags, "--output", str(out1)]) == 0
+
+    echoed = read_report(out1, outputs[0])["config"]
+    rerun_cfg = write_config(tmp_path, echoed, name="echo.json")
     out2 = tmp_path / "run2"
     assert cli.main([command, "--config", rerun_cfg, "--output", str(out2)]) == 0
     for name in outputs:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# each command with a flag and config keys it does not read (simulate's keys
+# are the other commands' settings)
+UNREAD = {
+    "analyze": (["--seed", "1"], {"seed": 1}),
+    "check-assumptions": (["--alpha", "0.1"], {"alpha": 0.1}),
+    "simulate": (["--input", "trial.csv"], {
+        "nuisance": {"psi": {"outcome_spec": ["1"], "ridge": 5.0}},
+        "input": "nonexistent.csv", "base_spec": ["1"],
+    }),
+    "oracle": (["--replicates", "3"], {"oracle_seed": 1}),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_unread_flags_and_config_keys_exit_1(tmp_path, capsys, command):
+    flags, keys = UNREAD[command]
+    outdir = tmp_path / "o"
+    assert cli.main([command, *flags, "--output", str(outdir)]) == 1
+    assert stderr_payload(capsys)["error"] == "UsageError"
+
+    cfg = write_config(tmp_path, {"command": command, **keys})
+    assert cli.main([command, "--config", cfg, "--output", str(outdir)]) == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert all(repr(key) in payload["message"] for key in keys), payload["message"]
+
+    other = next(c for c in cli.COMMANDS if c != command)
+    cfg = write_config(tmp_path, {"command": other}, name="other.json")
+    assert cli.main([command, "--config", cfg, "--output", str(outdir)]) == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == "ConfigError"
+    assert repr(other) in payload["message"]
+    assert not outdir.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -146,15 +146,19 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
-    # psi and chi share the membership model, phi and psi the intercept-only
-    # treatment model: one dataset fits each of them once
-    rng = np.random.default_rng(41)
+def three_center_data(seed=41):
+    rng = np.random.default_rng(seed)
     n = 300
-    d = from_arrays(
+    return from_arrays(
         rng.standard_normal((n, 1)), rng.integers(1, 4, size=n),
         np.tile([0, 1], n // 2), rng.standard_normal(n),
     )
+
+
+def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
+    # psi and chi share the membership model, phi and psi the intercept-only
+    # treatment model: one dataset fits each of them once
+    d = three_center_data()
     configs = default_nuisance_configs(d.covariate_names)
     estimators = ["tau", "phi", "psi", "chi"]
     multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
@@ -177,15 +181,45 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
     assert multinomial == [0.0, 1e-6]
 
 
+@pytest.mark.parametrize("estimator", ["psi", "chi"])
+def test_estimate_contrast_fits_each_shared_model_once(monkeypatch, estimator):
+    # both arms' means share one bundle: one membership fit and one
+    # treatment fit (the all-rows fit for psi, the donor fit for chi)
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)[estimator]
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    rec = estimate_contrast(d, estimator, 2, 1, 0, cfg)
+    assert len(multinomial) == 1
+    assert len(logistic) == 1
+    want = center_contrasts(d, estimator, 1, 0, cfg)[1]
+    assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
+    assert rec.influence.tobytes() == want.influence.tobytes()
+
+
+def test_bootstrap_contrast_fits_membership_once_per_resample(monkeypatch):
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["psi"]
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    replicates = 5
+    bootstrap_se(d, EstimandSpec("psi", 2, (1, 0)), cfg, replicates=replicates, seed=0)
+    assert len(multinomial) == 1 + replicates
+
+
+def test_estimate_contrast_checks_both_arms_before_fitting(monkeypatch):
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["psi"]
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    with pytest.raises(ParameterError, match="arm 7 not present"):
+        estimate_contrast(d, "psi", 1, 1, 7, cfg)
+    assert multinomial == [] and logistic == []
+
+
 def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
     # phi and psi specify the same intercept-only treatment model: with one
     # fitted-model memo for the dataset it is fit once, and no statistic moves
-    rng = np.random.default_rng(43)
-    n = 300
-    d = from_arrays(
-        rng.standard_normal((n, 1)), rng.integers(1, 4, size=n),
-        np.tile([0, 1], n // 2), rng.standard_normal(n),
-    )
+    d = three_center_data(seed=43)
     configs = default_nuisance_configs(d.covariate_names)
     estimators = ["tau", "phi", "psi"]
     unshared = [homogeneity_test(d, est, 1, 0, configs.get(est)) for est in estimators]

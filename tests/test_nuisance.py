@@ -109,14 +109,6 @@ def test_build_design_center_interaction_names():
     np.testing.assert_array_equal(X[:, 1], [0, 0, 0, 0, 5, 6])
 
 
-def test_build_design_arm_filter():
-    d = three_center_data()
-    full, names = build_design(DesignSpec(("1", "x1")), d)
-    sub, sub_names = build_design(DesignSpec(("1", "x1")), d, arm_filter=1)
-    assert sub_names == names
-    np.testing.assert_array_equal(sub, full[d.arm == 1])
-
-
 def test_build_design_single_center_has_no_center_columns():
     d = from_arrays([[1.0], [2.0]], [1, 1], [0, 1], [0.0, 1.0])
     X, names = build_design(DesignSpec(("1", "C")), d)
