@@ -1,9 +1,10 @@
 """Command-line interface: analyze, check-assumptions, simulate, oracle.
 
 Every run merges an optional JSON config file with command-line flags (flags
-win), echoes the effective configuration into each output file, and uses only
-seeded randomness — re-running any output's embedded config reproduces that
-output byte for byte.
+win), checks each value's type against ``_SETTINGS`` (ConfigError otherwise),
+fills in the defaults ``COMMANDS`` gives, echoes the effective configuration
+into each output file, and uses only seeded randomness — re-running any
+output's embedded config reproduces that output byte for byte.
 
 Exit codes: 0 success; 1 usage or configuration problem; 2 data or validation
 problem; 3 numerical failure.
@@ -16,8 +17,6 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .dataset import load_csv, cell_counts, validate_positivity
 from .errors import CenterEffectsError, ConfigError, DataError, UsageError
@@ -38,8 +37,6 @@ from .simulation import (
     true_center_ates,
 )
 
-COMMANDS = ("analyze", "check-assumptions", "simulate", "oracle")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse variant that reports usage problems via our exit-code scheme."""
@@ -57,18 +54,13 @@ def _build_parser():
         ),
     )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    specs = {
-        "analyze": "estimate center-specific treatment effects from a CSV dataset",
-        "check-assumptions": "test effect homogeneity and center-outcome association",
-        "simulate": "run the replicated simulation study",
-        "oracle": "compute true scenario effects per center",
-    }
-    for name, help_text in specs.items():
+    for name, (help_text, keys) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--output", metavar="DIR", help="output directory (default .)")
-        for key, (kind, metavar, flag_help) in _FLAGS.items():
-            if key in _COMMAND_KEYS[name]:
+        for key, (_, *flag) in _SETTINGS.items():
+            if flag and key in keys:
+                kind, metavar, flag_help = flag
                 p.add_argument(f"--{key}", type=kind, metavar=metavar, help=flag_help)
     return parser
 
@@ -77,43 +69,68 @@ def _build_parser():
 # configuration plumbing
 # ---------------------------------------------------------------------------
 
-#: the config keys each command reads; a config file may also hold "command"
-#: (naming the same command) and "output"
-_DATA_KEYS = ("input", "schema", "drop_incomplete_rows", "estimators", "arms", "nuisance")
-_COMMAND_KEYS = {
-    "analyze": _DATA_KEYS + ("alpha",),
-    "check-assumptions": _DATA_KEYS + ("base_spec", "extended_spec"),
-    "simulate": (
-        "scenario", "replicates", "seed", "alpha", "estimators", "arms", "oracle_n",
-        "oracle_seed", "workers",
-    ),
-    "oracle": ("scenario", "oracle_n", "seed"),
-}
+# A check returns the value as read, or None for a value of the wrong type.
+# JSON gives exact Python types, so ``type(v) is int`` turns away booleans.
+
+
+def _of_type(kind):
+    return lambda value: value if type(value) is kind else None
+
+
+def _integer(value):
+    """An integer; a whole-number float such as 1e7 is read as one."""
+    if type(value) is float and value.is_integer():
+        return int(value)
+    return value if type(value) is int else None
+
+
+def _arm_pair(value):
+    pair = [_integer(a) for a in value] if type(value) is list and len(value) == 2 else [None]
+    return pair if None not in pair and pair[0] != pair[1] else None
+
+
+def _strings(value):
+    return value if type(value) is list and all(type(v) is str for v in value) else None
+
+
+def _distinct_names(value):
+    return value if _strings(value) and len(set(value)) == len(value) else None
 
 
 def _parse_arms(text):
-    parts = [p.strip() for p in str(text).split(",")]
-    if len(parts) != 2:
-        raise UsageError(f"--arms expects two comma-separated arms, got {text!r}")
-    try:
-        return [int(parts[0]), int(parts[1])]
-    except ValueError:
-        raise UsageError(f"arms must be integers, got {text!r}") from None
+    return [int(a) for a in text.split(",")]
 
 
 def _parse_list(text):
     return [e.strip() for e in text.split(",") if e.strip()]
 
 
-#: keys that a flag can also set: (parser, metavar, help); a command has the
-#: flag only when it reads the key
-_FLAGS = {
-    "input": (str, "PATH", "input dataset CSV"),
-    "seed": (int, "N", "random seed"),
-    "replicates": (int, "N", "simulation replicates"),
-    "alpha": (float, "F", "interval level (default 0.05)"),
-    "estimators": (_parse_list, "LIST", "comma-separated estimator names"),
-    "arms": (_parse_arms, "A,A2", "contrast arms, e.g. 1,0"),
+_STRING = ("a string", _of_type(str))
+_INTEGER = ("an integer", _integer)
+_NUMBER = ("a number", lambda value: value if type(value) in (int, float) else None)
+_OBJECT = ("an object", _of_type(dict))
+
+#: every setting: (what its value must be, its check), then for the keys a
+#: flag can also set, the flag's parser, metavar and help
+_SETTINGS = {
+    "input": (_STRING, str, "PATH", "input dataset CSV"),
+    "seed": (_INTEGER, int, "N", "random seed"),
+    "replicates": (_INTEGER, int, "N", "simulation replicates"),
+    "alpha": (_NUMBER, float, "F", "interval level (default 0.05)"),
+    "estimators": (("a non-empty list of distinct names", _distinct_names),
+                   _parse_list, "LIST", "comma-separated estimator names"),
+    "arms": (("two different integers", _arm_pair), _parse_arms, "A,A2",
+             "contrast arms, e.g. 1,0"),
+    "output": (_STRING,),
+    "schema": (_OBJECT,),
+    "drop_incomplete_rows": (("true or false", _of_type(bool)),),
+    "nuisance": (_OBJECT,),
+    "base_spec": (("a list of terms", _strings),),
+    "extended_spec": (("a list of terms", _strings),),
+    "scenario": (_OBJECT,),
+    "oracle_n": (_INTEGER,),
+    "oracle_seed": (_INTEGER,),
+    "workers": (_INTEGER,),
 }
 
 
@@ -127,96 +144,66 @@ def _load_config_file(path, command):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    if cfg.get("command", command) != command:
-        raise ConfigError(f"config file is for command {cfg['command']!r}, not {command!r}")
-    unread = set(cfg) - set(_COMMAND_KEYS[command]) - {"command", "output"}
+    other = cfg.pop("command", command)
+    if other != command:
+        raise ConfigError(f"config file is for command {other!r}, not {command!r}")
+    unread = set(cfg) - set(COMMANDS[command][1]) - {"output"}
     if unread:
         raise ConfigError(f"{command} does not read config keys {sorted(unread)}")
     return cfg
 
 
 def _merge_config(args):
-    """Effective config: file values overridden by explicit flags."""
-    cfg = _load_config_file(args.config, args.command) if args.config else {}
-    cfg["command"] = args.command
-    for key in _FLAGS:
-        if getattr(args, key, None) is not None:
-            cfg[key] = getattr(args, key)
-    output = args.output if args.output is not None else cfg.pop("output", ".")
-    return cfg, Path(output)
+    """Effective config: each file value and flag checked, flags winning, then defaults."""
+    given = list(_load_config_file(args.config, args.command).items()) if args.config else []
+    given += [(k, v) for k, v in vars(args).items() if k in _SETTINGS and v is not None]
+    cfg = {}
+    for key, value in given:
+        (what, check), *_ = _SETTINGS[key]
+        cfg[key] = check(value)
+        if cfg[key] is None:
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+    outdir = Path(cfg.pop("output", "."))
+    defaults = {k: v for k, v in COMMANDS[args.command][1].items() if v is not None}
+    return {**defaults, **cfg, "command": args.command}, outdir
 
 
-def _spec_to_json(spec):
-    return spec.to_strings() if spec is not None else None
-
-
-def _treatment_to_json(ts):
-    if ts is None:
-        return None
-    if isinstance(ts, KnownProbabilities):
-        return {"known": {"table": ts.table.tolist(), "arms": list(ts.arms)}}
-    return ts.to_strings()
-
-
-def _nuisance_to_json(cfg):
-    return {
-        "outcome_spec": _spec_to_json(cfg.outcome_spec),
-        "treatment_spec": _treatment_to_json(cfg.treatment_spec),
-        "membership_spec": _spec_to_json(cfg.membership_spec),
-        "treatment_decomposition": cfg.treatment_decomposition,
-        "weight_floor": cfg.weight_floor,
-        "ridge": cfg.ridge,
-    }
+def _to_json(value):
+    """A nuisance setting as JSON: designs as term lists, known probabilities as a table."""
+    if isinstance(value, NuisanceConfig):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, KnownProbabilities):
+        return {"known": {"table": value.table.tolist(), "arms": list(value.arms)}}
+    return value.to_strings() if isinstance(value, DesignSpec) else value
 
 
 def _treatment_from_json(value):
-    if value is None or isinstance(value, list):
-        return value
-    if isinstance(value, dict) and "known" in value:
-        known = value["known"]
-        if "constant" in known:
-            return KnownProbabilities.constant(
-                known["constant"], arms=tuple(known.get("arms", (0, 1)))
-            )
-        return KnownProbabilities(
-            np.asarray(known["table"], dtype=np.float64),
-            arms=tuple(known.get("arms", (0, 1))),
-        )
-    raise ConfigError(f"unrecognized treatment_spec {value!r}")
-
-
-def _nuisance_from_json(d):
-    if not isinstance(d, dict):
-        raise ConfigError("each nuisance entry must be a JSON object")
-    allowed = {
-        "outcome_spec", "treatment_spec", "membership_spec",
-        "treatment_decomposition", "weight_floor", "ridge",
-    }
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown nuisance fields: {sorted(unknown)}")
-    d = dict(d)
-    if "treatment_spec" in d:
-        d["treatment_spec"] = _treatment_from_json(d["treatment_spec"])
-    return NuisanceConfig(**d)
+    if not isinstance(value, dict):
+        return value  # None or a term list; NuisanceConfig rejects anything else
+    known = value.get("known") if len(value) == 1 else None
+    if not isinstance(known, dict) or known.keys() - {"arms"} not in ({"constant"}, {"table"}):
+        raise ConfigError("treatment_spec must be a term list or {'known': {'constant' or "
+                          f"'table', optional 'arms'}}}}, got {value!r}")
+    arms = known.get("arms", (0, 1))
+    if "constant" in known:
+        return KnownProbabilities.constant(known["constant"], arms=arms)
+    return KnownProbabilities(known["table"], arms=arms)
 
 
 def _resolve_nuisance_configs(cfg, data):
     configs = default_nuisance_configs(data.covariate_names)
-    overrides = cfg.get("nuisance", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("nuisance section must map estimator names to settings")
-    for name, sub in overrides.items():
+    for name, sub in cfg.get("nuisance", {}).items():
         if name not in ("phi", "psi", "chi"):
             raise ConfigError(f"nuisance settings for unknown estimator {name!r}")
-        configs[name] = _nuisance_from_json(sub)
-    cfg["nuisance"] = {name: _nuisance_to_json(configs[name]) for name in sorted(configs)}
+        if not isinstance(sub, dict):
+            raise ConfigError(f"nuisance {name} must be a JSON object, got {sub!r}")
+        unknown = set(sub) - {f.name for f in dataclasses.fields(NuisanceConfig)}
+        if unknown:
+            raise ConfigError(f"unknown nuisance fields: {sorted(unknown)}")
+        treatment = _treatment_from_json(sub.get("treatment_spec"))
+        configs[name] = NuisanceConfig(**{**sub, "treatment_spec": treatment})
+    cfg["nuisance"] = {name: _to_json(configs[name]) for name in sorted(configs)}
     return configs
-
-
-def _echo(cfg):
-    """The reproducibility block embedded in every output (no output paths)."""
-    return {k: cfg[k] for k in sorted(cfg) if k != "output"}
 
 
 def _write_json(path, payload):
@@ -225,47 +212,37 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _write_csv(path, header, rows, echo):
+def _write_csv(path, header, rows, cfg):
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("# config: " + json.dumps(echo, sort_keys=True) + "\n")
+        fh.write("# config: " + json.dumps(cfg, sort_keys=True) + "\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
 
 
-def _require_input(cfg):
+def _read_input(cfg):
+    """The input dataset and the contrast arms, 1 vs 0 by default when the data arms are 0, 1."""
     path = cfg.get("input")
     if not path:
         raise UsageError("an input dataset is required (--input or config 'input')")
     try:
-        return load_csv(path, schema=cfg.get("schema"),
-                        drop_incomplete_rows=bool(cfg.get("drop_incomplete_rows", False)))
+        data = load_csv(path, schema=cfg.get("schema"),
+                        drop_incomplete_rows=cfg.get("drop_incomplete_rows", False))
     except OSError as exc:
         raise DataError(f"cannot read input {path}: {exc}") from None
+    if "arms" not in cfg:
+        if set(data.arms) != {0, 1}:
+            raise ConfigError(f"data arms are {data.arms}; choose a contrast with --arms")
+        cfg["arms"] = [1, 0]
+    return data, cfg["arms"]
 
 
-def _estimator_list(cfg, default, allowed):
-    estimators = tuple(cfg.get("estimators", default))
-    for est in estimators:
+def _estimator_list(cfg, allowed):
+    for est in cfg["estimators"]:
         if est not in allowed:
             raise ConfigError(f"unknown estimator {est!r}; allowed: {sorted(allowed)}")
-    cfg["estimators"] = list(estimators)
-    return estimators
-
-
-def _arm_pair(cfg, data=None):
-    arms = cfg.get("arms")
-    if arms is None:
-        arms = [1, 0]
-        if data is not None and set(data.arms) != {0, 1}:
-            raise ConfigError(
-                f"data arms are {data.arms}; choose a contrast with --arms"
-            )
-    elif not (isinstance(arms, (list, tuple)) and len(arms) == 2):
-        raise ConfigError("config arms must be a pair")
-    cfg["arms"] = [int(arms[0]), int(arms[1])]
-    return cfg["arms"]
+    return tuple(cfg["estimators"])
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +251,15 @@ def _arm_pair(cfg, data=None):
 
 
 def cmd_analyze(cfg, outdir):
-    data = _require_input(cfg)
-    a, a_prime = _arm_pair(cfg, data)
-    alpha = float(cfg.setdefault("alpha", 0.05))
-    estimators = _estimator_list(
-        cfg, ("tau", "phi", "psi"), MEAN_ESTIMATORS + COMPARATORS
-    )
-    validate_positivity(data, arms=sorted(set((a, a_prime))))
+    data, (a, a_prime) = _read_input(cfg)
+    estimators = _estimator_list(cfg, MEAN_ESTIMATORS + COMPARATORS)
+    validate_positivity(data, arms=sorted((a, a_prime)))
     configs = _resolve_nuisance_configs(cfg, data)
     if set(estimators) & set(COMPARATORS) and (a, a_prime) not in ((1, 0), (0, 1)):
         raise ConfigError("comparators require the contrast arms to be 0 and 1")
 
     records = []
-    for rec in estimate_effects(data, estimators, (a, a_prime), configs, alpha):
+    for rec in estimate_effects(data, estimators, (a, a_prime), configs, cfg["alpha"]):
         if rec.center == 0:  # a comparator: one number for every center
             records.extend(
                 dataclasses.replace(rec, center=c) for c in range(1, data.m + 1)
@@ -294,11 +267,10 @@ def cmd_analyze(cfg, outdir):
         else:
             records.append(rec)
 
-    echo = _echo(cfg)
     counts = cell_counts(data)
     report = {
         "command": "analyze",
-        "config": echo,
+        "config": cfg,
         "n": data.n,
         "m": data.m,
         "center_labels": [str(lab) for lab in data.center_labels],
@@ -312,7 +284,7 @@ def cmd_analyze(cfg, outdir):
         outdir / "estimates.csv",
         ["center", "estimator", "estimate", "se", "ci_low", "ci_high"],
         [[r.center, r.estimator, r.value, r.se, r.ci_low, r.ci_high] for r in records],
-        echo,
+        cfg,
     )
 
     print(f"analyze: {data.n} rows, {data.m} centers, contrast arms {a} vs {a_prime}")
@@ -326,11 +298,8 @@ def cmd_analyze(cfg, outdir):
 
 
 def cmd_check_assumptions(cfg, outdir):
-    data = _require_input(cfg)
-    a, a_prime = _arm_pair(cfg, data)
-    estimators = _estimator_list(
-        cfg, HOMOGENEITY_ESTIMATORS, set(HOMOGENEITY_ESTIMATORS)
-    )
+    data, (a, a_prime) = _read_input(cfg)
+    estimators = _estimator_list(cfg, HOMOGENEITY_ESTIMATORS)
     configs = _resolve_nuisance_configs(cfg, data)
 
     if ("base_spec" in cfg) != ("extended_spec" in cfg):
@@ -357,10 +326,9 @@ def cmd_check_assumptions(cfg, outdir):
         entry["estimator"] = estimator
         tests.append(entry)
 
-    echo = _echo(cfg)
     report = {
         "command": "check-assumptions",
-        "config": echo,
+        "config": cfg,
         "n": data.n,
         "m": data.m,
         "tests": tests,
@@ -381,10 +349,7 @@ def cmd_check_assumptions(cfg, outdir):
 
 
 def _scenario_from_config(cfg):
-    block = cfg.get("scenario", {})
-    if not isinstance(block, dict):
-        raise ConfigError("scenario section must be a JSON object")
-    scenario = Scenario.from_dict(block)
+    scenario = Scenario.from_dict(cfg["scenario"])
     cfg["scenario"] = scenario.to_dict()
     return scenario
 
@@ -394,32 +359,20 @@ _METRIC_TABLES = ("bias", "mse", "coverage", "avg_se", "avg_ci_width", "empirica
 
 def cmd_simulate(cfg, outdir):
     scenario = _scenario_from_config(cfg)
-    replicates = int(cfg.setdefault("replicates", 1000))
-    seed = int(cfg.setdefault("seed", 0))
-    alpha = float(cfg.setdefault("alpha", 0.05))
-    estimators = _estimator_list(
-        cfg, DEFAULT_ESTIMATORS, MEAN_ESTIMATORS + COMPARATORS
-    )
-    a, a_prime = _arm_pair(cfg)
-    oracle_n = int(cfg.setdefault("oracle_n", 10_000_000))
-    oracle_seed = int(cfg.setdefault("oracle_seed", 0))
-    workers = int(cfg.setdefault("workers", 1))
-
     report = run_study(
         scenario,
-        replicates=replicates,
-        estimators=estimators,
-        master_seed=seed,
-        arms=(a, a_prime),
-        alpha=alpha,
-        oracle_n=oracle_n,
-        oracle_seed=oracle_seed,
-        workers=workers,
+        replicates=cfg["replicates"],
+        estimators=_estimator_list(cfg, MEAN_ESTIMATORS + COMPARATORS),
+        master_seed=cfg["seed"],
+        arms=cfg["arms"],
+        alpha=cfg["alpha"],
+        oracle_n=cfg["oracle_n"],
+        oracle_seed=cfg["oracle_seed"],
+        workers=cfg["workers"],
     )
 
-    echo = _echo(cfg)
     payload = report.to_dict()
-    payload["config"] = echo
+    payload["config"] = cfg
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "study_report.json", payload)
 
@@ -435,13 +388,13 @@ def cmd_simulate(cfg, outdir):
             cell.coverage, cell.avg_ci_width, cell.avg_se, cell.empirical_sd,
             cell.avg_n_c,
         ])
-    _write_csv(outdir / "study_report.csv", long_header, long_rows, echo)
+    _write_csv(outdir / "study_report.csv", long_header, long_rows, cfg)
     for metric in _METRIC_TABLES:
         header, rows = report.metric_table(metric)
-        _write_csv(outdir / f"study_{metric}.csv", header, rows, echo)
+        _write_csv(outdir / f"study_{metric}.csv", header, rows, cfg)
 
-    print(f"simulate: {scenario.strength} scenario, {replicates} replicates, "
-          f"seed {seed}, {report.failures} failures")
+    print(f"simulate: {scenario.strength} scenario, {cfg['replicates']} replicates, "
+          f"seed {cfg['seed']}, {report.failures} failures")
     header, rows = report.metric_table("bias")
     print("bias (estimate minus true effect):")
     print(" ".join(f"{h:>10}" for h in header))
@@ -453,17 +406,14 @@ def cmd_simulate(cfg, outdir):
 
 def cmd_oracle(cfg, outdir):
     scenario = _scenario_from_config(cfg)
-    oracle_n = int(cfg.setdefault("oracle_n", 10_000_000))
-    seed = int(cfg.setdefault("seed", 0))
     zero_interaction = scenario.effective_outcome_coeffs()[5] == 0.0
-    oracle = true_center_ates(scenario, oracle_n, seed)
+    oracle = true_center_ates(scenario, cfg["oracle_n"], cfg["seed"])
 
-    echo = _echo(cfg)
-    report = {"command": "oracle", "config": echo, "oracle": oracle.to_dict()}
+    report = {"command": "oracle", "config": cfg, "oracle": oracle.to_dict()}
     outdir.mkdir(parents=True, exist_ok=True)
     _write_json(outdir / "report.json", report)
 
-    print(f"oracle: {scenario.strength} scenario, {oracle.draws} draws, seed {seed}")
+    print(f"oracle: {scenario.strength} scenario, {oracle.draws} draws, seed {cfg['seed']}")
     print(f"{'center':>6} {'true_ate':>12} {'mc_se':>10}")
     for c, (v, s) in enumerate(zip(oracle.values, oracle.mc_se), start=1):
         print(f"{c:>6} {v:>12.5f} {s:>10.5f}")
@@ -477,35 +427,43 @@ def cmd_oracle(cfg, outdir):
 # entry point
 # ---------------------------------------------------------------------------
 
-_DISPATCH = {
-    "analyze": cmd_analyze,
-    "check-assumptions": cmd_check_assumptions,
-    "simulate": cmd_simulate,
-    "oracle": cmd_oracle,
+_DATA_KEYS = dict.fromkeys(("input", "schema", "drop_incomplete_rows", "arms", "nuisance"))
+
+#: each command: (help, the config keys it reads with their defaults; None: the
+#: command works the value out or leaves it unset). A config file may also hold
+#: "command" (naming the same command) and "output". ``main`` looks cmd_<name>
+#: up at each call, so that a wrapper installed on that attribute runs.
+COMMANDS = {
+    "analyze": ("estimate center-specific treatment effects from a CSV dataset", {
+        **_DATA_KEYS, "estimators": ["tau", "phi", "psi"], "alpha": 0.05,
+    }),
+    "check-assumptions": ("test effect homogeneity and center-outcome association", {
+        **_DATA_KEYS, "estimators": list(HOMOGENEITY_ESTIMATORS),
+        "base_spec": None, "extended_spec": None,
+    }),
+    "simulate": ("run the replicated simulation study", {
+        "scenario": {}, "replicates": 1000, "seed": 0, "alpha": 0.05,
+        "estimators": list(DEFAULT_ESTIMATORS), "arms": [1, 0],
+        "oracle_n": 10_000_000, "oracle_seed": 0, "workers": 1,
+    }),
+    "oracle": ("compute true scenario effects per center", {
+        "scenario": {}, "oracle_n": 10_000_000, "seed": 0,
+    }),
 }
 
 
 def main(argv=None):
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command is None:
-            raise UsageError("a command is required (analyze, check-assumptions, "
-                             "simulate, oracle)")
+            raise UsageError(f"a command is required ({', '.join(COMMANDS)})")
         cfg, outdir = _merge_config(args)
-        return _DISPATCH[args.command](cfg, outdir)
-    except CenterEffectsError as exc:
-        payload = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "exit_code": exc.exit_code,
-        }
+        return globals()["cmd_" + args.command.replace("-", "_")](cfg, outdir)
+    except Exception as exc:  # any error but the package's own is an unexpected numerical failure
+        code = exc.exit_code if isinstance(exc, CenterEffectsError) else 3
+        payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return exc.exit_code
-    except Exception as exc:  # unexpected numerical failure
-        payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": 3}
-        print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 3
+        return code
 
 
 if __name__ == "__main__":

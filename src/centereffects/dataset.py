@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import numbers
 from dataclasses import dataclass, field
 from itertools import compress, islice
 from operator import itemgetter
@@ -15,6 +16,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyInputError,
     InsufficientDataError,
     MissingDataError,
@@ -35,6 +37,10 @@ DEFAULT_SCHEMA = {
     "outcome_col": "outcome",
     "covariate_cols": "rest",
 }
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _as_float_1d(x, name):
@@ -321,6 +327,12 @@ def _unreadable(path, exc):
 
 
 def _resolve_schema(header, schema):
+    for key, col in (schema or {}).items():
+        if key not in DEFAULT_SCHEMA:
+            raise ConfigError(f"unknown schema key {key!r}; keys: {sorted(DEFAULT_SCHEMA)}")
+        names = col if key == "covariate_cols" and isinstance(col, (list, tuple)) else [col]
+        if not all(isinstance(name, str) for name in names):
+            raise ConfigError(f"schema {key} must hold column names, got {col!r}")
     merged = dict(DEFAULT_SCHEMA)
     merged.update(schema or {})
     seen = {}

@@ -22,11 +22,12 @@ Weighting uses raw probabilities — no truncation unless an explicit
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TrialDataset
+from .dataset import TrialDataset, _is_number
 from .errors import (
     ComparatorError,
     ConfigError,
@@ -71,8 +72,14 @@ class KnownProbabilities:
     arms: tuple = (0, 1)
 
     def __post_init__(self):
-        table = np.atleast_2d(np.asarray(self.table, dtype=np.float64))
-        arms = tuple(int(a) for a in self.arms)
+        try:
+            table = np.atleast_2d(np.asarray(self.table))
+            arms = tuple(operator.index(a) for a in self.arms)
+        except (TypeError, ValueError):  # ragged rows, or arms that are not integers
+            table = arms = None
+        if arms is None or table.dtype.kind not in "iuf":
+            raise SpecError(f"known probabilities need numbers and integer arms, got {self!r}")
+        table = table.astype(np.float64)
         if table.ndim != 2 or table.shape[1] != len(arms):
             raise SpecError(
                 f"probability table must have one column per arm "
@@ -82,7 +89,6 @@ class KnownProbabilities:
             raise SpecError("known arm probabilities must lie strictly in (0,1)")
         if not np.allclose(table.sum(axis=1), 1.0, rtol=0.0, atol=1e-9):
             raise SpecError("known arm probabilities must sum to 1 per center")
-        table = table.copy()
         table.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "arms", arms)
@@ -90,6 +96,8 @@ class KnownProbabilities:
     @classmethod
     def constant(cls, prob_of_arm_one=0.5, arms=(0, 1)):
         """Same two-arm assignment probability in every center."""
+        if not _is_number(prob_of_arm_one):
+            raise SpecError(f"known constant probability must be a number, got {prob_of_arm_one!r}")
         return cls(np.array([[1.0 - prob_of_arm_one, prob_of_arm_one]]), arms)
 
     def _arm_index(self, a):
@@ -156,10 +164,12 @@ class NuisanceConfig:
             raise SpecError("membership_spec must be a design, not arm probabilities")
         object.__setattr__(self, "membership_spec", _coerce_spec(ms, "membership_spec"))
         _reject_center_terms(self.membership_spec, "membership model")
-        if not 0.0 <= self.weight_floor < 1.0:
-            raise ParameterError("weight_floor must lie in [0, 1)")
-        if self.ridge < 0.0:
-            raise ParameterError("ridge must be nonnegative")
+        if not isinstance(self.treatment_decomposition, bool):
+            raise SpecError("treatment_decomposition must be true or false")
+        if not (_is_number(self.weight_floor) and 0.0 <= self.weight_floor < 1.0):
+            raise ParameterError(f"weight_floor must lie in [0, 1), got {self.weight_floor!r}")
+        if not (_is_number(self.ridge) and 0.0 <= self.ridge < np.inf):
+            raise ParameterError(f"ridge must be finite and nonnegative, got {self.ridge!r}")
 
 
 def _reject_center_terms(spec, what):

@@ -78,6 +78,8 @@ def parse_term(token):
     """Parse one term string such as "1", "x1", "C", "A", "x1:A"."""
     if isinstance(token, Term):
         return token
+    if not isinstance(token, str):
+        raise SpecError(f"design terms must be strings, got {token!r}")
     if ":" in token:
         parts = tuple(_parse_atom(t) for t in token.split(":"))
         if any(p.kind == "intercept" for p in parts):
@@ -93,6 +95,8 @@ class DesignSpec:
     terms: tuple = ()
 
     def __post_init__(self):
+        if isinstance(self.terms, str):
+            raise SpecError(f"a design is a list of terms, got the string {self.terms!r}")
         terms = tuple(parse_term(t) for t in self.terms)
         if sum(t.kind == "intercept" for t in terms) > 1:
             raise SpecError("at most one intercept term allowed")
@@ -100,7 +104,7 @@ class DesignSpec:
 
     @classmethod
     def parse(cls, tokens):
-        return cls(tuple(tokens))
+        return cls(tokens)
 
     def to_strings(self):
         return [str(t) for t in self.terms]

@@ -15,11 +15,12 @@ independent Gauss-Hermite quadrature implementation.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .dataset import TrialDataset
+from .dataset import TrialDataset, _is_number
 from .errors import (
     CenterEffectsError,
     InsufficientDataError,
@@ -27,7 +28,7 @@ from .errors import (
     StudyError,
 )
 from .estimators import COMPARATORS, MEAN_ESTIMATORS, KnownProbabilities, NuisanceConfig
-from .inference import estimate_effects
+from .inference import estimate_effects, normal_quantile
 from .nuisance import reference_softmax
 
 #: center-selection coefficients, rows k = 2..10, columns (1, X1, X2, X3)
@@ -50,8 +51,14 @@ STRENGTHS = ("baseline", "strong")
 DOUBLING_COLUMNS = {"x1": 1, "x3": 3}
 
 
-def _nested_tuple(matrix):
-    return tuple(tuple(float(v) for v in row) for row in matrix)
+def _float_rows(name, rows):
+    """Rows of floats from lists of numbers; ParameterError naming ``name`` otherwise."""
+    try:
+        if all(_is_number(v) and np.isfinite(v) for row in rows for v in row):
+            return tuple(tuple(float(v) for v in row) for row in rows)
+    except TypeError:  # a row, or the whole, is not a list
+        pass
+    raise ParameterError(f"scenario {name} must hold only finite numbers")
 
 
 @dataclass(frozen=True)
@@ -74,14 +81,16 @@ class Scenario:
     strong_doubles: str = "x1"
 
     def __post_init__(self):
-        object.__setattr__(self, "membership_coeffs", _nested_tuple(self.membership_coeffs))
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ParameterError(f"scenario {name} must be an integer >= 1, got {value!r}")
         object.__setattr__(
-            self, "outcome_coeffs", tuple(float(v) for v in self.outcome_coeffs)
+            self, "membership_coeffs", _float_rows("membership_coeffs", self.membership_coeffs)
         )
-        if self.n < 1:
-            raise ParameterError("scenario needs n >= 1")
-        if self.m < 1:
-            raise ParameterError("scenario needs m >= 1")
+        object.__setattr__(
+            self, "outcome_coeffs", _float_rows("outcome_coeffs", [self.outcome_coeffs])[0]
+        )
         rows = len(self.membership_coeffs)
         if rows != self.m - 1 or any(len(r) != 4 for r in self.membership_coeffs):
             raise ParameterError(
@@ -89,13 +98,13 @@ class Scenario:
             )
         if len(self.outcome_coeffs) != 6:
             raise ParameterError("outcome coefficients must have 6 entries")
-        if not 0.0 < self.arm_prob < 1.0:
-            raise ParameterError("arm_prob must lie in (0,1)")
-        if self.noise_sd < 0.0:
-            raise ParameterError("noise_sd must be nonnegative")
+        if not (_is_number(self.arm_prob) and 0.0 < self.arm_prob < 1.0):
+            raise ParameterError(f"arm_prob must lie in (0,1), got {self.arm_prob!r}")
+        if not (_is_number(self.noise_sd) and 0.0 <= self.noise_sd < np.inf):
+            raise ParameterError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
         if self.strength not in STRENGTHS:
             raise ParameterError(f"strength must be one of {STRENGTHS}")
-        if self.strong_doubles not in DOUBLING_COLUMNS:
+        if self.strong_doubles not in tuple(DOUBLING_COLUMNS):
             raise ParameterError(
                 f"strong_doubles must be one of {tuple(DOUBLING_COLUMNS)}"
             )
@@ -236,6 +245,8 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     conditional mean is accumulated over ``oracle_n`` draws in fixed-size
     chunks (deterministic given ``seed``). Cached per (scenario, n, seed).
     """
+    if oracle_n < 1 or seed < 0:
+        raise ParameterError(f"oracle needs oracle_n >= 1 and seed >= 0, got {oracle_n}, {seed}")
     rng = np.random.default_rng(seed)
     m = scenario.m
     count = np.zeros(m)
@@ -474,6 +485,10 @@ def run_study(
         raise ParameterError("study needs at least 1 replicate")
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    if min(master_seed, oracle_seed) < 0 or oracle_n < 1:
+        raise ParameterError("the study needs seed, oracle_seed >= 0 and oracle_n >= 1, got "
+                             f"{master_seed}, {oracle_seed} and {oracle_n}")
+    normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
 
     if oracle is not None and (len(oracle.values) != scenario.m
                                or not np.all(np.isfinite(oracle.values))):

@@ -590,6 +590,86 @@ def test_unread_flags_and_config_keys_exit_1(tmp_path, capsys, command):
     assert not outdir.exists()
 
 
+SIM = {"scenario": {**TWO_CENTER, "n": 150}, "replicates": 2, "oracle_n": 10_000,
+       "estimators": ["tau"]}
+ORACLE = {"scenario": SIM["scenario"], "oracle_n": 10_000}
+
+# (command, config keys, flags, error class, text the message must hold); the
+# analyze and check-assumptions configs also get a valid input file
+WRONG_VALUES = [
+    # wrong JSON type or shape of a config key or flag: the settings table
+    ("analyze", {"arms": [1, "x"]}, [], "ConfigError", "arms"),
+    ("simulate", {**SIM, "arms": [1, None]}, [], "ConfigError", "arms"),
+    ("analyze", {}, ["--arms", "1,1"], "ConfigError", "arms"),
+    ("analyze", {"drop_incomplete_rows": "no"}, [], "ConfigError", "drop_incomplete_rows"),
+    ("analyze", {}, ["--estimators", "tau,tau"], "ConfigError", "estimators"),
+    ("simulate", SIM, ["--estimators", "tau,tau"], "ConfigError", "estimators"),
+    ("analyze", {}, ["--estimators", ""], "ConfigError", "estimators"),
+    ("simulate", {**SIM, "workers": 2.7}, [], "ConfigError", "workers"),
+    ("simulate", {**SIM, "seed": True}, [], "ConfigError", "seed"),
+    ("analyze", {"alpha": "0.1"}, [], "ConfigError", "alpha"),
+    ("analyze", {"input": 5}, [], "ConfigError", "input"),
+    ("analyze", {"output": 5}, [], "ConfigError", "output"),
+    ("oracle", {**ORACLE, "oracle_n": "1e4"}, [], "ConfigError", "oracle_n"),
+    ("analyze", {"schema": ["a"]}, [], "ConfigError", "schema"),
+    ("check-assumptions", {"base_spec": [1], "extended_spec": ["1"]}, [], "ConfigError",
+     "base_spec"),
+    ("check-assumptions", {"base_spec": "x1", "extended_spec": ["1", "x1", "C"]}, [],
+     "ConfigError", "base_spec"),
+    # nested values: the library's own checks
+    ("simulate", {**SIM, "scenario": {"n": "x"}}, [], "ParameterError", "scenario n"),
+    ("simulate", {**SIM, "scenario": {"membership_coeffs": 3}}, [], "ParameterError",
+     "membership_coeffs"),
+    ("analyze", {"nuisance": {"psi": {"ridge": "a"}}}, [], "ParameterError", "ridge"),
+    ("analyze", {"nuisance": {"psi": {"weight_floor": "a"}}}, [], "ParameterError",
+     "weight_floor"),
+    ("analyze", {"nuisance": {"psi": {"treatment_decomposition": "no"}}}, [], "SpecError",
+     "treatment_decomposition"),
+    ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {}}}}}, [], "ConfigError",
+     "treatment_spec"),
+    ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {"constant": "a"}}}}}, [],
+     "SpecError", "constant"),
+    ("analyze", {"schema": {"covariate_cols": 5}}, [], "ConfigError", "covariate_cols"),
+    ("analyze", {"schema": {"bogus": 1}}, [], "ConfigError", "bogus"),
+    # seeds, draw counts and the interval level out of range
+    ("simulate", {**SIM, "seed": -1}, [], "ParameterError", "seed"),
+    ("simulate", {**SIM, "oracle_seed": -1}, [], "ParameterError", "oracle_seed"),
+    ("simulate", {**SIM, "oracle_n": 0}, [], "ParameterError", "oracle_n"),
+    ("oracle", {**ORACLE, "seed": -1}, [], "ParameterError", "seed"),
+    ("oracle", {**ORACLE, "oracle_n": 0}, [], "ParameterError", "oracle_n"),
+    ("simulate", {**SIM, "alpha": 2}, [], "ParameterError", "alpha"),
+]
+
+
+@pytest.mark.parametrize("command, keys, flags, error, key", WRONG_VALUES,
+                         ids=[f"{case[0]}-{case[4]}" for case in WRONG_VALUES])
+def test_wrong_config_values_exit_1(tmp_path, capsys, command, keys, flags, error, key):
+    if command in ("analyze", "check-assumptions"):
+        keys = {"input": write_trial_csv(tmp_path, n=200, seed=4), **keys}
+    cfg = write_config(tmp_path, keys)
+    outdir = tmp_path / "o"
+    assert cli.main([command, "--config", cfg, "--output", str(outdir), *flags]) == 1
+    payload = stderr_payload(capsys)
+    assert payload["error"] == error
+    assert issubclass(getattr(ce, error), ce.ConfigError)
+    assert key in payload["message"], payload["message"]
+    assert not (outdir / "report.json").exists()
+    assert not (outdir / "study_report.json").exists()
+
+
+@pytest.mark.parametrize("command, keys", [("simulate", SIM), ("oracle", ORACLE)],
+                         ids=["simulate", "oracle"])
+def test_whole_number_float_oracle_n_reads_as_integer(tmp_path, command, keys):
+    runs = []
+    for oracle_n in (1e4, 10_000):
+        cfg = write_config(tmp_path, {**keys, "oracle_n": oracle_n}, name=f"{oracle_n!r}.json")
+        outdir = tmp_path / repr(oracle_n)
+        assert cli.main([command, "--config", cfg, "--output", str(outdir)]) == 0
+        runs.append({p.name: p.read_bytes() for p in outdir.iterdir()})
+    assert runs[0] == runs[1]
+    assert not any(b"10000.0" in data for data in runs[0].values())
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
