@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 
 from .dataset import load_csv, cell_counts, validate_positivity
-from .errors import CenterEffectsError, ConfigError, DataError, UsageError
+from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
 from .estimators import COMPARATORS, KnownProbabilities, MEAN_ESTIMATORS, NuisanceConfig
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
@@ -178,30 +178,41 @@ def _to_json(value):
 
 
 def _treatment_from_json(value):
+    """A treatment_spec as NuisanceConfig takes it; every error begins with the field's name."""
     if not isinstance(value, dict):
         return value  # None or a term list; NuisanceConfig rejects anything else
     known = value.get("known") if len(value) == 1 else None
     if not isinstance(known, dict) or known.keys() - {"arms"} not in ({"constant"}, {"table"}):
-        raise ConfigError("treatment_spec must be a term list or {'known': {'constant' or "
+        raise ConfigError("treatment_spec: must be a term list or {'known': {'constant' or "
                           f"'table', optional 'arms'}}}}, got {value!r}")
     arms = known.get("arms", (0, 1))
-    if "constant" in known:
-        return KnownProbabilities.constant(known["constant"], arms=arms)
-    return KnownProbabilities(known["table"], arms=arms)
+    try:
+        if "constant" in known:
+            return KnownProbabilities.constant(known["constant"], arms=arms)
+        return KnownProbabilities(known["table"], arms=arms)
+    except SpecError as exc:
+        raise SpecError(f"treatment_spec: {exc}") from None
 
 
 def _resolve_nuisance_configs(cfg, data):
+    """Each estimator's NuisanceConfig: its default, or all of ``nuisance.<name>``,
+    whose errors are re-raised with ``nuisance.<name>.`` before the field's name."""
     configs = default_nuisance_configs(data.covariate_names)
+    fields = [f.name for f in dataclasses.fields(NuisanceConfig)]
     for name, sub in cfg.get("nuisance", {}).items():
         if name not in ("phi", "psi", "chi"):
             raise ConfigError(f"nuisance settings for unknown estimator {name!r}")
         if not isinstance(sub, dict):
-            raise ConfigError(f"nuisance {name} must be a JSON object, got {sub!r}")
-        unknown = set(sub) - {f.name for f in dataclasses.fields(NuisanceConfig)}
+            raise ConfigError(f"nuisance.{name} must be a JSON object, got {sub!r}")
+        unknown = set(sub) - set(fields)
         if unknown:
-            raise ConfigError(f"unknown nuisance fields: {sorted(unknown)}")
-        treatment = _treatment_from_json(sub.get("treatment_spec"))
-        configs[name] = NuisanceConfig(**{**sub, "treatment_spec": treatment})
+            raise ConfigError(f"nuisance.{name} has unknown fields {sorted(unknown)}; "
+                              f"its fields are {fields}")
+        try:
+            treatment = _treatment_from_json(sub.get("treatment_spec"))
+            configs[name] = NuisanceConfig(**{**sub, "treatment_spec": treatment})
+        except ConfigError as exc:
+            raise type(exc)(f"nuisance.{name}.{exc}") from None
     cfg["nuisance"] = {name: _to_json(configs[name]) for name in sorted(configs)}
     return configs
 

@@ -122,54 +122,50 @@ class KnownProbabilities:
         m = int(center_ids.max(initial=1))
         return self.per_center(a, m)[center_ids - 1]
 
-    def constant_across_centers(self, a):
-        j = self._arm_index(a)
-        col = self.table[:, j]
-        return bool(np.all(col == col[0]))
 
-
-def _coerce_spec(value, what):
-    if value is None or isinstance(value, (DesignSpec, KnownProbabilities)):
+def _coerce_spec(value, what, known=False):
+    """NuisanceConfig field ``what`` as a DesignSpec (or, when ``known``, known
+    probabilities); every SpecError begins with the field's name."""
+    if value is None or isinstance(value, DesignSpec):
+        return value
+    if known and isinstance(value, KnownProbabilities):
         return value
     if isinstance(value, (list, tuple)):
-        return DesignSpec.parse(value)
-    raise SpecError(f"{what} must be a DesignSpec, a term list, or known probabilities")
+        try:
+            return DesignSpec.parse(value)
+        except SpecError as exc:
+            raise SpecError(f"{what}: {exc}") from None
+    kinds = "a DesignSpec, known probabilities" if known else "a DesignSpec"
+    raise SpecError(f"{what}: must be {kinds} or a term list, got {value!r}")
 
 
 @dataclass(frozen=True)
 class NuisanceConfig:
     """Model specifications for the nuisance functions the estimators need.
 
-    ``treatment_decomposition`` computes the marginal arm probability used by
-    ``psi`` as the membership-weighted mixture of known per-center arm
-    probabilities. ``weight_floor`` (default 0 = off) truncates probabilities
-    entering weight denominators from below; exploratory use only, since
-    truncation changes the estimand.
+    ``treatment_spec`` is a design for the fitted logistic model of Pr[A=1],
+    or arm probabilities known by design. ``weight_floor`` (default 0 = off)
+    truncates probabilities entering weight denominators from below;
+    exploratory use only, since truncation changes the estimand. Every error
+    a field's value raises begins with the field's name.
     """
 
     outcome_spec: DesignSpec = None
     treatment_spec: object = None  # DesignSpec or KnownProbabilities
     membership_spec: DesignSpec = None
-    treatment_decomposition: bool = False
     weight_floor: float = 0.0
-    ridge: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "outcome_spec", _coerce_spec(self.outcome_spec, "outcome_spec"))
         object.__setattr__(
-            self, "treatment_spec", _coerce_spec(self.treatment_spec, "treatment_spec")
+            self, "treatment_spec", _coerce_spec(self.treatment_spec, "treatment_spec", known=True)
         )
-        ms = self.membership_spec
-        if isinstance(ms, KnownProbabilities):
-            raise SpecError("membership_spec must be a design, not arm probabilities")
-        object.__setattr__(self, "membership_spec", _coerce_spec(ms, "membership_spec"))
-        _reject_center_terms(self.membership_spec, "membership model")
-        if not isinstance(self.treatment_decomposition, bool):
-            raise SpecError("treatment_decomposition must be true or false")
+        object.__setattr__(
+            self, "membership_spec", _coerce_spec(self.membership_spec, "membership_spec")
+        )
+        _reject_center_terms(self.membership_spec, "membership_spec: a membership model")
         if not (_is_number(self.weight_floor) and 0.0 <= self.weight_floor < 1.0):
-            raise ParameterError(f"weight_floor must lie in [0, 1), got {self.weight_floor!r}")
-        if not (_is_number(self.ridge) and 0.0 <= self.ridge < np.inf):
-            raise ParameterError(f"ridge must be finite and nonnegative, got {self.ridge!r}")
+            raise ParameterError(f"weight_floor: must lie in [0, 1), got {self.weight_floor!r}")
 
 
 def _reject_center_terms(spec, what):
@@ -238,7 +234,7 @@ class FittedNuisances:
     All methods return per-observation vectors aligned with the full dataset;
     estimators index into them as needed. Designs and (read-only) predictions
     are memoised in ``fits``, keyed by what determines them: model, design
-    spec value, row subset and, for the GLMs, ridge. The donor outcome fits
+    spec value and row subset. The donor outcome fits
     share one ``factor_cells`` result per spec and arm: each center's rows of
     that arm are factored once, and the fit without center c solves the
     other centers' stacked factors. Bundles for different
@@ -269,8 +265,7 @@ class FittedNuisances:
         """
         if spec is None:
             raise ConfigError(f"{model} model specification missing")
-        ridge = None if model == "outcome" else self.cfg.ridge
-        key = (model, spec, donor, arm, ridge)
+        key = (model, spec, donor, arm)
         if key not in self._fits:
             if model == "treatment" and set(self.data.arms) != {0, 1}:
                 raise SpecError("fitted treatment models require arms coded {0,1}")
@@ -285,13 +280,10 @@ class FittedNuisances:
                     fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
                 elif model == "treatment":
                     fit = fit_logistic(
-                        X[rows], self.data.arm[rows].astype(np.float64), ridge=ridge,
-                        column_names=names,
+                        X[rows], self.data.arm[rows].astype(np.float64), column_names=names
                     )
                 else:
-                    fit = fit_multinomial(
-                        X[rows], self.data.center[rows], ridge=ridge, column_names=names
-                    )
+                    fit = fit_multinomial(X[rows], self.data.center[rows], column_names=names)
             prediction = predict(fit, X)
             prediction.flags.writeable = False
             self._fits[key] = prediction
@@ -339,28 +331,19 @@ class FittedNuisances:
     def marginal_arm_probability(self, arm):
         """Pr[A=arm | X] per row, marginal over centers.
 
-        With ``treatment_decomposition`` set this is the membership-weighted
-        mixture of known per-center probabilities; otherwise it comes from
-        constant known probabilities or the fitted treatment model.
+        From the fitted treatment model, or, for known probabilities e_c =
+        Pr[A=arm | C=c], the membership mixture Σ_c Pr[C=c | X]·e_c (treatment
+        is randomized within each center), which is e_1 itself when every
+        center has the same probability.
         """
         ts = self.cfg.treatment_spec
-        if self.cfg.treatment_decomposition:
-            if not isinstance(ts, KnownProbabilities):
-                raise ConfigError(
-                    "treatment_decomposition requires known per-center arm probabilities"
-                )
-            per_center = ts.per_center(arm, self.data.m)
-            P = self.membership()
-            total = P.sum(axis=1)
-            return (P @ per_center) / total
-        if isinstance(ts, KnownProbabilities):
-            if not ts.constant_across_centers(arm):
-                raise ConfigError(
-                    "per-center known probabilities vary across centers; enable "
-                    "treatment_decomposition to form the marginal arm probability"
-                )
-            return np.full(self.data.n, ts.per_center(arm, self.data.m)[0])
-        return self._arm_probability(arm)
+        if not isinstance(ts, KnownProbabilities):
+            return self._arm_probability(arm)
+        e = ts.per_center(arm, self.data.m)
+        if np.all(e == e[0]):
+            return np.full(self.data.n, e[0])
+        P = self.membership()
+        return (P @ e) / P.sum(axis=1)
 
     def donor_arm_probability(self, c, arm):
         """Pr[A=arm | X] per row from the donor pool (all centers except c)."""
@@ -458,8 +441,6 @@ def _check_mean(data, estimator, c, a, cfg, variant):
         raise NoDonorError("transport estimator needs at least two centers")
     if cfg is not None:
         _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    if estimator == "psi" and not np.any(data.arm == a):
-        raise PositivityError(f"no rows in arm {a}")
     if estimator == "chi" and not np.any((data.center != c) & (data.arm == a)):
         raise PositivityError(f"donor pool has no rows in arm {a}")
 
@@ -580,8 +561,10 @@ def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None
     is fitted. One nuisance bundle (``nuisances``, else one fit from ``cfg``
     with the ``fits`` memo) serves every center and arm, and each arm gets
     one all-centers pass: a contrast is the first arm's pass minus the
-    second's.
+    second's, so its two arms must differ.
     """
+    if len(arms) == 2 and int(arms[0]) == int(arms[1]):
+        raise ParameterError(f"a contrast needs two different arms, got {arms[0]} twice")
     for c in centers:
         for a in arms:
             _check_mean(data, estimator, c, a, cfg, variant)

@@ -8,9 +8,10 @@ Designs are declared as ordered term lists ("1", covariate names, "C" for
 center indicators, "A" for the arm indicator, "a:b" products) so model
 specifications can round-trip through config files.
 
-All fits are deterministic: rank handling uses pivoted QR, aliased columns are
-dropped with a warning and recorded with structurally zero coefficients, and
-no regularization is applied unless a ridge jitter is explicitly requested.
+All fits are deterministic and unpenalized (a singular information matrix
+gets a least-squares Newton step): rank handling uses pivoted QR, and aliased
+columns are dropped with a warning and recorded with structurally zero
+coefficients.
 A least-squares problem whose rows fall into cells (centers) can be reduced
 to one small R factor per cell (``factor_cells``); ``fit_ols_cells`` then fits
 any union of cells from their stacked factors with fit_ols's own solve.
@@ -450,7 +451,7 @@ _SEPARATION_BOUND = 1e3
 _SEPARATION_PROB = 1e-14
 
 
-def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
+def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     """Maximum likelihood of the reference-category logit of ``cat`` (1..m) on X.
 
     Returns the fit's fields, coefficients (m − 1, p) with dropped columns at 0.
@@ -526,8 +527,6 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
             diagonal += Zb @ XkT[:, block].T
             H -= Zb @ Zb.T
         H.reshape(q, k, q, k)[range(q), :, range(q), :] += diagonal.reshape(q, k, k)
-        if ridge > 0.0:
-            H[np.diag_indices_from(H)] += ridge
         try:
             step = np.linalg.solve(H, score)
         except np.linalg.LinAlgError:
@@ -576,7 +575,7 @@ def _newton(X, cat, m, ridge, max_iter, score_tol, column_names, model):
     )
 
 
-def fit_logistic(design, y, ridge=0.0, max_iter=100, column_names=None):
+def fit_logistic(design, y, max_iter=100, column_names=None):
     """Bernoulli maximum likelihood: the reference-category Newton fit with m = 2.
 
     Category 1 is y = 0. The start, stopping and step-halving rules and the
@@ -598,12 +597,12 @@ def fit_logistic(design, y, ridge=0.0, max_iter=100, column_names=None):
     if yv.min() == yv.max():
         raise DegenerateFitError("logistic outcome has a single class")
 
-    fit = _newton(X, yv.astype(np.intp) + 1, 2, ridge, max_iter, _LOGISTIC_SCORE_TOL,
+    fit = _newton(X, yv.astype(np.intp) + 1, 2, max_iter, _LOGISTIC_SCORE_TOL,
                   column_names, "logistic")
     return LogisticFit(**dict(fit, coefficients=fit["coefficients"][0]))
 
 
-def fit_multinomial(design, category, ridge=0.0, max_iter=200, column_names=None):
+def fit_multinomial(design, category, max_iter=200, column_names=None):
     """Multinomial maximum likelihood by the reference-category Newton fit.
 
     ``category`` takes integer values 1..m with every category observed;
@@ -633,7 +632,7 @@ def fit_multinomial(design, category, ridge=0.0, max_iter=200, column_names=None
         )
 
     return MultinomialFit(m=m, **_newton(
-        X, cat, m, ridge, max_iter, _MULTINOMIAL_SCORE_TOL, column_names, "multinomial"
+        X, cat, m, max_iter, _MULTINOMIAL_SCORE_TOL, column_names, "multinomial"
     ))
 
 

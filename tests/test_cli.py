@@ -525,17 +525,27 @@ def test_analyze_and_check_assumptions_do_not_import_concurrent_futures(tmp_path
     assert done.stdout.strip().splitlines()[-1] == "False []"
 
 
-TRIAL, STUDY = "<trial.csv>", "<study.json>"
+TRIAL, STUDY, NUISANCE = "<trial.csv>", "<study.json>", "<nuisance.json>"
+#: every nuisance field away from its default in some estimator; psi's known
+#: arm probabilities vary across the two centers (the membership mixture)
+NUISANCE_OVERRIDES = {
+    "phi": {"outcome_spec": ["1", "x1", "C", "x1:C"], "treatment_spec": ["1"]},
+    "psi": {"outcome_spec": ["1", "x1"], "membership_spec": ["1", "x1"],
+            "treatment_spec": {"known": {"table": [[0.45, 0.55], [0.55, 0.45]]}}},
+    "chi": {"outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
+            "membership_spec": ["1", "x1", "x2"], "weight_floor": 0.01},
+}
 
 
 @pytest.mark.parametrize("command, flags, outputs", [
     ("analyze", ["--input", TRIAL, "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2",
                  "--arms", "0,1"], ["report.json", "estimates.csv"]),
+    ("analyze", ["--config", NUISANCE], ["report.json", "estimates.csv"]),
     ("check-assumptions", ["--input", TRIAL], ["report.json"]),
     ("simulate", ["--config", STUDY, "--replicates", "2", "--arms", "0,1"],
      ["study_report.json", "study_report.csv", "study_coverage.csv"]),
     ("oracle", ["--config", STUDY, "--seed", "3"], ["report.json"]),
-], ids=["analyze", "check-assumptions", "simulate", "oracle"])
+], ids=["analyze", "analyze-nuisance", "check-assumptions", "simulate", "oracle"])
 def test_byte_exact_rerun_from_echoed_config(tmp_path, command, flags, outputs):
     inputs = {
         TRIAL: write_trial_csv(tmp_path, n=300, seed=8),
@@ -543,6 +553,10 @@ def test_byte_exact_rerun_from_echoed_config(tmp_path, command, flags, outputs):
             "scenario": {**TWO_CENTER, "n": 150}, "oracle_n": 10_000,
         }, name="study.json"),
     }
+    inputs[NUISANCE] = write_config(tmp_path, {
+        "input": inputs[TRIAL], "estimators": ["phi", "psi", "chi"],
+        "nuisance": NUISANCE_OVERRIDES,
+    }, name="nuisance.json")
     out1 = tmp_path / "run1"
     flags = [inputs.get(flag, flag) for flag in flags]
     assert cli.main([command, *flags, "--output", str(out1)]) == 0
@@ -620,15 +634,25 @@ WRONG_VALUES = [
     ("simulate", {**SIM, "scenario": {"n": "x"}}, [], "ParameterError", "scenario n"),
     ("simulate", {**SIM, "scenario": {"membership_coeffs": 3}}, [], "ParameterError",
      "membership_coeffs"),
-    ("analyze", {"nuisance": {"psi": {"ridge": "a"}}}, [], "ParameterError", "ridge"),
     ("analyze", {"nuisance": {"psi": {"weight_floor": "a"}}}, [], "ParameterError",
      "weight_floor"),
-    ("analyze", {"nuisance": {"psi": {"treatment_decomposition": "no"}}}, [], "SpecError",
+    # settings that no longer exist, as configs echoed by earlier versions hold them
+    ("analyze", {"nuisance": {"psi": {"ridge": 0.0}}}, [], "ConfigError", "ridge"),
+    ("analyze", {"nuisance": {"psi": {"treatment_decomposition": False}}}, [], "ConfigError",
      "treatment_decomposition"),
     ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {}}}}}, [], "ConfigError",
      "treatment_spec"),
     ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {"constant": "a"}}}}}, [],
      "SpecError", "constant"),
+    # an error inside nuisance.<estimator> names the estimator and the field
+    ("analyze", {"nuisance": {"psi": {"outcome_spec": [1]}}}, [], "SpecError",
+     "nuisance.psi.outcome_spec"),
+    ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {"table": [["a", "b"]]}}}}},
+     [], "SpecError", "nuisance.phi.treatment_spec"),
+    ("analyze", {"nuisance": {"chi": {"membership_spec": "x1"}}}, [], "SpecError",
+     "nuisance.chi.membership_spec"),
+    ("analyze", {"nuisance": {"chi": {"weight_floor": 1.5}}}, [], "ParameterError",
+     "nuisance.chi.weight_floor"),
     ("analyze", {"schema": {"covariate_cols": 5}}, [], "ConfigError", "covariate_cols"),
     ("analyze", {"schema": {"bogus": 1}}, [], "ConfigError", "bogus"),
     # seeds, draw counts and the interval level out of range

@@ -144,11 +144,11 @@ def test_tau_influence_by_hand():
     assert abs(rec.influence.mean()) < 1e-12
 
 
-def test_contrast_same_arm_is_zero():
+def test_contrast_same_arm_rejected():
+    # mean(c, a) − mean(c, a) is 0 with SE 0 whatever the data: not an estimate
     d = from_arrays([[0.0]] * 3, [1, 1, 1], [1, 1, 0], [2.0, 4.0, 1.0])
-    rec = estimate_contrast(d, "tau", 1, 1, 1)
-    assert rec.value == 0.0
-    np.testing.assert_array_equal(rec.influence, np.zeros(3))
+    with pytest.raises(ParameterError, match="two different arms"):
+        estimate_contrast(d, "tau", 1, 1, 1)
 
 
 def test_bad_center_and_arm_rejected():
@@ -348,23 +348,25 @@ def test_psi_single_center_equals_phi():
         np.testing.assert_array_equal(psi.influence, phi.influence)
 
 
-def test_psi_decomposition_constant_half_bit_exact():
-    # mixing identical 0.5 known probabilities through any membership model
-    # reproduces 0.5 exactly, so the two runs agree bitwise
+def test_psi_marginal_arm_probability_mixes_known_per_center_probabilities():
+    # treatment is randomized within centers, so Pr[A=a | X] is
+    # Σ_c Pr[C=c | X]·Pr[A=a | C=c]: bitwise the hand-built mixture when the
+    # known probabilities vary, exactly the constant when they do not
     rng = np.random.default_rng(37)
     d = random_dataset(rng, m=3)
-    base = dict(outcome_spec=["1", "x1"], membership_spec=["1", "x1"])
-    cfg_plain = NuisanceConfig(treatment_spec=KnownProbabilities.constant(0.5), **base)
-    cfg_mix = NuisanceConfig(
-        treatment_spec=KnownProbabilities.constant(0.5),
-        treatment_decomposition=True,
-        **base,
-    )
-    for c in range(1, 4):
-        for a in (0, 1):
-            plain = estimate_psi(d, c, a, cfg_plain)
-            mixed = estimate_psi(d, c, a, cfg_mix)
-            assert plain.value == mixed.value
+    table = [[0.3, 0.7], [0.5, 0.5], [0.8, 0.2]]
+    nuis = FittedNuisances(d, simple_config(treatment_spec=KnownProbabilities(table)))
+    P = nuis.membership()
+    for a in (0, 1):
+        e = np.array([row[a] for row in table])
+        want = (P @ e) / P.sum(axis=1)
+        assert nuis.marginal_arm_probability(a).tobytes() == want.tobytes()
+        assert np.isfinite(estimate_psi(d, 2, a, nuis.cfg, nuisances=nuis).value)
+
+    for known in (KnownProbabilities([[0.4, 0.6]] * 3), KnownProbabilities([[0.4, 0.6]])):
+        nuis = FittedNuisances(d, simple_config(treatment_spec=known))
+        for a, p in ((0, 0.4), (1, 0.6)):
+            np.testing.assert_array_equal(nuis.marginal_arm_probability(a), np.full(d.n, p))
 
 
 def test_psi_zero_marginal_probability():
@@ -736,7 +738,5 @@ def test_known_probabilities_lookup():
     kp = KnownProbabilities([[0.3, 0.7], [0.6, 0.4]])
     np.testing.assert_allclose(kp.per_center(1, 2), [0.7, 0.4])
     np.testing.assert_allclose(kp.for_rows(np.array([1, 2, 2]), 0), [0.3, 0.6, 0.6])
-    assert not kp.constant_across_centers(1)
-    assert KnownProbabilities.constant(0.5).constant_across_centers(1)
     with pytest.raises(ParameterError):
         kp.per_center(2, 2)

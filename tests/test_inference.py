@@ -5,7 +5,6 @@ P-value routes are validated against a frozen reference grid computed with
 50-digit arithmetic (regularized incomplete gamma/beta), and test statistics
 against second implementations built directly from OLS residual sums.
 """
-import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -139,7 +138,7 @@ def _count_calls(monkeypatch, module, name):
     original = getattr(module, name)
 
     def counted(*args, **kwargs):
-        calls.append(kwargs.get("ridge"))
+        calls.append(args)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(module, name, counted)
@@ -164,7 +163,7 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
     multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
     records = estimate_effects(d, estimators, (1, 0), configs)
-    assert multinomial == [0.0]
+    assert len(multinomial) == 1
     assert len(logistic) == 1 + d.m  # shared all-rows fit + chi's donor fits
 
     for est in estimators:
@@ -174,11 +173,6 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
         for g, w in zip(got, want):
             assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
             assert g.influence.tobytes() == w.influence.tobytes()
-
-    multinomial.clear()
-    ridged = dict(configs, chi=dataclasses.replace(configs["chi"], ridge=1e-6))
-    estimate_effects(d, ["psi", "chi"], (1, 0), ridged)
-    assert multinomial == [0.0, 1e-6]
 
 
 @pytest.mark.parametrize("estimator", ["psi", "chi"])
@@ -213,6 +207,26 @@ def test_estimate_contrast_checks_both_arms_before_fitting(monkeypatch):
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
     with pytest.raises(ParameterError, match="arm 7 not present"):
         estimate_contrast(d, "psi", 1, 1, 7, cfg)
+    assert multinomial == [] and logistic == []
+
+
+def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
+    # mean(c, 1) − mean(c, 1) would be 0 with SE 0 for every estimator
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    for estimator in ("tau", "phi", "psi", "chi"):
+        cfg = configs.get(estimator)
+        with pytest.raises(ParameterError, match="two different arms"):
+            estimate_contrast(d, estimator, 1, 1, 1, cfg)
+        with pytest.raises(ParameterError, match="two different arms"):
+            center_contrasts(d, estimator, 0, 0, cfg)
+        with pytest.raises(ParameterError, match="two different arms"):
+            bootstrap_se(d, EstimandSpec(estimator, 1, (0, 0)), cfg, replicates=2)
+    for estimator in ("tau", "phi", "psi"):
+        with pytest.raises(ParameterError, match="two different arms"):
+            homogeneity_test(d, estimator, 1, 1, configs.get(estimator))
     assert multinomial == [] and logistic == []
 
 

@@ -564,7 +564,7 @@ def _multinomial_sample(rng, n, m, k, scale=0.3):
     return X, cat
 
 
-def _reference_newton(X, cat, ridge=0.0, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
+def _reference_newton(X, cat, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
     """Newton solve that builds the information matrix one (j, l) block at a time.
 
     Same start, stopping rules and step-halving as fit_multinomial; X must
@@ -595,7 +595,7 @@ def _reference_newton(X, cat, ridge=0.0, max_iter=200, score_tol=1e-6, ll_tol=1e
             for l in range(q):
                 w = P[:, j] * (float(j == l) - P[:, l])
                 H[j * k:(j + 1) * k, l * k:(l + 1) * k] = (X * w[:, None]).T @ X
-        step = np.linalg.solve(H + ridge * np.eye(q * k), score)
+        step = np.linalg.solve(H, score)
         new_B = B + step.reshape(q, k)
         new_ll = loglik(new_B)
         floor = ll - n * np.finfo(float).eps * (1.0 + abs(ll))
@@ -611,13 +611,11 @@ def _reference_newton(X, cat, ridge=0.0, max_iter=200, score_tol=1e-6, ll_tol=1e
     return B, max_iter, False, ll
 
 
-@pytest.mark.parametrize("case", ["ridge", "aliased", "many_categories"])
+@pytest.mark.parametrize("case", ["aliased", "many_categories"])
 def test_multinomial_matches_blockwise_reference_newton(case):
     rng = np.random.default_rng(41)
-    ridge, n, m, k = 0.0, 400, 4, 3
-    if case == "ridge":
-        ridge = 1e-3
-    elif case == "many_categories":
+    n, m, k = 400, 4, 3
+    if case == "many_categories":
         n, m, k = 4000, 60, 4
         # the information matrix is summed over at least three row blocks
         assert n >= 3 * (_INFORMATION_BLOCK_VALUES // ((m - 1) * k))
@@ -631,9 +629,9 @@ def test_multinomial_matches_blockwise_reference_newton(case):
         assert np.all(fit.coefficients[:, fit.dropped_columns[0]] == 0.0)
         keep = [j for j in range(k + 1) if j not in fit.dropped_columns]
     else:
-        fit = fit_multinomial(X, cat, ridge=ridge)
+        fit = fit_multinomial(X, cat)
 
-    B, iterations, converged, ll = _reference_newton(X[:, keep], cat, ridge=ridge)
+    B, iterations, converged, ll = _reference_newton(X[:, keep], cat)
     assert (fit.iterations, fit.converged) == (iterations, converged)
     assert fit.converged
     np.testing.assert_allclose(fit.coefficients[:, keep], B, rtol=1e-10, atol=0.0)
