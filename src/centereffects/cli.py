@@ -28,7 +28,7 @@ from .inference import (
     estimate_effects,
     homogeneity_test,
 )
-from .nuisance import DesignSpec
+from .nuisance import ARM_TOKEN, CENTER_TOKEN, INTERCEPT_TOKEN, DesignSpec
 from .simulation import (
     DEFAULT_ESTIMATORS,
     Scenario,
@@ -174,7 +174,7 @@ def _to_json(value):
         return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, KnownProbabilities):
         return {"known": {"table": value.table.tolist(), "arms": list(value.arms)}}
-    return value.to_strings() if isinstance(value, DesignSpec) else value
+    return list(value.terms) if isinstance(value, DesignSpec) else value
 
 
 def _treatment_from_json(value):
@@ -194,9 +194,20 @@ def _treatment_from_json(value):
         raise SpecError(f"treatment_spec: {exc}") from None
 
 
+def _known_covariates(spec, what, data):
+    """``spec``, or SpecError naming ``what`` when a term uses a covariate the data lack."""
+    allowed = {INTERCEPT_TOKEN, CENTER_TOKEN, ARM_TOKEN, *data.covariate_names}
+    for term in spec.terms:
+        for atom in term.split(":"):
+            if atom not in allowed:
+                raise SpecError(f"{what}: unknown covariate {atom!r}; "
+                                f"covariates are {list(data.covariate_names)}")
+    return spec
+
+
 def _resolve_nuisance_configs(cfg, data):
-    """Each estimator's NuisanceConfig: its default, or all of ``nuisance.<name>``,
-    whose errors are re-raised with ``nuisance.<name>.`` before the field's name."""
+    """Each estimator's NuisanceConfig: its default with the fields ``nuisance.<name>``
+    gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name."""
     configs = default_nuisance_configs(data.covariate_names)
     fields = [f.name for f in dataclasses.fields(NuisanceConfig)]
     for name, sub in cfg.get("nuisance", {}).items():
@@ -209,8 +220,13 @@ def _resolve_nuisance_configs(cfg, data):
             raise ConfigError(f"nuisance.{name} has unknown fields {sorted(unknown)}; "
                               f"its fields are {fields}")
         try:
-            treatment = _treatment_from_json(sub.get("treatment_spec"))
-            configs[name] = NuisanceConfig(**{**sub, "treatment_spec": treatment})
+            if "treatment_spec" in sub:
+                sub = {**sub, "treatment_spec": _treatment_from_json(sub["treatment_spec"])}
+            configs[name] = dataclasses.replace(configs[name], **sub)
+            for field in sub:
+                spec = getattr(configs[name], field)
+                if isinstance(spec, DesignSpec):
+                    _known_covariates(spec, field, data)
         except ConfigError as exc:
             raise type(exc)(f"nuisance.{name}.{exc}") from None
     cfg["nuisance"] = {name: _to_json(configs[name]) for name in sorted(configs)}
@@ -266,8 +282,6 @@ def cmd_analyze(cfg, outdir):
     estimators = _estimator_list(cfg, MEAN_ESTIMATORS + COMPARATORS)
     validate_positivity(data, arms=sorted((a, a_prime)))
     configs = _resolve_nuisance_configs(cfg, data)
-    if set(estimators) & set(COMPARATORS) and (a, a_prime) not in ((1, 0), (0, 1)):
-        raise ConfigError("comparators require the contrast arms to be 0 and 1")
 
     records = []
     for rec in estimate_effects(data, estimators, (a, a_prime), configs, cfg["alpha"]):
@@ -316,12 +330,13 @@ def cmd_check_assumptions(cfg, outdir):
     if ("base_spec" in cfg) != ("extended_spec" in cfg):
         raise ConfigError("supply both base_spec and extended_spec or neither")
     if "base_spec" in cfg:
-        base = DesignSpec.parse(cfg["base_spec"])
-        extended = DesignSpec.parse(cfg["extended_spec"])
+        base = _known_covariates(DesignSpec.parse(cfg["base_spec"]), "base_spec", data)
+        extended = _known_covariates(DesignSpec.parse(cfg["extended_spec"]), "extended_spec",
+                                     data)
     else:
         base, extended = default_assumption_specs(data)
-        cfg["base_spec"] = base.to_strings()
-        cfg["extended_spec"] = extended.to_strings()
+        cfg["base_spec"] = list(base.terms)
+        cfg["extended_spec"] = list(extended.terms)
 
     tests = []
     ancova = ancova_center_outcome_test(data, base, extended)

@@ -39,6 +39,7 @@ from .errors import (
     SpecError,
 )
 from .nuisance import (
+    CENTER_TOKEN,
     DesignSpec,
     build_design,
     factor_cells,
@@ -178,7 +179,7 @@ def _reject_center_terms(spec, what):
     if spec is None:
         return
     for term in spec.terms:
-        if any(p.kind == "center" for p in term.parts or (term,)):
+        if CENTER_TOKEN in term.split(":"):
             raise SpecError(f"{what} must not contain center terms")
 
 

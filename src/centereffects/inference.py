@@ -28,6 +28,7 @@ from .errors import (
 )
 from .estimators import (
     COMPARATORS,
+    MEAN_ESTIMATORS,
     _estimates,
     center_contrasts,
     estimate_comparators,
@@ -132,22 +133,36 @@ def add_interval(record, alpha=0.05):
     )
 
 
+def _check_estimators(estimators, arms):
+    """``estimators`` as a tuple; ParameterError unless they are distinct known
+    names and, when a comparator is among them, the contrast ``arms`` are 0 and 1."""
+    estimators, known = tuple(estimators), MEAN_ESTIMATORS + COMPARATORS
+    for estimator in estimators:
+        if estimator not in known:
+            raise ParameterError(f"unknown estimator {estimator!r}; expected one of {known}")
+    if len(set(estimators)) != len(estimators):
+        raise ParameterError(f"estimators must be distinct, got {list(estimators)}")
+    if set(estimators) & set(COMPARATORS) and tuple(arms) not in ((1, 0), (0, 1)):
+        raise ParameterError("comparators require the contrast arms to be 0 and 1")
+    return estimators
+
+
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     """Interval-carrying contrast records for every requested estimator.
 
-    A comparator gives one record with center 0, its sign flipped when
-    ``arms`` is (0, 1); any other estimator gives one record per center,
-    using ``configs[estimator]`` as its nuisance configuration. All
-    estimators share one fitted-model memo, so a nuisance model that several
+    The whole request is checked before anything is fitted. A comparator
+    gives one record with center 0, its sign flipped when ``arms`` is (0, 1);
+    any other estimator gives one record per center, using
+    ``configs[estimator]`` as its nuisance configuration. All estimators
+    share one fitted-model memo, so a nuisance model that several
     configurations specify alike is fit once.
     """
+    estimators = _check_estimators(estimators, arms)
     a, a_prime = arms
     fits = {}
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
-            if (a, a_prime) not in ((1, 0), (0, 1)):
-                raise ParameterError("comparators require the contrast arms to be 0 and 1")
             rec = estimate_comparators(data, estimator)
             if (a, a_prime) == (0, 1):
                 rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))

@@ -42,64 +42,31 @@ ARM_TOKEN = "A"
 _INFORMATION_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one block of _newton's Z
 
 
-@dataclass(frozen=True)
-class Term:
-    """One design term: intercept, covariate, center/arm indicators, or product."""
-
-    kind: str  # "intercept" | "covariate" | "center" | "arm" | "interaction"
-    name: str = ""
-    parts: tuple = ()
-
-    def __str__(self):
-        if self.kind == "intercept":
-            return INTERCEPT_TOKEN
-        if self.kind == "center":
-            return CENTER_TOKEN
-        if self.kind == "arm":
-            return ARM_TOKEN
-        if self.kind == "covariate":
-            return self.name
-        return ":".join(str(p) for p in self.parts)
-
-
-def _parse_atom(token):
-    token = token.strip()
-    if not token:
-        raise SpecError("empty design term")
-    if token == INTERCEPT_TOKEN:
-        return Term("intercept")
-    if token == CENTER_TOKEN:
-        return Term("center")
-    if token == ARM_TOKEN:
-        return Term("arm")
-    return Term("covariate", name=token)
-
-
-def parse_term(token):
-    """Parse one term string such as "1", "x1", "C", "A", "x1:A"."""
-    if isinstance(token, Term):
-        return token
+def _term(token):
+    """One design term as its canonical string: "1", a covariate name, "C",
+    "A", or a product of atoms such as "x1:A", each atom stripped."""
     if not isinstance(token, str):
         raise SpecError(f"design terms must be strings, got {token!r}")
-    if ":" in token:
-        parts = tuple(_parse_atom(t) for t in token.split(":"))
-        if any(p.kind == "intercept" for p in parts):
-            raise SpecError(f"intercept cannot appear in an interaction: {token!r}")
-        return Term("interaction", parts=parts)
-    return _parse_atom(token)
+    atoms = [atom.strip() for atom in token.split(":")]
+    if "" in atoms:
+        raise SpecError("empty design term")
+    if len(atoms) > 1 and INTERCEPT_TOKEN in atoms:
+        raise SpecError(f"intercept cannot appear in an interaction: {token!r}")
+    return ":".join(atoms)
 
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Ordered, declarative description of a regression design."""
+    """Ordered, declarative description of a regression design; ``terms`` is
+    a tuple of canonical term strings."""
 
     terms: tuple = ()
 
     def __post_init__(self):
         if isinstance(self.terms, str):
             raise SpecError(f"a design is a list of terms, got the string {self.terms!r}")
-        terms = tuple(parse_term(t) for t in self.terms)
-        if sum(t.kind == "intercept" for t in terms) > 1:
+        terms = tuple(_term(t) for t in self.terms)
+        if terms.count(INTERCEPT_TOKEN) > 1:
             raise SpecError("at most one intercept term allowed")
         object.__setattr__(self, "terms", terms)
 
@@ -107,41 +74,25 @@ class DesignSpec:
     def parse(cls, tokens):
         return cls(tokens)
 
-    def to_strings(self):
-        return [str(t) for t in self.terms]
-
     def __str__(self):
-        return " + ".join(self.to_strings()) or "<empty>"
+        return " + ".join(self.terms) or "<empty>"
 
 
-def main_effects(covariate_names, intercept=True, centers=False, arm=False):
-    """Convenience spec: intercept + covariate main effects (+ C and/or A)."""
-    tokens = ([INTERCEPT_TOKEN] if intercept else []) + list(covariate_names)
-    if centers:
-        tokens.append(CENTER_TOKEN)
-    if arm:
-        tokens.append(ARM_TOKEN)
-    return DesignSpec.parse(tokens)
-
-
-def _atom_columns(term, data):
-    """Expand an atomic term to (n x k matrix, names)."""
-    n = data.n
-    if term.kind == "intercept":
-        return np.ones((n, 1)), [INTERCEPT_TOKEN]
-    if term.kind == "covariate":
-        if term.name not in data.covariate_names:
-            raise SpecError(f"unknown covariate {term.name!r} in design")
-        return data.covariate(term.name).reshape(-1, 1), [term.name]
-    if term.kind == "center":
+def _atom_columns(atom, data):
+    """Expand one atom of a term to (n x k matrix, names)."""
+    if atom == INTERCEPT_TOKEN:
+        return np.ones((data.n, 1)), [INTERCEPT_TOKEN]
+    if atom == CENTER_TOKEN:
         ids = np.arange(2, data.m + 1)
         cols = (data.center[:, None] == ids).astype(np.float64)
         return cols, [f"{CENTER_TOKEN}{c}" for c in ids]
-    if term.kind == "arm":
+    if atom == ARM_TOKEN:
         if not set(data.arms) <= {0, 1}:
             raise SpecError("arm indicator term requires arms coded {0,1}")
         return data.arm.astype(np.float64).reshape(-1, 1), [ARM_TOKEN]
-    raise SpecError(f"not an atomic term: {term}")
+    if atom not in data.covariate_names:
+        raise SpecError(f"unknown covariate {atom!r} in design")
+    return data.covariate(atom).reshape(-1, 1), [atom]
 
 
 def build_design(spec, data):
@@ -149,15 +100,13 @@ def build_design(spec, data):
     blocks = []
     names = []
     for term in spec.terms:
-        if term.kind == "interaction":
-            cols, nm = _atom_columns(term.parts[0], data)
-            for part in term.parts[1:]:
-                pcols, pnames = _atom_columns(part, data)
-                # column (i, j) is cols[:, i] * pcols[:, j], i-major
-                cols = (cols[:, :, None] * pcols[:, None, :]).reshape(data.n, -1)
-                nm = [f"{a}:{b}" for a in nm for b in pnames]
-        else:
-            cols, nm = _atom_columns(term, data)
+        first, *rest = term.split(":")
+        cols, nm = _atom_columns(first, data)
+        for atom in rest:
+            pcols, pnames = _atom_columns(atom, data)
+            # column (i, j) is cols[:, i] * pcols[:, j], i-major
+            cols = (cols[:, :, None] * pcols[:, None, :]).reshape(data.n, -1)
+            nm = [f"{a}:{b}" for a in nm for b in pnames]
         blocks.append(cols)
         names.extend(nm)
     if blocks:

@@ -4,7 +4,7 @@ The generative model draws three independent standard normal covariates,
 assigns each subject to one of m centers through a reference-category
 multinomial logit on (1, X1, X2, X3), randomizes treatment Bernoulli(0.5),
 and produces a linear outcome with an X1-by-treatment interaction. A second
-"strong" configuration doubles the designated center-selection column and the
+"strong" configuration doubles the X1 center-selection coefficients and the
 outcome interaction, strengthening the separation between centers.
 
 True center-specific effects are not available in closed form (the covariate
@@ -27,8 +27,8 @@ from .errors import (
     ParameterError,
     StudyError,
 )
-from .estimators import COMPARATORS, MEAN_ESTIMATORS, KnownProbabilities, NuisanceConfig
-from .inference import estimate_effects, normal_quantile
+from .estimators import COMPARATORS, KnownProbabilities, NuisanceConfig
+from .inference import _check_estimators, estimate_effects, normal_quantile
 from .nuisance import reference_softmax
 
 #: center-selection coefficients, rows k = 2..10, columns (1, X1, X2, X3)
@@ -48,7 +48,6 @@ DEFAULT_MEMBERSHIP_COEFFS = (
 DEFAULT_OUTCOME_COEFFS = (161.0, 62.0, -1.0, -1.0, -43.0, -21.0)
 
 STRENGTHS = ("baseline", "strong")
-DOUBLING_COLUMNS = {"x1": 1, "x3": 3}
 
 
 def _float_rows(name, rows):
@@ -65,10 +64,9 @@ def _float_rows(name, rows):
 class Scenario:
     """Complete description of one generative configuration.
 
-    ``strength`` "strong" doubles (a) the center-selection coefficients in
-    the column named by ``strong_doubles`` ("x1" by default — the reading
-    that reproduces the published operating characteristics) and (b) the
-    magnitude of the outcome interaction.
+    ``strength`` "strong" doubles (a) the X1 center-selection coefficients
+    (the reading that reproduces the published operating characteristics)
+    and (b) the magnitude of the outcome interaction.
     """
 
     n: int = 1000
@@ -78,7 +76,6 @@ class Scenario:
     noise_sd: float = 36.0
     arm_prob: float = 0.5
     strength: str = "baseline"
-    strong_doubles: str = "x1"
 
     def __post_init__(self):
         for name in ("n", "m"):
@@ -104,19 +101,14 @@ class Scenario:
             raise ParameterError(f"noise_sd must be finite and nonnegative, got {self.noise_sd!r}")
         if self.strength not in STRENGTHS:
             raise ParameterError(f"strength must be one of {STRENGTHS}")
-        if self.strong_doubles not in tuple(DOUBLING_COLUMNS):
-            raise ParameterError(
-                f"strong_doubles must be one of {tuple(DOUBLING_COLUMNS)}"
-            )
 
     # -- effective (strength-adjusted) parameters ----------------------------
 
     def effective_membership_coeffs(self):
         """(m-1, 4) array with the strong-scenario doubling applied."""
-        coeffs = np.asarray(self.membership_coeffs, dtype=np.float64)
+        coeffs = np.array(self.membership_coeffs, dtype=np.float64)
         if self.strength == "strong" and coeffs.size:
-            coeffs = coeffs.copy()
-            coeffs[:, DOUBLING_COLUMNS[self.strong_doubles]] *= 2.0
+            coeffs[:, 1] *= 2.0  # the X1 column
         return coeffs
 
     def effective_outcome_coeffs(self):
@@ -473,14 +465,8 @@ def run_study(
     replicates. If the oracle fails or the call is interrupted, queued
     replicates are cancelled and the error is raised.
     """
-    estimators = tuple(estimators)
-    for est in estimators:
-        if est not in MEAN_ESTIMATORS + COMPARATORS:
-            raise ParameterError(f"unknown study estimator {est!r}")
     arms = (int(arms[0]), int(arms[1]))
-    if any(est in COMPARATORS for est in estimators):
-        if arms not in ((1, 0), (0, 1)):
-            raise ParameterError("comparators require the contrast arms to be 0 and 1")
+    estimators = _check_estimators(estimators, arms)
     if replicates < 1:
         raise ParameterError("study needs at least 1 replicate")
     if workers < 1:

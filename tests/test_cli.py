@@ -218,6 +218,27 @@ def test_analyze_nuisance_overrides_echoed(tmp_path):
     assert "psi" in echo["nuisance"] and "chi" in echo["nuisance"]
 
 
+def test_analyze_nuisance_block_keeps_defaults_for_fields_it_leaves_out(tmp_path):
+    csv_path = write_trial_csv(tmp_path, n=300, seed=4)
+    cfg = write_config(tmp_path, {
+        "input": csv_path, "estimators": ["psi"],
+        "nuisance": {"psi": {"outcome_spec": ["1", "x1"]}},
+    })
+    out1 = tmp_path / "run1"
+    assert cli.main(["analyze", "--config", cfg, "--output", str(out1)]) == 0
+    echo = read_report(out1)["config"]
+    assert echo["nuisance"]["psi"] == {
+        "outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
+        "membership_spec": ["1", "x1", "x2", "x3"], "weight_floor": 0.0,
+    }
+
+    rerun_cfg = write_config(tmp_path, echo, name="echo.json")
+    out2 = tmp_path / "run2"
+    assert cli.main(["analyze", "--config", rerun_cfg, "--output", str(out2)]) == 0
+    for name in ("report.json", "estimates.csv"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 @pytest.mark.parametrize("estimator, field, spec", [
     ("psi", "membership_spec", ["1", "x1", "C"]),
     ("chi", "outcome_spec", ["1", "x1:C"]),
@@ -640,6 +661,8 @@ WRONG_VALUES = [
     ("analyze", {"nuisance": {"psi": {"ridge": 0.0}}}, [], "ConfigError", "ridge"),
     ("analyze", {"nuisance": {"psi": {"treatment_decomposition": False}}}, [], "ConfigError",
      "treatment_decomposition"),
+    ("oracle", {**ORACLE, "scenario": {**ORACLE["scenario"], "strong_doubles": "x1"}}, [],
+     "ParameterError", "strong_doubles"),
     ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {}}}}}, [], "ConfigError",
      "treatment_spec"),
     ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {"constant": "a"}}}}}, [],
@@ -653,6 +676,11 @@ WRONG_VALUES = [
      "nuisance.chi.membership_spec"),
     ("analyze", {"nuisance": {"chi": {"weight_floor": 1.5}}}, [], "ParameterError",
      "nuisance.chi.weight_floor"),
+    # a covariate the data lack, named with its place before anything is fitted
+    ("analyze", {"nuisance": {"psi": {"outcome_spec": ["1", "x9"]}}}, [], "SpecError",
+     "nuisance.psi.outcome_spec: unknown covariate 'x9'"),
+    ("check-assumptions", {"base_spec": ["1", "x9"], "extended_spec": ["1", "x1", "C"]}, [],
+     "SpecError", "base_spec: unknown covariate 'x9'"),
     ("analyze", {"schema": {"covariate_cols": 5}}, [], "ConfigError", "covariate_cols"),
     ("analyze", {"schema": {"bogus": 1}}, [], "ConfigError", "bogus"),
     # seeds, draw counts and the interval level out of range

@@ -210,6 +210,22 @@ def test_estimate_contrast_checks_both_arms_before_fitting(monkeypatch):
     assert multinomial == [] and logistic == []
 
 
+@pytest.mark.parametrize("estimators, arms, message", [
+    (["psi", "bogus"], (1, 0), r"'bogus'; expected one of .*'fe2'"),
+    (["tau", "tau"], (1, 0), "distinct"),
+    (["psi", "pooled"], (1, 2), "comparators require"),
+], ids=["unknown", "repeated", "comparator-arms"])
+def test_estimate_effects_checks_the_request_before_fitting(monkeypatch, estimators, arms,
+                                                            message):
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    with pytest.raises(ParameterError, match=message):
+        estimate_effects(d, estimators, arms, configs)
+    assert multinomial == [] and logistic == []
+
+
 def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
     # mean(c, 1) − mean(c, 1) would be 0 with SE 0 for every estimator
     d = three_center_data()

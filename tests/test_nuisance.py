@@ -30,8 +30,6 @@ from centereffects import (
     fit_ols,
     from_arrays,
     generate_dataset,
-    main_effects,
-    parse_term,
     predict,
     reference_softmax,
 )
@@ -49,19 +47,16 @@ from centereffects.nuisance import (
 # ---------------------------------------------------------------------------
 
 
-def test_parse_term_kinds():
-    assert parse_term("1").kind == "intercept"
-    assert parse_term("C").kind == "center"
-    assert parse_term("A").kind == "arm"
-    assert parse_term("x1").kind == "covariate"
-    t = parse_term("x1:A")
-    assert t.kind == "interaction"
-    assert str(t) == "x1:A"
+def test_terms_normalise_to_strings():
+    spec = DesignSpec([" x1 : A ", "C"])
+    assert spec.terms == ("x1:A", "C")
+    assert spec == DesignSpec(["x1:A", "C"])
+    assert hash(spec) == hash(DesignSpec(["x1:A", "C"]))
 
 
 def test_intercept_in_interaction_rejected():
     with pytest.raises(SpecError):
-        parse_term("1:A")
+        DesignSpec(["1:A"])
 
 
 def test_double_intercept_rejected():
@@ -71,13 +66,8 @@ def test_double_intercept_rejected():
 
 def test_spec_roundtrip():
     spec = DesignSpec(("1", "x1", "C", "A", "x1:A"))
-    assert spec.to_strings() == ["1", "x1", "C", "A", "x1:A"]
-    assert DesignSpec(spec.to_strings()).to_strings() == spec.to_strings()
-
-
-def test_main_effects_helper():
-    spec = main_effects(("x1", "x2"), centers=True, arm=True)
-    assert spec.to_strings() == ["1", "x1", "x2", "C", "A"]
+    assert spec.terms == ("1", "x1", "C", "A", "x1:A")
+    assert DesignSpec(spec.terms).terms == spec.terms
 
 
 def three_center_data():
