@@ -20,7 +20,13 @@ from pathlib import Path
 
 from .dataset import load_csv, cell_counts, validate_positivity
 from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
-from .estimators import COMPARATORS, KnownProbabilities, MEAN_ESTIMATORS, NuisanceConfig
+from .estimators import (
+    COMPARATORS,
+    KnownProbabilities,
+    MEAN_ESTIMATORS,
+    NuisanceConfig,
+    _coerce_spec,
+)
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
     ancova_center_outcome_test,
@@ -207,7 +213,8 @@ def _known_covariates(spec, what, data):
 
 def _resolve_nuisance_configs(cfg, data):
     """Each estimator's NuisanceConfig: its default with the fields ``nuisance.<name>``
-    gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name."""
+    gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name.
+    A field whose default holds a model may not be set to null."""
     configs = default_nuisance_configs(data.covariate_names)
     fields = [f.name for f in dataclasses.fields(NuisanceConfig)]
     for name, sub in cfg.get("nuisance", {}).items():
@@ -222,6 +229,10 @@ def _resolve_nuisance_configs(cfg, data):
         try:
             if "treatment_spec" in sub:
                 sub = {**sub, "treatment_spec": _treatment_from_json(sub["treatment_spec"])}
+            for field in sub:
+                if sub[field] is None and isinstance(getattr(configs[name], field),
+                                                     (DesignSpec, KnownProbabilities)):
+                    raise ConfigError(f"{field}: {name} needs a model here, got null")
             configs[name] = dataclasses.replace(configs[name], **sub)
             for field in sub:
                 spec = getattr(configs[name], field)
@@ -330,9 +341,9 @@ def cmd_check_assumptions(cfg, outdir):
     if ("base_spec" in cfg) != ("extended_spec" in cfg):
         raise ConfigError("supply both base_spec and extended_spec or neither")
     if "base_spec" in cfg:
-        base = _known_covariates(DesignSpec.parse(cfg["base_spec"]), "base_spec", data)
-        extended = _known_covariates(DesignSpec.parse(cfg["extended_spec"]), "extended_spec",
-                                     data)
+        base = _known_covariates(_coerce_spec(cfg["base_spec"], "base_spec"), "base_spec", data)
+        extended = _known_covariates(_coerce_spec(cfg["extended_spec"], "extended_spec"),
+                                     "extended_spec", data)
     else:
         base, extended = default_assumption_specs(data)
         cfg["base_spec"] = list(base.terms)

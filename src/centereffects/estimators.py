@@ -21,7 +21,6 @@ Weighting uses raw probabilities — no truncation unless an explicit
 """
 from __future__ import annotations
 
-import dataclasses
 import operator
 from dataclasses import dataclass
 
@@ -133,7 +132,7 @@ def _coerce_spec(value, what, known=False):
         return value
     if isinstance(value, (list, tuple)):
         try:
-            return DesignSpec.parse(value)
+            return DesignSpec(value)
         except SpecError as exc:
             raise SpecError(f"{what}: {exc}") from None
     kinds = "a DesignSpec, known probabilities" if known else "a DesignSpec"
@@ -564,6 +563,8 @@ def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None
     one all-centers pass: a contrast is the first arm's pass minus the
     second's, so its two arms must differ.
     """
+    if len(arms) not in (1, 2):
+        raise ParameterError(f"an estimate needs one arm (mean) or two (contrast), got {arms}")
     if len(arms) == 2 and int(arms[0]) == int(arms[1]):
         raise ParameterError(f"a contrast needs two different arms, got {arms[0]} twice")
     for c in centers:
@@ -671,7 +672,7 @@ def estimate_comparators(data, which, covariates=None):
         tokens += list(covariates) if covariates is not None else list(data.covariate_names)
     if which in ("fe1", "fe2"):
         tokens.append("C")
-    X, names = build_design(DesignSpec.parse(tokens), data)
+    X, names = build_design(DesignSpec(tokens), data)
     fit = fit_ols(X, data.outcome, column_names=names)
     arm_col = names.index("A")
     if arm_col in fit.dropped_columns:
@@ -681,16 +682,4 @@ def estimate_comparators(data, which, covariates=None):
     se = float(np.sqrt(fit.unscaled_variance[arm_col] * fit.rss / fit.df_residual))
     return EstimateRecord(
         "contrast", which, 0, (1, 0), fit.coefficients[arm_col], se=se, method="ols"
-    )
-
-
-def with_interval_fields(record, se, ci_low, ci_high, alpha, method):
-    """Return a copy of ``record`` with interval fields attached."""
-    return dataclasses.replace(
-        record,
-        se=float(se),
-        ci_low=float(ci_low),
-        ci_high=float(ci_high),
-        alpha=float(alpha),
-        method=method,
     )

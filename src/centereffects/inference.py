@@ -32,23 +32,10 @@ from .estimators import (
     _estimates,
     center_contrasts,
     estimate_comparators,
-    with_interval_fields,
 )
 from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
 
 HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
-
-
-@dataclass(frozen=True)
-class IntervalEstimate:
-    """A point estimate with a symmetric normal-quantile interval."""
-
-    value: float
-    se: float
-    ci_low: float
-    ci_high: float
-    alpha: float
-    method: str  # "influence_curve" | "bootstrap" | "ols"
 
 
 @dataclass(frozen=True)
@@ -97,20 +84,12 @@ def normal_quantile(alpha):
     return float(scipy.special.ndtri(1.0 - alpha / 2.0))
 
 
-def wald_ci(value, se, alpha=0.05, method="influence_curve"):
-    """Symmetric normal-quantile interval value ± z_{1-alpha/2}·se."""
+def wald_ci(value, se, alpha=0.05):
+    """Symmetric normal-quantile interval value ± z_{1-alpha/2}·se as (ci_low, ci_high)."""
     if se < 0.0:
         raise ParameterError(f"standard error must be nonnegative, got {se}")
-    z = normal_quantile(alpha)
-    half = z * se
-    return IntervalEstimate(
-        value=float(value),
-        se=float(se),
-        ci_low=float(value - half),
-        ci_high=float(value + half),
-        alpha=float(alpha),
-        method=method,
-    )
+    half = normal_quantile(alpha) * se
+    return float(value - half), float(value + half)
 
 
 def add_interval(record, alpha=0.05):
@@ -127,10 +106,9 @@ def add_interval(record, alpha=0.05):
         method = record.method or "ols"
     else:
         raise ParameterError("record has neither influence contributions nor an SE")
-    interval = wald_ci(record.value, se, alpha=alpha, method=method)
-    return with_interval_fields(
-        record, interval.se, interval.ci_low, interval.ci_high, alpha, method
-    )
+    ci_low, ci_high = wald_ci(record.value, se, alpha)
+    return dataclasses.replace(record, se=float(se), ci_low=ci_low, ci_high=ci_high,
+                               alpha=float(alpha), method=method)
 
 
 def _check_estimators(estimators, arms):
@@ -179,33 +157,6 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EstimandSpec:
-    """What to estimate: estimator, target center, and arm(s).
-
-    One arm requests a mean; two arms request the contrast mean(c, arms[0])
-    − mean(c, arms[1]).
-    """
-
-    estimator: str  # tau | phi | psi | chi
-    center: int
-    arms: tuple
-    variant: str = "dr"
-
-    def __post_init__(self):
-        arms = tuple(int(a) for a in self.arms)
-        if len(arms) not in (1, 2):
-            raise ParameterError("estimand needs one arm (mean) or two (contrast)")
-        object.__setattr__(self, "arms", arms)
-
-
-def evaluate_estimand(data, spec, cfg=None, nuisances=None):
-    """Compute the EstimateRecord an EstimandSpec describes."""
-    return _estimates(
-        data, spec.estimator, [spec.center], spec.arms, cfg, spec.variant, nuisances
-    )[0]
-
-
 def _resample(data, rng):
     """Whole-sample row resample with replacement, keeping center identities."""
     idx = rng.integers(0, data.n, size=data.n)
@@ -219,26 +170,29 @@ def _resample(data, rng):
     )
 
 
-def bootstrap_se(data, spec, cfg=None, replicates=1000, seed=0, alpha=0.05):
-    """Nonparametric bootstrap SE and normal interval for one estimand.
+def bootstrap_se(data, estimator, c, arms, cfg=None, variant="dr", replicates=1000, seed=0,
+                 alpha=0.05):
+    """Center ``c``'s mean (one arm) or contrast (two arms) record, with a
+    nonparametric bootstrap SE and normal interval.
 
-    Rows are resampled with replacement from the whole sample, and each
-    resample refits every nuisance model once (a contrast's two means share
-    one fitted bundle). Resamples on which the estimator fails (e.g. an empty
-    cell) are skipped and counted; more than 10% failures aborts.
-    Deterministic given ``seed``: replicate r draws from a fresh generator
-    keyed by (seed, r), so results do not depend on execution order.
+    The estimate is the one ``estimate_mean``/``estimate_contrast`` give for
+    the same arguments. Rows are resampled with replacement from the whole
+    sample, and each resample refits every nuisance model once (a contrast's
+    two means share one fitted bundle). Resamples on which the estimator fails
+    (e.g. an empty cell) are skipped and counted; more than 10% failures
+    aborts. Deterministic given ``seed``: replicate r draws from a fresh
+    generator keyed by (seed, r), so results do not depend on execution order.
     """
     if replicates < 2:
         raise ParameterError("bootstrap needs at least 2 replicates")
-    point = evaluate_estimand(data, spec, cfg)
+    point = _estimates(data, estimator, [c], arms, cfg, variant)[0]
     values = []
     failures = 0
     for r in range(replicates):
         rng = np.random.default_rng((seed, r))
         try:
             resampled = _resample(data, rng)
-            values.append(evaluate_estimand(resampled, spec, cfg).value)
+            values.append(_estimates(resampled, estimator, [c], arms, cfg, variant)[0].value)
         except (CenterEffectsError, np.linalg.LinAlgError):
             failures += 1
     if failures > 0.10 * replicates:
@@ -246,7 +200,9 @@ def bootstrap_se(data, spec, cfg=None, replicates=1000, seed=0, alpha=0.05):
             f"{failures} of {replicates} bootstrap resamples failed (>10%)"
         )
     se = float(np.std(np.asarray(values), ddof=1))
-    return wald_ci(point.value, se, alpha=alpha, method="bootstrap")
+    ci_low, ci_high = wald_ci(point.value, se, alpha)
+    return dataclasses.replace(point, se=se, ci_low=ci_low, ci_high=ci_high, alpha=float(alpha),
+                               method="bootstrap")
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +276,7 @@ def default_assumption_specs(data):
     covs = list(data.covariate_names)
     base = ["1"] + covs + ["A"] + [f"{x}:A" for x in covs]
     extended = base + ["C"] + [f"{x}:C" for x in covs] + ["A:C"]
-    return DesignSpec.parse(base), DesignSpec.parse(extended)
+    return DesignSpec(base), DesignSpec(extended)
 
 
 def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):

@@ -70,10 +70,6 @@ class DesignSpec:
             raise SpecError("at most one intercept term allowed")
         object.__setattr__(self, "terms", terms)
 
-    @classmethod
-    def parse(cls, tokens):
-        return cls(tokens)
-
     def __str__(self):
         return " + ".join(self.terms) or "<empty>"
 

@@ -534,7 +534,7 @@ def test_criterion_10_numerical_kernels():
         arm=rng.integers(0, 2, size=200),
         outcome=rng.standard_normal(200),
     )
-    X, names = build_design(ce.DesignSpec.parse(["1", "x1", "x2"]), d)
+    X, names = build_design(ce.DesignSpec(["1", "x1", "x2"]), d)
     mfit = fit_multinomial(X, d.center, column_names=names)
     probs = ce.predict(mfit, X)
     worst_norm = float(np.abs(probs.sum(axis=1) - 1.0).max())

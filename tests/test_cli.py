@@ -91,6 +91,22 @@ def test_analyze_writes_report_and_csv(tmp_path, capsys):
     assert "wrote" in out
 
 
+def test_analyze_csv_holds_plain_float_text(tmp_path):
+    # numpy 2 writes repr(np.float64(x)) as "np.float64(x)"; a rerun writes
+    # the same text, so only a look at the cells shows it
+    csv_path = write_trial_csv(tmp_path, n=300, seed=3)
+    outdir = tmp_path / "out"
+    assert cli.main(["analyze", "--input", csv_path, "--output", str(outdir),
+                     "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2"]) == 0
+    text = (outdir / "estimates.csv").read_text(encoding="utf-8")
+    assert "np." not in text
+    rows = list(csv.reader(text.splitlines()[2:]))
+    estimates = read_report(outdir)["estimates"]
+    assert len(rows) == len(estimates) == 7 * 2
+    for row, rec in zip(rows, estimates):
+        assert [float(v) for v in row[2:]] == [rec[k] for k in ("value", "se", "ci_low", "ci_high")]
+
+
 def test_analyze_efficiency_ordering_of_intervals(tmp_path):
     # the outcome depends strongly on x1, so the covariate-using estimators
     # should report visibly narrower intervals than the raw cell contrast
@@ -676,6 +692,10 @@ WRONG_VALUES = [
      "nuisance.chi.membership_spec"),
     ("analyze", {"nuisance": {"chi": {"weight_floor": 1.5}}}, [], "ParameterError",
      "nuisance.chi.weight_floor"),
+    ("analyze", {"estimators": ["psi"], "nuisance": {"psi": {"membership_spec": None}}}, [],
+     "ConfigError", "nuisance.psi.membership_spec"),
+    ("check-assumptions", {"base_spec": ["1", "1:A"], "extended_spec": ["1", "A", "C"]}, [],
+     "SpecError", "base_spec: intercept cannot appear in an interaction"),
     # a covariate the data lack, named with its place before anything is fitted
     ("analyze", {"nuisance": {"psi": {"outcome_spec": ["1", "x9"]}}}, [], "SpecError",
      "nuisance.psi.outcome_spec: unknown covariate 'x9'"),

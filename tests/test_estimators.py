@@ -436,7 +436,7 @@ def test_chi_overlap_violation():
 
 def donor_reference(d, spec, c, a):
     """Donor outcome prediction from fit_ols on the arm-a rows outside center c."""
-    X, names = build_design(DesignSpec.parse(spec), d)
+    X, names = build_design(DesignSpec(spec), d)
     rows = (d.center != c) & (d.arm == a)
     return predict(fit_ols(X[rows], d.outcome[rows], column_names=names), X)
 

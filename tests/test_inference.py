@@ -17,7 +17,6 @@ import centereffects.inference as inference_module
 from centereffects import (
     BootstrapError,
     DesignSpec,
-    EstimandSpec,
     InsufficientDataError,
     NuisanceConfig,
     ParameterError,
@@ -33,7 +32,6 @@ from centereffects import (
     estimate_contrast,
     estimate_effects,
     estimate_tau,
-    evaluate_estimand,
     fit_ols,
     from_arrays,
     homogeneity_test,
@@ -74,10 +72,9 @@ def test_normal_quantile_frozen():
 
 
 def test_wald_ci_by_hand():
-    iv = wald_ci(2.0, 1.0, alpha=0.05)
-    assert iv.ci_low == pytest.approx(2.0 - Z_975, abs=1e-12)
-    assert iv.ci_high == pytest.approx(2.0 + Z_975, abs=1e-12)
-    assert iv.method == "influence_curve"
+    ci_low, ci_high = wald_ci(2.0, 1.0, alpha=0.05)
+    assert ci_low == pytest.approx(2.0 - Z_975, abs=1e-12)
+    assert ci_high == pytest.approx(2.0 + Z_975, abs=1e-12)
 
 
 def test_wald_ci_rejects_negative_se():
@@ -114,23 +111,27 @@ def test_add_interval_requires_se_or_influence():
 
 
 # ---------------------------------------------------------------------------
-# estimand dispatch
+# bootstrap point estimates
 # ---------------------------------------------------------------------------
 
 
-def test_evaluate_estimand_mean_and_contrast():
+def test_bootstrap_point_mean_and_contrast():
+    # arm 1 outcomes 0, 2, .., 8 (mean 4); arm 0 outcomes 1, 3, .., 9 (mean 5)
+    d = from_arrays([[0.0]] * 10, [1] * 10, [1, 0] * 5, np.arange(10.0))
+    mean = bootstrap_se(d, "tau", 1, (1,), replicates=20, alpha=0.1)
+    assert (mean.estimand, mean.arms, mean.value) == ("mean", (1,), 4.0)
+    assert (mean.alpha, mean.method) == (0.1, "bootstrap")
+    contrast = bootstrap_se(d, "tau", 1, (1, 0), replicates=20)
+    assert (contrast.estimand, contrast.arms, contrast.value) == ("contrast", (1, 0), -1.0)
+    assert contrast.influence.tobytes() == estimate_contrast(d, "tau", 1, 1, 0).influence.tobytes()
+
+
+def test_bootstrap_arm_count():
     d = from_arrays([[0.0]] * 3, [1, 1, 1], [1, 1, 0], [2.0, 4.0, 1.0])
-    mean = evaluate_estimand(d, EstimandSpec("tau", 1, (1,)))
-    assert mean.value == 3.0
-    contrast = evaluate_estimand(d, EstimandSpec("tau", 1, (1, 0)))
-    assert contrast.value == 2.0
-
-
-def test_estimand_spec_arm_count():
     with pytest.raises(ParameterError):
-        EstimandSpec("tau", 1, (0, 1, 2))
+        bootstrap_se(d, "tau", 1, (0, 1, 2), replicates=2)
     with pytest.raises(ParameterError):
-        EstimandSpec("tau", 1, ())
+        bootstrap_se(d, "tau", 1, (), replicates=2)
 
 
 def _count_calls(monkeypatch, module, name):
@@ -196,7 +197,7 @@ def test_bootstrap_contrast_fits_membership_once_per_resample(monkeypatch):
     cfg = default_nuisance_configs(d.covariate_names)["psi"]
     multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
     replicates = 5
-    bootstrap_se(d, EstimandSpec("psi", 2, (1, 0)), cfg, replicates=replicates, seed=0)
+    bootstrap_se(d, "psi", 2, (1, 0), cfg, replicates=replicates, seed=0)
     assert len(multinomial) == 1 + replicates
 
 
@@ -239,7 +240,7 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
         with pytest.raises(ParameterError, match="two different arms"):
             center_contrasts(d, estimator, 0, 0, cfg)
         with pytest.raises(ParameterError, match="two different arms"):
-            bootstrap_se(d, EstimandSpec(estimator, 1, (0, 0)), cfg, replicates=2)
+            bootstrap_se(d, estimator, 1, (0, 0), cfg, replicates=2)
     for estimator in ("tau", "phi", "psi"):
         with pytest.raises(ParameterError, match="two different arms"):
             homogeneity_test(d, estimator, 1, 1, configs.get(estimator))
@@ -270,7 +271,7 @@ def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
 
 def test_bootstrap_constant_outcome_zero_se():
     d = from_arrays([[0.0]] * 10, [1] * 10, [1, 0] * 5, [7.0] * 10)
-    iv = bootstrap_se(d, EstimandSpec("tau", 1, (1,)), replicates=50, seed=0)
+    iv = bootstrap_se(d, "tau", 1, (1,), replicates=50, seed=0)
     assert iv.se == 0.0
     assert iv.value == 7.0
     assert iv.method == "bootstrap"
@@ -278,7 +279,7 @@ def test_bootstrap_constant_outcome_zero_se():
 
 def test_bootstrap_single_row_degenerate():
     d = from_arrays([[0.0]], [1], [1], [5.0])
-    iv = bootstrap_se(d, EstimandSpec("tau", 1, (1,)), replicates=20, seed=1)
+    iv = bootstrap_se(d, "tau", 1, (1,), replicates=20, seed=1)
     assert iv.se == 0.0
 
 
@@ -289,9 +290,8 @@ def test_bootstrap_close_to_influence_se():
         rng.standard_normal((n, 1)), [1] * n, rng.integers(0, 2, size=n),
         rng.standard_normal(n) * 2.0,
     )
-    spec = EstimandSpec("tau", 1, (1, 0))
-    closed = add_interval(evaluate_estimand(d, spec)).se
-    boot = bootstrap_se(d, spec, replicates=400, seed=3).se
+    closed = add_interval(estimate_contrast(d, "tau", 1, 1, 0)).se
+    boot = bootstrap_se(d, "tau", 1, (1, 0), replicates=400, seed=3).se
     assert abs(boot / closed - 1.0) < 0.20
 
 
@@ -301,11 +301,10 @@ def test_bootstrap_deterministic():
         rng.standard_normal((30, 1)), [1] * 30, rng.integers(0, 2, size=30),
         rng.standard_normal(30),
     )
-    spec = EstimandSpec("tau", 1, (1, 0))
-    a = bootstrap_se(d, spec, replicates=60, seed=11)
-    b = bootstrap_se(d, spec, replicates=60, seed=11)
+    a = bootstrap_se(d, "tau", 1, (1, 0), replicates=60, seed=11)
+    b = bootstrap_se(d, "tau", 1, (1, 0), replicates=60, seed=11)
     assert a.se == b.se and a.ci_low == b.ci_low
-    c = bootstrap_se(d, spec, replicates=60, seed=12)
+    c = bootstrap_se(d, "tau", 1, (1, 0), replicates=60, seed=12)
     assert c.se != a.se
 
 
@@ -316,7 +315,7 @@ def test_bootstrap_fails_when_center_keeps_vanishing():
     arms = [0, 1] * 15
     d = from_arrays([[0.0]] * 30, centers, arms, list(np.arange(30.0)))
     with pytest.raises(BootstrapError):
-        bootstrap_se(d, EstimandSpec("tau", 2, (1,)), replicates=100, seed=5)
+        bootstrap_se(d, "tau", 2, (1,), replicates=100, seed=5)
 
 
 # ---------------------------------------------------------------------------

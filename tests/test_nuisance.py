@@ -491,7 +491,7 @@ def separated_membership_data():
 
 def test_multinomial_separation_flagged():
     d = separated_membership_data()
-    X, names = build_design(DesignSpec.parse(["1", "x1", "x2"]), d)
+    X, names = build_design(DesignSpec(["1", "x1", "x2"]), d)
     with pytest.warns(SeparationWarning):
         fit = fit_multinomial(X, d.center, column_names=names)
     assert fit.separated

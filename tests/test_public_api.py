@@ -1,4 +1,8 @@
-"""The package's public names: each one exported resolves, and none repeats."""
+"""The package's public names: each one exported resolves, none repeats, and
+every name the package imports is exported."""
+
+import ast
+import inspect
 
 import centereffects
 
@@ -10,3 +14,10 @@ def test_every_exported_name_resolves():
 
 def test_exported_names_are_distinct():
     assert len(set(centereffects.__all__)) == len(centereffects.__all__)
+
+
+def test_imported_names_are_exported():
+    tree = ast.parse(inspect.getsource(centereffects))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert imported == set(centereffects.__all__)
