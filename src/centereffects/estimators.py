@@ -45,7 +45,7 @@ from .nuisance import (
     fit_logistic,
     fit_multinomial,
     fit_ols,
-    fit_ols_cells,
+    leave_one_out_coefficients,
     predict,
 )
 
@@ -220,6 +220,8 @@ class EstimateRecord:
             "se": self.se,
             "ci_low": self.ci_low,
             "ci_high": self.ci_high,
+            "alpha": self.alpha,
+            "method": self.method,
         }
 
 
@@ -234,10 +236,10 @@ class FittedNuisances:
     All methods return per-observation vectors aligned with the full dataset;
     estimators index into them as needed. Designs and (read-only) predictions
     are memoised in ``fits``, keyed by what determines them: model, design
-    spec value and row subset. The donor outcome fits
-    share one ``factor_cells`` result per spec and arm: each center's rows of
-    that arm are factored once, and the fit without center c solves the
-    other centers' stacked factors. Bundles for different
+    spec value and row subset. The donor outcome fits share one
+    ``factor_cells`` result per spec and arm: each center's rows of that arm
+    are factored once, and one call solves the donor pools of every center
+    asked for, memoised as one (n, k) prediction. Bundles for different
     configurations on one dataset may share a ``fits`` dict, so a model that
     two configurations specify alike is fit once; a bundle built without one
     keeps its own. A ``fits`` dict must never see a second dataset.
@@ -257,43 +259,43 @@ class FittedNuisances:
         rows = True if donor is None else self.data.center != donor
         return rows if arm is None else rows & (self.data.arm == arm)
 
+    def _design(self, model, spec):
+        """``spec``'s design on every row and its column names, memoised in ``fits``."""
+        if spec is None:
+            raise ConfigError(f"{model} model specification missing")
+        if ("design", spec) not in self._fits:
+            self._fits["design", spec] = build_design(spec, self.data)
+        return self._fits["design", spec]
+
     def _predicted(self, model, spec, donor=None, arm=None):
         """Every row's prediction from the ``model`` fit of ``spec`` on a row subset.
 
         ``model`` is "outcome" (OLS of Y), "treatment" (logistic Pr[A=1]) or
         "membership" (multinomial Pr[C=c]).
         """
-        if spec is None:
-            raise ConfigError(f"{model} model specification missing")
+        X, names = self._design(model, spec)
         key = (model, spec, donor, arm)
         if key not in self._fits:
             if model == "treatment" and set(self.data.arms) != {0, 1}:
                 raise SpecError("fitted treatment models require arms coded {0,1}")
-            if ("design", spec) not in self._fits:
-                self._fits["design", spec] = build_design(spec, self.data)
-            X, names = self._fits["design", spec]
-            if model == "outcome" and donor is not None:
-                fit = fit_ols_cells(self._outcome_cells(spec, arm), donor, column_names=names)
+            rows = self._rows(donor, arm)
+            if model == "outcome":
+                fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
+            elif model == "treatment":
+                fit = fit_logistic(
+                    X[rows], self.data.arm[rows].astype(np.float64), column_names=names
+                )
             else:
-                rows = self._rows(donor, arm)
-                if model == "outcome":
-                    fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
-                elif model == "treatment":
-                    fit = fit_logistic(
-                        X[rows], self.data.arm[rows].astype(np.float64), column_names=names
-                    )
-                else:
-                    fit = fit_multinomial(X[rows], self.data.center[rows], column_names=names)
+                fit = fit_multinomial(X[rows], self.data.center[rows], column_names=names)
             prediction = predict(fit, X)
             prediction.flags.writeable = False
             self._fits[key] = prediction
         return self._fits[key]
 
-    def _outcome_cells(self, spec, arm):
+    def _outcome_cells(self, X, spec, arm):
         """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised in ``fits``."""
         key = ("outcome cells", spec, arm)
         if key not in self._fits:
-            X, _ = self._fits["design", spec]
             rows = self._rows(None, arm)
             self._fits[key] = factor_cells(
                 X[rows], self.data.outcome[rows], self.data.center[rows]
@@ -306,13 +308,33 @@ class FittedNuisances:
         """Fitted E[Y | ·, A=arm] for every row, from a within-arm fit."""
         return self._predicted("outcome", self.cfg.outcome_spec, arm=arm)
 
-    def donor_outcome_mean(self, c, arm):
-        """Within-arm outcome fit on all centers except c, evaluated everywhere.
+    def donor_outcome_means(self, centers, arm):
+        """(n, k) read-only predictions: column j is the within-arm outcome fit
+        on every center but centers[j], evaluated everywhere.
 
-        The fit comes from the other centers' R factors (``fit_ols_cells``):
-        its fitted values match fit_ols on those rows up to roundoff.
+        The k donor pools are solved together from the arm's per-center R
+        factors (``leave_one_out_coefficients``); the fitted values match
+        fit_ols on each pool's rows up to roundoff. Only the pools of
+        ``centers`` are fit, and column j does not depend on which other
+        centers are asked for.
         """
-        return self._predicted("outcome", self.cfg.outcome_spec, c, arm)
+        spec = self.cfg.outcome_spec
+        X, names = self._design("outcome", spec)
+        key = ("donor outcome", spec, tuple(int(c) for c in centers), arm)
+        if key not in self._fits:
+            coef = leave_one_out_coefficients(self._outcome_cells(X, spec, arm), centers, names)
+            # one product per column: the bits of an (n, p) @ (p, k) product's
+            # column change with k
+            prediction = np.empty((self.data.n, len(coef)), order="F")
+            for j, beta in enumerate(coef):
+                np.matmul(X, beta, out=prediction[:, j])
+            prediction.flags.writeable = False
+            self._fits[key] = prediction
+        return self._fits[key]
+
+    def donor_outcome_mean(self, c, arm):
+        """Within-arm outcome fit on all centers except c, evaluated everywhere."""
+        return self.donor_outcome_means([c], arm)[:, 0]
 
     # -- treatment models ---------------------------------------------------
 
@@ -403,6 +425,9 @@ class FixedNuisances:
         if self._membership is None:
             raise ConfigError("membership probabilities not supplied")
         return np.asarray(self._membership, dtype=np.float64)
+
+    def donor_outcome_means(self, centers, arm):
+        return np.column_stack([self.donor_outcome_mean(c, arm) for c in centers])
 
     def donor_outcome_mean(self, c, arm):
         if (c, arm) in self._donor_outcome:
@@ -539,7 +564,7 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
             (_floor(e, cfg), "donor arm probability is 0 at row {row}"),
         ])
         del e
-        ghat = np.column_stack([nuis.donor_outcome_mean(c, a) for c in centers])
+        ghat = nuis.donor_outcome_means(centers, a)
         return _weighted_means(data, centers, ghat, weights)
     ghat = nuis.outcome_mean(a) if variant != "ipw" else 0.0
     if variant == "om":

@@ -338,6 +338,36 @@ def fit_ols_cells(factors, leave_out=None, column_names=None):
     return fit
 
 
+def leave_one_out_coefficients(factors, leave_out, column_names=None):
+    """(k, p) coefficients: row j is ``fit_ols_cells(factors, leave_out[j])``'s.
+
+    All k pools are solved at once: the stacked factors [R | Qᵀy], with the
+    left-out cell's rows zeroed, are factored by one stacked unpivoted QR and
+    the k triangles solved together. A pool whose R diagonal fails fit_ols's
+    rank test (|R_ii| ≤ max column norm · max(n, p) · eps) goes through
+    ``fit_ols_cells`` itself, with its warning and errors. Each pool's row
+    depends only on that pool, not on the others solved with it.
+    """
+    leave_out = np.asarray(leave_out)
+    S, p = factors.R.shape
+    coef = np.zeros((len(leave_out), p))
+    full_rank = np.zeros(len(leave_out), dtype=bool)
+    if S >= p > 0:
+        A = np.empty((len(leave_out), S, p + 1))
+        A[:, :, :p] = factors.R
+        A[:, :, p] = factors.qty
+        A[factors.cell == leave_out[:, None]] = 0.0
+        R = np.linalg.qr(A, mode="r")[:, :p]
+        n = factors.rows.sum() - (factors.labels == leave_out[:, None]) @ factors.rows
+        diag = np.abs(np.diagonal(R, axis1=1, axis2=2))
+        tol = np.linalg.norm(R[:, :, :p], axis=1).max(axis=1) * np.maximum(n, p) * _EPS
+        full_rank = np.all(diag > tol[:, None], axis=1)
+        coef[full_rank] = np.linalg.solve(R[full_rank, :, :p], R[full_rank, :, p:])[:, :, 0]
+    for j in np.flatnonzero(~full_rank):
+        coef[j] = fit_ols_cells(factors, leave_out[j], column_names).coefficients
+    return coef
+
+
 # ---------------------------------------------------------------------------
 # logistic and multinomial models: one reference-category Newton driver
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import numbers
+import operator
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -226,7 +227,16 @@ class OracleReport:
         }
 
 
-_ORACLE_CHUNK = 1_000_000
+_ORACLE_CHUNK = 1_000_000  # draws per chunk: X, u and the centers are drawn whole
+_ORACLE_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one block of (m, rows) probabilities
+
+
+def _integers(what, *values):
+    """``values`` as Python ints; ParameterError naming ``what`` for any that is not an integer."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise ParameterError(f"{what} must be integers, got {values}") from None
 
 
 @functools.lru_cache(maxsize=32)
@@ -234,22 +244,33 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     """True ATE per center by large-sample Monte Carlo.
 
     The effect in center c is arm_coeff + interaction · E[X1 | C=c]; the
-    conditional mean is accumulated over ``oracle_n`` draws in fixed-size
-    chunks (deterministic given ``seed``). Cached per (scenario, n, seed).
+    conditional mean is accumulated over ``oracle_n`` draws in chunks of
+    ``_ORACLE_CHUNK`` (deterministic given ``seed``). A chunk's covariates and
+    uniforms are drawn whole, and its centers are assigned over row blocks of
+    about ``_ORACLE_BLOCK_VALUES`` membership probabilities; a center depends
+    only on its own row, so the blocks change no draw. Memory is one chunk of
+    draws plus one block, whatever ``oracle_n``. ``oracle_n`` and ``seed``
+    must be integers. Cached per (scenario, n, seed).
     """
+    oracle_n, seed = _integers("oracle_n and seed", oracle_n, seed)
     if oracle_n < 1 or seed < 0:
         raise ParameterError(f"oracle needs oracle_n >= 1 and seed >= 0, got {oracle_n}, {seed}")
     rng = np.random.default_rng(seed)
     m = scenario.m
+    block = max(1, _ORACLE_BLOCK_VALUES // m)
     count = np.zeros(m)
     sum_x1 = np.zeros(m)
     sum_x1sq = np.zeros(m)
-    remaining = int(oracle_n)
+    remaining = oracle_n
     while remaining > 0:
         size = min(_ORACLE_CHUNK, remaining)
         remaining -= size
         X = rng.standard_normal((size, 3))
-        centers = _draw_centers(_membership_probabilities(scenario, X), rng.random(size))
+        u = rng.random(size)
+        centers = np.empty(size, dtype=np.int64)
+        for start in range(0, size, block):
+            b = slice(start, start + block)
+            centers[b] = _draw_centers(_membership_probabilities(scenario, X[b]), u[b])
         x1 = X[:, 0]
         count += np.bincount(centers - 1, minlength=m)
         sum_x1 += np.bincount(centers - 1, weights=x1, minlength=m)
@@ -265,8 +286,8 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     return OracleReport(
         values=tuple(float(v) for v in values),
         mc_se=tuple(float(s) for s in mc_se),
-        draws=int(oracle_n),
-        seed=int(seed),
+        draws=oracle_n,
+        seed=seed,
         method="monte_carlo",
     )
 
@@ -471,6 +492,9 @@ def run_study(
         raise ParameterError("study needs at least 1 replicate")
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
+    master_seed, oracle_seed, oracle_n = _integers(
+        "seed, oracle_seed and oracle_n", master_seed, oracle_seed, oracle_n
+    )
     if min(master_seed, oracle_seed) < 0 or oracle_n < 1:
         raise ParameterError("the study needs seed, oracle_seed >= 0 and oracle_n >= 1, got "
                              f"{master_seed}, {oracle_seed} and {oracle_n}")

@@ -69,9 +69,11 @@ def test_analyze_writes_report_and_csv(tmp_path, capsys):
     for rec in estimates:
         assert set(rec) == {
             "estimand", "estimator", "center", "arms", "value",
-            "se", "ci_low", "ci_high",
+            "se", "ci_low", "ci_high", "alpha", "method",
         }
         assert rec["estimand"] == "contrast"
+        assert rec["alpha"] == 0.05
+        assert rec["method"] == "influence_curve"
         assert rec["arms"] == [1, 0]
         assert rec["ci_low"] < rec["value"] < rec["ci_high"]
         assert rec["se"] > 0.0
@@ -155,6 +157,7 @@ def test_analyze_comparators_repeat_across_centers(tmp_path):
         assert [r["center"] for r in rows] == [1, 2]
         assert rows[0]["value"] == rows[1]["value"]
         assert rows[0]["se"] == rows[1]["se"]
+        assert rows[0]["method"] == "ols"  # homoskedastic, not an influence-curve SE
 
 
 def test_analyze_comparator_requires_binary_contrast(tmp_path, capsys):

@@ -40,6 +40,7 @@ from centereffects import (
     from_arrays,
     predict,
 )
+from centereffects.nuisance import factor_cells, fit_ols_cells
 
 
 def simple_config(**kw):
@@ -491,6 +492,73 @@ def test_donor_fit_aliased_only_without_one_center(outside):
             warnings.simplefilter("error", AliasedColumnsWarning)
             for c in (1, 3):
                 nuis.donor_outcome_mean(c, a)
+
+
+def per_donor_chi_nuisances(d, cfg, centers, fitted):
+    """FixedNuisances whose donor outcomes come one pool at a time, from
+    fit_ols_cells on the arm's cell factors and predict; the other
+    nuisances are ``fitted``'s."""
+    X, names = build_design(cfg.outcome_spec, d)
+    donor_outcome, donor_arm = {}, {}
+    for a in (0, 1):
+        rows = d.arm == a
+        factors = factor_cells(X[rows], d.outcome[rows], d.center[rows])
+        for c in centers:
+            donor_outcome[c, a] = predict(fit_ols_cells(factors, c, column_names=names), X)
+            donor_arm[c, a] = fitted.donor_arm_probability(c, a)
+    return FixedNuisances(membership=fitted.membership(), donor_outcome=donor_outcome,
+                          donor_arm_probabilities=donor_arm)
+
+
+def one_row_cell_data(m):
+    rng = np.random.default_rng(m)
+    counts = rng.integers(4, 12, size=(m, 2))
+    counts[0, 1] = 1  # n_{1,1} = 1
+    center = np.repeat(np.repeat(np.arange(1, m + 1), 2), counts.ravel())
+    arm = np.repeat(np.tile([0, 1], m), counts.ravel())
+    x = rng.standard_normal((len(arm), 2))
+    return from_arrays(x, center, arm, x @ [1.0, -2.0] + rng.standard_normal(len(arm)))
+
+
+@pytest.mark.parametrize("m", [2, 3, 60])
+@pytest.mark.filterwarnings("ignore::centereffects.AliasedColumnsWarning")  # m = 2: a 1-row pool
+def test_chi_batched_donor_fits_match_one_pool_at_a_time(m):
+    d = one_row_cell_data(m)
+    cfg = simple_config(outcome_spec=["1", "x1", "x2", "x1:x2"], treatment_spec=["1"])
+    fits = {}
+    got = center_contrasts(d, "chi", 1, 0, cfg, fits=fits)
+    reference = per_donor_chi_nuisances(d, cfg, range(1, m + 1), FittedNuisances(d, cfg, fits))
+    for c, rec in enumerate(got, start=1):
+        want = estimate_contrast(d, "chi", c, 1, 0, cfg, nuisances=reference)
+        assert rec.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
+        np.testing.assert_allclose(rec.influence, want.influence, rtol=0.0,
+                                   atol=1e-12 * np.abs(want.influence).max())
+    # one all-centers prediction per arm, not one fit per donor pool
+    assert sorted(key[3] for key in fits if key[0] in ("outcome", "donor outcome")) == [0, 1]
+
+
+@pytest.mark.parametrize("outside", [2.5, 1.0, -1.0])
+def test_chi_fits_only_the_requested_centers_pools(outside):
+    # the data of test_donor_fit_aliased_only_without_one_center: only center
+    # 2's donor pool has x1 aliased, so only an estimate for center 2 warns
+    rng = np.random.default_rng(12)
+    center, arm = np.repeat([1, 2, 3], 20), np.tile([0, 1], 30)
+    x = np.column_stack([np.full(60, outside), rng.standard_normal(60)])
+    x[center == 2, 0] = rng.standard_normal(20)
+    d = from_arrays(x, center, arm, rng.standard_normal(60))
+    cfg = simple_config(outcome_spec=["1", "x1", "x2"], membership_spec=["1", "x2"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasedColumnsWarning)
+        estimate_chi(d, 1, 1, cfg)
+    X, names = build_design(cfg.outcome_spec, d)
+    for a in (0, 1):
+        rows = d.arm == a
+        with pytest.warns(AliasedColumnsWarning) as want:
+            fit_ols_cells(factor_cells(X[rows], d.outcome[rows], d.center[rows]), 2,
+                          column_names=names)
+        with pytest.warns(AliasedColumnsWarning) as got:
+            estimate_chi(d, 2, a, cfg)
+        assert [str(w.message) for w in got] == [str(w.message) for w in want]
 
 
 def test_chi_rejects_center_terms_in_outcome_model():

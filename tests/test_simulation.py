@@ -6,6 +6,7 @@ the selection model) and the two oracles are cross-checked against each other.
 """
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,74 @@ def test_true_center_ate_scalar_and_range():
     assert isinstance(v, float)
     with pytest.raises(ParameterError):
         true_center_ate(sc, 3, oracle_n=50_000, seed=0)
+
+
+def _unblocked_oracle(scenario, oracle_n, seed):
+    """(values, mc_se) of the Monte Carlo oracle with each chunk's centers
+    drawn in one piece, from its (m, chunk) probability matrix."""
+    rng = np.random.default_rng(seed)
+    m = scenario.m
+    count, sum_x1, sum_x1sq = np.zeros(m), np.zeros(m), np.zeros(m)
+    remaining = oracle_n
+    while remaining > 0:
+        size = min(simulation_module._ORACLE_CHUNK, remaining)
+        remaining -= size
+        X = rng.standard_normal((size, 3))
+        centers = simulation_module._draw_centers(
+            simulation_module._membership_probabilities(scenario, X), rng.random(size))
+        x1 = X[:, 0]
+        count += np.bincount(centers - 1, minlength=m)
+        sum_x1 += np.bincount(centers - 1, weights=x1, minlength=m)
+        sum_x1sq += np.bincount(centers - 1, weights=x1 * x1, minlength=m)
+    _, _, _, _, barm, binter = scenario.effective_outcome_coeffs()
+    mean_x1 = sum_x1 / count
+    var_x1 = np.maximum(sum_x1sq / count - mean_x1 ** 2, 0.0)
+    values = barm + binter * mean_x1
+    mc_se = abs(binter) * np.sqrt(var_x1 / count)
+    return tuple(float(v) for v in values), tuple(float(s) for s in mc_se)
+
+
+def sixty_center_scenario():
+    rng = np.random.default_rng(60)
+    coeffs = np.column_stack([rng.uniform(-0.5, 0.5, 59), rng.uniform(-0.4, 0.4, (59, 3))])
+    return Scenario.strong(m=60, membership_coeffs=coeffs.tolist())
+
+
+@pytest.mark.parametrize("scenario", [two_center_scenario(), Scenario.strong(),
+                                      sixty_center_scenario()], ids=["m2", "m10", "m60"])
+def test_blocked_oracle_draws_what_one_block_per_chunk_draws(scenario):
+    # a center depends only on its own row, so the blocks change no bit
+    block = simulation_module._ORACLE_BLOCK_VALUES // scenario.m
+    chunk = simulation_module._ORACLE_CHUNK
+    for oracle_n in (block - 1, block + 1, chunk + 12_345):
+        for seed in (0, 7):
+            got = true_center_ates.__wrapped__(scenario, oracle_n, seed)
+            assert (got.values, got.mc_se) == _unblocked_oracle(scenario, oracle_n, seed)
+
+
+def test_oracle_memory_is_one_chunk_and_one_block():
+    # the (m, 1e6) probabilities of one unblocked chunk alone took 206 MiB
+    tracemalloc.start()
+    try:
+        true_center_ates.__wrapped__(Scenario.strong(), 1_000_000, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+
+
+@pytest.mark.parametrize("oracle_n, seed", [(20000.7, 0), (20000.0, 0), (20_000, 1.0),
+                                            ("20000", 0)])
+def test_oracle_arguments_must_be_integers(oracle_n, seed):
+    with pytest.raises(ParameterError, match="integers"):
+        true_center_ates(two_center_scenario(), oracle_n, seed)
+
+
+@pytest.mark.parametrize("kw", [{"oracle_n": 20000.5}, {"oracle_seed": 1.0},
+                                {"master_seed": 2.0}], ids=["oracle_n", "oracle_seed", "seed"])
+def test_run_study_integer_arguments(kw):
+    with pytest.raises(ParameterError, match="integers"):
+        small_study(**kw)
 
 
 def test_quadrature_node_count_converged():
