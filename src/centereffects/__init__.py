@@ -3,8 +3,31 @@
 Estimates the average treatment effect in the population underlying each
 center of a multicenter trial, with influence-curve and bootstrap inference,
 assumption diagnostics, and a full Monte Carlo evaluation harness.
+
+Importing the package before numpy gives BLAS one thread: it sets
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS, MKL_NUM_THREADS and
+VECLIB_MAXIMUM_THREADS to "1", each only if unset, before numpy loads. With a
+BLAS that reads one of them (OpenBLAS, MKL, Apple Accelerate), results then do
+not depend on the thread count, and ``run_study``'s worker processes do not
+compete for cores. A value the user has set is kept, so setting a variable in
+the shell opts out. The settings reach the whole process and its
+subprocesses: OMP_NUM_THREADS=1 also holds every OpenMP library the program
+loads after the import to one thread. When numpy was imported first, its BLAS
+has already read its settings, and nothing is set.
 """
-from .dataset import (
+import os as _os
+import sys as _sys
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                          "VECLIB_MAXIMUM_THREADS")
+#: BLAS is known to run one thread: numpy loads below, after these settings
+_ONE_BLAS_THREAD = "numpy" not in _sys.modules
+if _ONE_BLAS_THREAD:
+    for _name in _BLAS_THREAD_VARIABLES:
+        _os.environ.setdefault(_name, "1")
+    _ONE_BLAS_THREAD = all(_os.environ[_name] == "1" for _name in _BLAS_THREAD_VARIABLES)
+
+from .dataset import (  # noqa: E402  (numpy loads here, after the thread settings)
     CellCounts,
     TrialDataset,
     cell_counts,

@@ -405,7 +405,7 @@ def cmd_simulate(cfg, outdir):
         alpha=cfg["alpha"],
         oracle_n=cfg["oracle_n"],
         oracle_seed=cfg["oracle_seed"],
-        workers=cfg["workers"],
+        workers=cfg.get("workers"),
     )
 
     payload = report.to_dict()
@@ -481,7 +481,7 @@ COMMANDS = {
     "simulate": ("run the replicated simulation study", {
         "scenario": {}, "replicates": 1000, "seed": 0, "alpha": 0.05,
         "estimators": list(DEFAULT_ESTIMATORS), "arms": [1, 0],
-        "oracle_n": 10_000_000, "oracle_seed": 0, "workers": 1,
+        "oracle_n": 10_000_000, "oracle_seed": 0, "workers": None,
     }),
     "oracle": ("compute true scenario effects per center", {
         "scenario": {}, "oracle_n": 10_000_000, "seed": 0,

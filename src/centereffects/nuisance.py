@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.special
-from scipy.linalg.lapack import dgeqp3, dgeqrf, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqp3, dgeqrf, dormqr, dtrtrs
 
 from .dataset import _as_int_1d
 from .errors import (
@@ -130,13 +130,15 @@ def _lapack(routine, *args, **kwargs):
     return out[:-2]
 
 
-def _pivoted_qr(X, n=None, form_q=False):
-    """Economic pivoted QR with rank detection. Returns (Q, R, pivot order, rank).
+def _pivoted_qr(X, n=None, b=None):
+    """Economic pivoted QR with rank detection. Returns (Qᵀb, R, pivot order, rank).
 
-    Bitwise ``scipy.linalg.qr(X, mode="economic", pivoting=True)`` without
-    its per-call overhead; Q is None unless ``form_q``. The rank tolerance is
-    diag[0]·max(n, p)·eps, where ``n`` is the number of data rows behind ``X``
-    (default: its own row count; X may be stacked R factors of more rows).
+    R and the pivots are bitwise ``scipy.linalg.qr(X, mode="economic",
+    pivoting=True)``'s, without its per-call overhead. Qᵀb (None when ``b`` is
+    None) applies the QR's Householder reflectors to ``b`` without forming Q,
+    and holds min(rows, p) entries. The rank tolerance is diag[0]·max(n, p)·eps,
+    where ``n`` is the number of data rows behind ``X`` (default: its own row
+    count; X may be stacked R factors of more rows).
     """
     rows, p = X.shape
     if X.size == 0:
@@ -144,13 +146,16 @@ def _pivoted_qr(X, n=None, form_q=False):
     qr, piv, tau = _lapack(dgeqp3, np.asarray_chkfinite(X))
     piv -= 1
     R = np.triu(qr[:p] if rows >= p else qr)
-    Q = (_lapack(dorgqr, qr[:, :rows] if rows < p else qr, tau, overwrite_a=1)[0]
-         if form_q else None)
+    qtb = None
+    if b is not None:
+        reflectors = qr[:, :rows] if rows < p else qr
+        qtb = _lapack(dormqr, "L", "T", reflectors, tau,
+                      np.asarray_chkfinite(b)[:, None])[0][:len(tau), 0]
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
-        return Q, R, piv, 0
+        return qtb, R, piv, 0
     tol = diag[0] * max(rows if n is None else n, p) * np.finfo(np.float64).eps
-    return Q, R, piv, int(np.sum(diag > tol))
+    return qtb, R, piv, int(np.sum(diag > tol))
 
 
 def _solve_upper(R, B):
@@ -209,11 +214,10 @@ def _least_squares(M, b, n, rss0=0.0, column_names=None):
     if p == 0:
         return LinearFit(np.zeros(0), (), rss0 + float(b @ b), n, names, np.zeros(0))
 
-    Q, R, piv, rank = _pivoted_qr(M, n, form_q=True)
+    qty, R, piv, rank = _pivoted_qr(M, n, b)
     coef = np.zeros(p)
     unscaled = np.full(p, np.nan)
     if rank > 0:
-        qty = Q.T @ np.asarray_chkfinite(b)
         coef[piv[:rank]] = _solve_upper(R[:rank, :rank], qty[:rank])
         rinv = _solve_upper(R[:rank, :rank], np.eye(rank))
         unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)

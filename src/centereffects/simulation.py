@@ -17,10 +17,12 @@ from __future__ import annotations
 import functools
 import numbers
 import operator
+import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
+from . import _ONE_BLAS_THREAD
 from .dataset import TrialDataset, _is_number
 from .errors import (
     CenterEffectsError,
@@ -236,7 +238,9 @@ def _integers(what, *values):
     try:
         return [operator.index(v) for v in values]
     except TypeError:
-        raise ParameterError(f"{what} must be integers, got {values}") from None
+        kind = "an integer" if len(values) == 1 else "integers"
+        raise ParameterError(f"{what} must be {kind}, got "
+                             f"{', '.join(repr(v) for v in values)}") from None
 
 
 @functools.lru_cache(maxsize=32)
@@ -379,6 +383,40 @@ def _replicate_records(data, estimators, arms, configs, alpha):
     return records, sizes
 
 
+#: cgroup v2 CPU limit, "<quota|max> <period>"; os.sched_getaffinity ignores it
+_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
+
+
+def _cpu_quota():
+    """CPUs the cgroup v2 quota allows, rounded up; None without a readable quota."""
+    try:
+        with open(_CGROUP_CPU_MAX) as f:
+            quota, period = f.read().split()
+        return max(1, -(-int(quota) // int(period)))
+    except (OSError, ValueError):  # no cgroup v2 file, or "max": no quota
+        return None
+
+
+def _default_workers(replicates):
+    """Replicate processes when ``workers`` is None: one per usable core (the
+    affinity mask, within a cgroup v2 CPU quota), at most ``replicates``, when
+    BLAS is known to run one thread and workers start by fork. Otherwise 1:
+    each worker's BLAS threads would compete for the same cores, and under
+    spawn or forkserver every worker re-imports ``__main__``, which a script
+    without a ``__name__ == "__main__"`` guard cannot survive."""
+    import multiprocessing  # not at module level: analyze never needs it
+
+    start = (multiprocessing.get_start_method(allow_none=True)
+             or multiprocessing.get_all_start_methods()[0])  # the first is the default
+    if not _ONE_BLAS_THREAD or start != "fork":
+        return 1
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        cores = os.cpu_count() or 1
+    return min(cores, _cpu_quota() or cores, replicates)
+
+
 def _worker(args):
     scenario, master_seed, r, estimators, arms, configs, alpha = args
     try:
@@ -469,7 +507,7 @@ def run_study(
     oracle_n=10_000_000,
     oracle_seed=0,
     oracle=None,
-    workers=1,
+    workers=None,
 ):
     """Replicate the design ``replicates`` times and aggregate per center.
 
@@ -483,13 +521,21 @@ def run_study(
     and one thread otherwise, while the calling thread computes the oracle
     (unless ``oracle`` is supplied; it must hold m finite values). The
     oracle's large array operations release the GIL, so it runs beside the
-    replicates. If the oracle fails or the call is interrupted, queued
-    replicates are cancelled and the error is raised.
+    replicates. ``workers`` None means one process per usable core when BLAS
+    is known to run one thread (see the package docstring) and the start
+    method is fork, and 1 otherwise.
+    If the oracle fails or the call is interrupted, queued replicates are
+    cancelled and the error is raised. Every worker has ended by the time
+    run_study returns or raises.
     """
     arms = (int(arms[0]), int(arms[1]))
     estimators = _check_estimators(estimators, arms)
+    (replicates,) = _integers("replicates", replicates)
     if replicates < 1:
         raise ParameterError("study needs at least 1 replicate")
+    if workers is None:
+        workers = _default_workers(replicates)
+    (workers,) = _integers("workers", workers)
     if workers < 1:
         raise ParameterError(f"workers must be at least 1, got {workers}")
     master_seed, oracle_seed, oracle_n = _integers(
@@ -512,7 +558,8 @@ def run_study(
             else concurrent.futures.ThreadPoolExecutor(max_workers=1))
     with pool:
         try:
-            outcomes = pool.map(_worker, args, chunksize=8)
+            # chunks of at most 8 replicates, and at least one for every worker
+            outcomes = pool.map(_worker, args, chunksize=min(8, -(-replicates // workers)))
             if oracle is None:
                 oracle = true_center_ates(scenario, oracle_n, oracle_seed)
             results = list(outcomes)

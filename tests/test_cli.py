@@ -2,6 +2,7 @@
 
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -504,6 +505,19 @@ def test_check_assumptions_outcome_fit_exactly_exits_3(tmp_path, capsys):
     assert "fits the outcome exactly" in payload["message"]
 
 
+BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                         "VECLIB_MAXIMUM_THREADS")
+
+
+def src_env(**variables):
+    """The environment with ``src`` on PYTHONPATH, no BLAS thread variables, and
+    then ``variables``."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return {**env, **variables}
+
+
 IMPORT_GRAPH_SCRIPT = """
 import sys
 from centereffects import cli
@@ -524,12 +538,9 @@ def test_cli_commands_do_not_import_slow_scipy_subpackages(tmp_path):
         "scenario": {**TWO_CENTER, "n": 150}, "replicates": 2, "oracle_n": 10_000,
         "estimators": ["tau", "chi", "pooled"],
     })
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_GRAPH_SCRIPT, csv_path, str(tmp_path), study],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "[]"
@@ -554,15 +565,59 @@ def test_analyze_and_check_assumptions_do_not_import_concurrent_futures(tmp_path
     # run_study imports concurrent.futures inside the function, so the other
     # commands' startup never pays for it
     csv_path = write_trial_csv(tmp_path, n=300, seed=4)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_GUARD_SCRIPT, csv_path, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=src_env(), capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip().splitlines()[-1] == "False []"
+
+
+THREAD_POLICY_SCRIPT = """
+import os, sys
+if sys.argv[1] == "numpy-first":
+    import numpy
+import centereffects
+print(centereffects._ONE_BLAS_THREAD, [os.environ.get(v) for v in (
+    "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")])
+"""
+
+
+@pytest.mark.parametrize("order, variables, expected", [
+    ("package-first", {}, "True ['1', '1', '1', '1']"),
+    ("package-first", {"OPENBLAS_NUM_THREADS": "4"}, "False ['4', '1', '1', '1']"),
+    ("package-first", {"VECLIB_MAXIMUM_THREADS": "8"}, "False ['1', '1', '1', '8']"),
+    ("numpy-first", {}, "False [None, None, None, None]"),
+], ids=["unset", "user-value-kept", "accelerate-value-kept", "numpy-first"])
+def test_package_sets_one_blas_thread_before_numpy_loads(order, variables, expected):
+    done = subprocess.run([sys.executable, "-c", THREAD_POLICY_SCRIPT, order],
+                          env=src_env(**variables), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == expected
+
+
+#: rows of the thread-invariance input; at 1e4 rows and more, a multithreaded
+#: BLAS changed report.json before the package set its thread policy
+THREAD_INVARIANCE_ROWS = 20_000
+
+
+def test_analyze_report_does_not_depend_on_the_thread_variables(tmp_path):
+    # without the package's thread policy, the unset shell's multithreaded
+    # BLAS moved the last bits of some estimates on this input
+    data = ce.generate_dataset(ce.Scenario.strong(n=THREAD_INVARIANCE_ROWS), seed=11)
+    csv_path = str(tmp_path / "trial.csv")
+    ce.save_csv(data, csv_path)
+    reports = []
+    for name, variables in [("unset", {}), ("one", dict.fromkeys(BLAS_THREAD_VARIABLES, "1"))]:
+        outdir = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "centereffects.cli", "analyze", "--input", csv_path,
+             "--output", str(outdir), "--estimators", "tau,phi,psi,chi,pooled,fe1,fe2"],
+            env=src_env(**variables), capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports.append((outdir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 TRIAL, STUDY, NUISANCE = "<trial.csv>", "<study.json>", "<nuisance.json>"
@@ -775,7 +830,7 @@ def test_simulate_outputs_and_byte_exact_rerun(tmp_path, capsys):
     assert len(payload["cells"]) == 2 * 4
     assert payload["config"]["seed"] == 3
     assert payload["config"]["scenario"]["n"] == 150
-    assert payload["config"]["workers"] == 1
+    assert "workers" not in payload["config"]  # the default is echoed only when given
 
     bias_lines = (out1 / "study_bias.csv").read_text(encoding="utf-8").splitlines()
     assert bias_lines[1] == "center,tau,phi,psi,pooled"
@@ -832,12 +887,12 @@ def test_simulate_rejects_nonpositive_workers(tmp_path, capsys, workers):
     assert not (outdir / "study_report.json").exists()
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, None])
 def test_simulate_oracle_failure_exit_code(tmp_path, capsys, workers):
     # one oracle draw leaves a center without draws
     cfg = write_config(tmp_path, {
         "scenario": {**TWO_CENTER, "n": 300}, "replicates": 200, "oracle_n": 1,
-        "estimators": ["tau", "phi"], "workers": workers,
+        "estimators": ["tau", "phi"], **({} if workers is None else {"workers": workers}),
     })
     outdir = tmp_path / "o"
     assert cli.main(["simulate", "--config", cfg, "--output", str(outdir)]) == 2
@@ -845,6 +900,7 @@ def test_simulate_oracle_failure_exit_code(tmp_path, capsys, workers):
     assert payload["error"] == "InsufficientDataError"
     assert "no oracle draws" in payload["message"]
     assert not (outdir / "study_report.json").exists()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ The generator is validated against closed-form properties (noise-free
 regression recovery, membership frequencies vs an independent quadrature of
 the selection model) and the two oracles are cross-checked against each other.
 """
+import multiprocessing
 import threading
 import time
 import tracemalloc
@@ -252,10 +253,13 @@ def test_oracle_arguments_must_be_integers(oracle_n, seed):
         true_center_ates(two_center_scenario(), oracle_n, seed)
 
 
-@pytest.mark.parametrize("kw", [{"oracle_n": 20000.5}, {"oracle_seed": 1.0},
-                                {"master_seed": 2.0}], ids=["oracle_n", "oracle_seed", "seed"])
-def test_run_study_integer_arguments(kw):
-    with pytest.raises(ParameterError, match="integers"):
+@pytest.mark.parametrize("kw, named", [
+    ({"oracle_n": 20000.5}, "oracle_n"), ({"oracle_seed": 1.0}, "oracle_seed"),
+    ({"master_seed": 2.0}, "seed"), ({"replicates": 6.5}, "replicates"),
+    ({"workers": 1.5}, "workers"),
+], ids=["oracle_n", "oracle_seed", "seed", "replicates", "workers"])
+def test_run_study_integer_arguments(kw, named):
+    with pytest.raises(ParameterError, match=f"{named}.* must be (an integer|integers)"):
         small_study(**kw)
 
 
@@ -404,19 +408,19 @@ def test_run_study_rejects_bad_supplied_oracle(monkeypatch, values):
     bad = OracleReport(values=values, mc_se=(0.0,) * len(values), draws=1, seed=0,
                        method="quadrature")
     with pytest.raises(ParameterError, match="oracle"):
-        small_study(oracle=bad)
+        small_study(oracle=bad, workers=1)
     assert drawn == []
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, None])
 def test_run_study_oracle_failure_cancels_queued_replicates(workers):
     # the oracle runs after every replicate is queued; its failure must cancel
-    # the queue, not wait for it, and leave no executor thread behind
+    # the queue, not wait for it, and leave no executor thread or process behind
     sc = two_center_scenario(n=1000)
     estimators = ("tau", "phi", "psi")
     fixed = true_center_ates_quadrature(sc)
     start = time.perf_counter()
-    run_study(sc, replicates=8, estimators=estimators, oracle=fixed)
+    run_study(sc, replicates=8, estimators=estimators, oracle=fixed, workers=1)
     serial = (time.perf_counter() - start) / 8 * 1000
     threads = threading.active_count()
     start = time.perf_counter()
@@ -425,18 +429,53 @@ def test_run_study_oracle_failure_cancels_queued_replicates(workers):
         run_study(sc, replicates=1000, estimators=estimators, oracle_n=1, workers=workers)
     assert time.perf_counter() - start < 0.25 * serial
     assert threading.active_count() == threads
+    assert multiprocessing.active_children() == []
 
 
 def test_run_study_identical_across_execution_modes():
     sc = two_center_scenario(n=400)
     kw = dict(replicates=8, estimators=("tau", "phi", "psi", "chi", "pooled"),
               master_seed=5, oracle_n=200_000, oracle_seed=4)
-    serial = run_study(sc, **kw)
+    serial = run_study(sc, workers=1, **kw)
     parallel = run_study(sc, workers=2, **kw)
     supplied = run_study(sc, oracle=true_center_ates(sc, 200_000, 4), **kw)
-    assert serial.failures == parallel.failures == supplied.failures == 0
-    assert serial.cells == parallel.cells == supplied.cells
-    assert serial.oracle == parallel.oracle == supplied.oracle
+    default = run_study(sc, **kw)
+    assert multiprocessing.active_children() == []
+    assert serial.failures == parallel.failures == supplied.failures == default.failures == 0
+    assert serial.cells == parallel.cells == supplied.cells == default.cells
+    assert serial.oracle == parallel.oracle == supplied.oracle == default.oracle
+
+
+@pytest.mark.parametrize("one_thread, start, affinity, cpu_max, expected", [
+    (True, "fork", True, None, [1, 2, 2]),
+    (True, "fork", False, None, [1, 2, 2]),
+    (False, "fork", True, None, [1, 1, 1]),
+    (True, "spawn", True, None, [1, 1, 1]),
+    (True, "forkserver", True, None, [1, 1, 1]),
+    (True, "fork", True, "max 100000", [1, 2, 2]),
+    (True, "fork", True, "50000 100000", [1, 1, 1]),
+    (True, "fork", True, "150000 100000", [1, 2, 2]),
+    (True, "fork", "eight", "150000 100000", [1, 2, 2]),
+], ids=["one-thread", "cpu-count", "threaded-blas", "spawn", "forkserver",
+        "no-quota", "half-cpu-quota", "quota-rounds-up", "quota-below-affinity"])
+def test_default_workers_one_per_core_only_at_one_blas_thread_under_fork(
+        monkeypatch, tmp_path, one_thread, start, affinity, cpu_max, expected):
+    # two usable cores unless "eight"; without sched_getaffinity, os.cpu_count
+    # stands in; a cgroup v2 quota of q/p CPUs caps the count at ceil(q/p)
+    monkeypatch.setattr(simulation_module, "_ONE_BLAS_THREAD", one_thread)
+    monkeypatch.setattr(multiprocessing, "get_start_method", lambda allow_none=False: start)
+    if affinity:
+        cores = set(range(8)) if affinity == "eight" else {0, 5}
+        monkeypatch.setattr(simulation_module.os, "sched_getaffinity", lambda pid: cores,
+                            raising=False)
+    else:
+        monkeypatch.delattr(simulation_module.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(simulation_module.os, "cpu_count", lambda: 2)
+    cpu_max_path = tmp_path / "cpu.max"
+    if cpu_max is not None:
+        cpu_max_path.write_text(cpu_max + "\n")
+    monkeypatch.setattr(simulation_module, "_CGROUP_CPU_MAX", str(cpu_max_path))
+    assert [simulation_module._default_workers(r) for r in (1, 2, 100)] == expected
 
 
 def _row_major_centers(scenario, seed):
