@@ -20,13 +20,7 @@ from pathlib import Path
 
 from .dataset import load_csv, cell_counts, validate_positivity
 from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
-from .estimators import (
-    COMPARATORS,
-    KnownProbabilities,
-    MEAN_ESTIMATORS,
-    NuisanceConfig,
-    _coerce_spec,
-)
+from .estimators import COMPARATORS, KnownProbabilities, MEAN_ESTIMATORS, _coerce_spec
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
     ancova_center_outcome_test,
@@ -174,32 +168,6 @@ def _merge_config(args):
     return {**defaults, **cfg, "command": args.command}, outdir
 
 
-def _to_json(value):
-    """A nuisance setting as JSON: designs as term lists, known probabilities as a table."""
-    if isinstance(value, NuisanceConfig):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, KnownProbabilities):
-        return {"known": {"table": value.table.tolist(), "arms": list(value.arms)}}
-    return list(value.terms) if isinstance(value, DesignSpec) else value
-
-
-def _treatment_from_json(value):
-    """A treatment_spec as NuisanceConfig takes it; every error begins with the field's name."""
-    if not isinstance(value, dict):
-        return value  # None or a term list; NuisanceConfig rejects anything else
-    known = value.get("known") if len(value) == 1 else None
-    if not isinstance(known, dict) or known.keys() - {"arms"} not in ({"constant"}, {"table"}):
-        raise ConfigError("treatment_spec: must be a term list or {'known': {'constant' or "
-                          f"'table', optional 'arms'}}}}, got {value!r}")
-    arms = known.get("arms", (0, 1))
-    try:
-        if "constant" in known:
-            return KnownProbabilities.constant(known["constant"], arms=arms)
-        return KnownProbabilities(known["table"], arms=arms)
-    except SpecError as exc:
-        raise SpecError(f"treatment_spec: {exc}") from None
-
-
 def _known_covariates(spec, what, data):
     """``spec``, or SpecError naming ``what`` when a term uses a covariate the data lack."""
     allowed = {INTERCEPT_TOKEN, CENTER_TOKEN, ARM_TOKEN, *data.covariate_names}
@@ -214,21 +182,20 @@ def _known_covariates(spec, what, data):
 def _resolve_nuisance_configs(cfg, data):
     """Each estimator's NuisanceConfig: its default with the fields ``nuisance.<name>``
     gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name.
-    A field whose default holds a model may not be set to null."""
+    A block may set only the fields its default sets (``to_dict``), and a field whose
+    default holds a model may not be set to null."""
     configs = default_nuisance_configs(data.covariate_names)
-    fields = [f.name for f in dataclasses.fields(NuisanceConfig)]
     for name, sub in cfg.get("nuisance", {}).items():
-        if name not in ("phi", "psi", "chi"):
+        if name not in configs:
             raise ConfigError(f"nuisance settings for unknown estimator {name!r}")
         if not isinstance(sub, dict):
             raise ConfigError(f"nuisance.{name} must be a JSON object, got {sub!r}")
+        fields = list(configs[name].to_dict())
         unknown = set(sub) - set(fields)
         if unknown:
             raise ConfigError(f"nuisance.{name} has unknown fields {sorted(unknown)}; "
                               f"its fields are {fields}")
         try:
-            if "treatment_spec" in sub:
-                sub = {**sub, "treatment_spec": _treatment_from_json(sub["treatment_spec"])}
             for field in sub:
                 if sub[field] is None and isinstance(getattr(configs[name], field),
                                                      (DesignSpec, KnownProbabilities)):
@@ -240,7 +207,7 @@ def _resolve_nuisance_configs(cfg, data):
                     _known_covariates(spec, field, data)
         except ConfigError as exc:
             raise type(exc)(f"nuisance.{name}.{exc}") from None
-    cfg["nuisance"] = {name: _to_json(configs[name]) for name in sorted(configs)}
+    cfg["nuisance"] = {name: configs[name].to_dict() for name in sorted(configs)}
     return configs
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     ConfigError,
     EmptyInputError,
-    InsufficientDataError,
     MissingDataError,
     ParseError,
     PositivityError,
@@ -350,7 +349,7 @@ def _resolve_schema(header, schema):
 
     cov_cols = merged["covariate_cols"]
     if isinstance(cov_cols, str):
-        if cov_cols not in ("rest", "all remaining"):
+        if cov_cols != "rest":
             raise SchemaError(
                 "covariate_cols must be an explicit list or the string 'rest'"
             )
@@ -465,8 +464,6 @@ def validate_positivity(data, arms=None):
 
     Raises PositivityError listing the empty (center, arm) pairs otherwise.
     """
-    if data.n < 1:
-        raise InsufficientDataError("empty dataset")
     table = cell_counts(data, arms=arms)
     empty = [
         (c + 1, table.arms[j])

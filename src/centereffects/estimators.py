@@ -117,19 +117,27 @@ class KnownProbabilities:
             )
         return self.table[:, j].copy()
 
-    def for_rows(self, center_ids, a):
-        """Per-observation Pr[A=a | C=center_i]."""
-        m = int(center_ids.max(initial=1))
-        return self.per_center(a, m)[center_ids - 1]
-
 
 def _coerce_spec(value, what, known=False):
     """NuisanceConfig field ``what`` as a DesignSpec (or, when ``known``, known
-    probabilities); every SpecError begins with the field's name."""
+    probabilities, also in their JSON form ``{"known": {"constant": p} or
+    {"table": rows}, optional "arms"}``); every error begins with the field's name."""
     if value is None or isinstance(value, DesignSpec):
         return value
     if known and isinstance(value, KnownProbabilities):
         return value
+    if known and isinstance(value, dict):
+        given = value.get("known") if len(value) == 1 else None
+        if not isinstance(given, dict) or given.keys() - {"arms"} not in ({"constant"}, {"table"}):
+            raise ConfigError(f"{what}: must be a term list or {{'known': {{'constant' or "
+                              f"'table', optional 'arms'}}}}, got {value!r}")
+        arms = given.get("arms", (0, 1))
+        try:
+            if "constant" in given:
+                return KnownProbabilities.constant(given["constant"], arms=arms)
+            return KnownProbabilities(given["table"], arms=arms)
+        except SpecError as exc:
+            raise SpecError(f"{what}: {exc}") from None
     if isinstance(value, (list, tuple)):
         try:
             return DesignSpec(value)
@@ -147,7 +155,8 @@ class NuisanceConfig:
     or arm probabilities known by design. ``weight_floor`` (default 0 = off)
     truncates probabilities entering weight denominators from below;
     exploratory use only, since truncation changes the estimand. Every error
-    a field's value raises begins with the field's name.
+    a field's value raises begins with the field's name. Each field also
+    takes its JSON form, the one ``to_dict`` writes.
     """
 
     outcome_spec: DesignSpec = None
@@ -166,6 +175,19 @@ class NuisanceConfig:
         _reject_center_terms(self.membership_spec, "membership_spec: a membership model")
         if not (_is_number(self.weight_floor) and 0.0 <= self.weight_floor < 1.0):
             raise ParameterError(f"weight_floor: must lie in [0, 1), got {self.weight_floor!r}")
+
+    def to_dict(self):
+        """The fields that are set, as JSON: designs as term lists, known
+        probabilities as ``{"known": {"table", "arms"}}``."""
+        out = {}
+        for field, value in vars(self).items():
+            if isinstance(value, DesignSpec):
+                value = list(value.terms)
+            elif isinstance(value, KnownProbabilities):
+                value = {"known": {"table": value.table.tolist(), "arms": list(value.arms)}}
+            if value is not None:
+                out[field] = value
+        return out
 
 
 def _reject_center_terms(spec, what):
@@ -242,7 +264,8 @@ class FittedNuisances:
     asked for, memoised as one (n, k) prediction. Bundles for different
     configurations on one dataset may share a ``fits`` dict, so a model that
     two configurations specify alike is fit once; a bundle built without one
-    keeps its own. A ``fits`` dict must never see a second dataset.
+    keeps its own. A ``fits`` dict records the dataset it serves, and a
+    bundle for another dataset raises ParameterError.
     """
 
     def __init__(self, data: TrialDataset, cfg: NuisanceConfig, fits=None):
@@ -251,6 +274,9 @@ class FittedNuisances:
         self.data = data
         self.cfg = cfg
         self._fits = {} if fits is None else fits
+        if self._fits.setdefault("dataset", data) is not data:
+            raise ParameterError("this fits memo holds another dataset's fits; "
+                                 "pass one memo per dataset")
 
     def _rows(self, donor, arm):
         """Rows outside center ``donor`` and in arm ``arm``; None leaves either open."""
@@ -342,7 +368,7 @@ class FittedNuisances:
         """Known Pr[A=arm | C], or the logistic model's fit outside center ``donor``."""
         ts = self.cfg.treatment_spec
         if isinstance(ts, KnownProbabilities):
-            return ts.for_rows(self.data.center, arm)
+            return ts.per_center(arm, self.data.m)[self.data.center - 1]
         p1 = self._predicted("treatment", ts, donor)
         return p1 if arm == 1 else 1.0 - p1
 

@@ -251,6 +251,10 @@ def test_analyze_nuisance_block_keeps_defaults_for_fields_it_leaves_out(tmp_path
         "outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
         "membership_spec": ["1", "x1", "x2", "x3"], "weight_floor": 0.0,
     }
+    assert echo["nuisance"]["phi"] == {
+        "outcome_spec": ["1", "x1", "x2", "x3", "C"], "treatment_spec": ["1"],
+        "weight_floor": 0.0,
+    }
 
     rerun_cfg = write_config(tmp_path, echo, name="echo.json")
     out2 = tmp_path / "run2"
@@ -735,6 +739,9 @@ WRONG_VALUES = [
     ("analyze", {"nuisance": {"psi": {"ridge": 0.0}}}, [], "ConfigError", "ridge"),
     ("analyze", {"nuisance": {"psi": {"treatment_decomposition": False}}}, [], "ConfigError",
      "treatment_decomposition"),
+    # phi reads no membership model, so its block has no such field
+    ("analyze", {"nuisance": {"phi": {"membership_spec": None}}}, [], "ConfigError",
+     "nuisance.phi has unknown fields ['membership_spec']"),
     ("oracle", {**ORACLE, "scenario": {**ORACLE["scenario"], "strong_doubles": "x1"}}, [],
      "ParameterError", "strong_doubles"),
     ("analyze", {"nuisance": {"phi": {"treatment_spec": {"known": {}}}}}, [], "ConfigError",

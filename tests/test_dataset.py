@@ -218,6 +218,13 @@ def test_load_csv_role_column_reused_as_covariate(tmp_path):
         load_csv(p, schema={"covariate_cols": ["arm", "x1"]})
 
 
+def test_load_csv_covariate_cols_string_is_only_rest(tmp_path):
+    p = write_csv(tmp_path / "t.csv", "center,arm,outcome,x1\n1,0,1,2\n")
+    assert load_csv(p, schema={"covariate_cols": "rest"}).covariate_names == ("x1",)
+    with pytest.raises(SchemaError, match="'rest'"):
+        load_csv(p, schema={"covariate_cols": "all remaining"})
+
+
 def test_load_csv_missing_cell(tmp_path):
     p = write_csv(tmp_path / "t.csv", "center,arm,outcome,x1\n1,0,1.0,NA\n1,1,2.0,0.5\n")
     with pytest.raises(MissingDataError):

@@ -5,6 +5,7 @@ algebraic identities (variant reductions, crude-mean equality, location and
 scale equivariance, center and row permutation, arm-code swap) are checked by
 brute force on seeded or hypothesis-drawn random datasets.
 """
+import json
 import warnings
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from centereffects import (
     AliasedColumnsWarning,
     ComparatorError,
+    ConfigError,
     DesignSpec,
     DivisionError,
     FittedNuisances,
@@ -805,6 +807,60 @@ def test_known_probabilities_validation():
 def test_known_probabilities_lookup():
     kp = KnownProbabilities([[0.3, 0.7], [0.6, 0.4]])
     np.testing.assert_allclose(kp.per_center(1, 2), [0.7, 0.4])
-    np.testing.assert_allclose(kp.for_rows(np.array([1, 2, 2]), 0), [0.3, 0.6, 0.6])
+    np.testing.assert_allclose(kp.per_center(0, 2), [0.3, 0.6])
+    np.testing.assert_allclose(KnownProbabilities([[0.3, 0.7]]).per_center(0, 3), [0.3] * 3)
+    with pytest.raises(SpecError, match="2 center rows, data has 3"):
+        kp.per_center(0, 3)
     with pytest.raises(ParameterError):
         kp.per_center(2, 2)
+
+
+def test_nuisance_config_reads_the_json_forms_of_known_probabilities():
+    cfg = NuisanceConfig(treatment_spec={"known": {"constant": 0.3}})
+    np.testing.assert_array_equal(cfg.treatment_spec.table, [[0.7, 0.3]])
+    assert cfg.treatment_spec.arms == (0, 1)
+    cfg = NuisanceConfig(treatment_spec={"known": {"table": [[0.4, 0.6]], "arms": [2, 1]}})
+    assert cfg.treatment_spec.arms == (2, 1)
+    for bad in ({}, {"known": {}}, {"known": 0.5}, {"known": {"constant": 0.5}, "arms": [0, 1]},
+                {"known": {"constant": 0.5, "table": [[0.5, 0.5]]}}):
+        with pytest.raises(ConfigError, match=r"^treatment_spec: must be a term list or "
+                                              r"\{'known': \{'constant' or 'table'") as info:
+            NuisanceConfig(treatment_spec=bad)
+        assert type(info.value) is ConfigError
+    with pytest.raises(SpecError, match="^treatment_spec: known constant probability"):
+        NuisanceConfig(treatment_spec={"known": {"constant": "a"}})
+    with pytest.raises(SpecError, match=r"^treatment_spec: known arm probabilities must lie"):
+        NuisanceConfig(treatment_spec={"known": {"table": [[0.0, 1.0]]}})
+    # only the treatment model may be known by design
+    with pytest.raises(SpecError, match="^outcome_spec: must be a DesignSpec or a term list"):
+        NuisanceConfig(outcome_spec={"known": {"constant": 0.5}})
+
+
+@pytest.mark.parametrize("configs", [
+    default_nuisance_configs(["x1", "x2"]),
+    default_nuisance_configs(["x1", "x2"], known_arm_prob=0.3),
+    {"table": NuisanceConfig(
+        outcome_spec=["1", "x1"], membership_spec=["1"], weight_floor=0.01,
+        treatment_spec=KnownProbabilities([[0.4, 0.6], [0.7, 0.3]], arms=(2, 5)))},
+], ids=["defaults", "known-constant", "per-center-table"])
+def test_nuisance_config_to_dict_round_trips(configs):
+    for cfg in configs.values():
+        payload = cfg.to_dict()
+        assert json.loads(json.dumps(payload)) == payload
+        assert NuisanceConfig(**payload).to_dict() == payload
+    if "phi" in configs:  # a field that is not set is left out
+        assert list(configs["phi"].to_dict()) == ["outcome_spec", "treatment_spec", "weight_floor"]
+        assert configs["chi"].to_dict()["membership_spec"] == ["1", "x1", "x2"]
+
+
+def test_a_fits_memo_serves_one_dataset():
+    rng = np.random.default_rng(7)
+    first, second = random_dataset(rng, n=60, m=3), random_dataset(rng, n=60, m=3)
+    cfg = simple_config()
+    fits = {}
+    want = center_contrasts(first, "psi", 1, 0, cfg)
+    center_contrasts(first, "phi", 1, 0, cfg, fits)
+    with pytest.raises(ParameterError, match="another dataset"):
+        center_contrasts(second, "phi", 1, 0, cfg, fits)
+    got = center_contrasts(first, "psi", 1, 0, cfg, fits)
+    assert [rec.value for rec in got] == [rec.value for rec in want]

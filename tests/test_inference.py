@@ -264,6 +264,15 @@ def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
         assert got.df == want.df
 
 
+def test_homogeneity_test_rejects_another_datasets_memo():
+    first, second = three_center_data(seed=43), three_center_data(seed=44)
+    cfg = default_nuisance_configs(first.covariate_names)["phi"]
+    fits = {}
+    homogeneity_test(first, "phi", 1, 0, cfg, fits)
+    with pytest.raises(ParameterError, match="another dataset"):
+        homogeneity_test(second, "phi", 1, 0, cfg, fits)
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------

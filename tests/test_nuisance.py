@@ -564,7 +564,7 @@ def _reference_newton(X, cat, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
 
     Same start, stopping rules and step-halving as fit_multinomial; X must
     have full column rank. Returns (coefficients, iterations, converged,
-    log-likelihood).
+    log-likelihood, number of step halvings).
     """
     n, k = X.shape
     q = int(cat.max()) - 1
@@ -580,11 +580,12 @@ def _reference_newton(X, cat, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
         counts = np.array([np.sum(cat == c) for c in range(1, q + 2)])
         B[:, ones[0]] = np.log(counts[1:] / counts[0])
     ll = loglik(B)
+    total_halvings = 0
     for iterations in range(1, max_iter + 1):
         P = reference_softmax(X @ B.T)[:, 1:]
         score = ((Y - P).T @ X).ravel()
         if np.max(np.abs(score)) < score_tol:
-            return B, iterations - 1, True, ll
+            return B, iterations - 1, True, ll, total_halvings
         H = np.empty((q * k, q * k))
         for j in range(q):
             for l in range(q):
@@ -600,10 +601,11 @@ def _reference_newton(X, cat, max_iter=200, score_tol=1e-6, ll_tol=1e-10):
             new_B = B + step.reshape(q, k)
             new_ll = loglik(new_B)
             halvings += 1
+        total_halvings += halvings
         B, done, ll = new_B, abs(new_ll - ll) < ll_tol * (1.0 + abs(ll)), new_ll
         if done:
-            return B, iterations, True, ll
-    return B, max_iter, False, ll
+            return B, iterations, True, ll, total_halvings
+    return B, max_iter, False, ll, total_halvings
 
 
 @pytest.mark.parametrize("case", ["aliased", "many_categories"])
@@ -626,10 +628,29 @@ def test_multinomial_matches_blockwise_reference_newton(case):
     else:
         fit = fit_multinomial(X, cat)
 
-    B, iterations, converged, ll = _reference_newton(X[:, keep], cat)
+    B, iterations, converged, ll, _ = _reference_newton(X[:, keep], cat)
     assert (fit.iterations, fit.converged) == (iterations, converged)
     assert fit.converged
     np.testing.assert_allclose(fit.coefficients[:, keep], B, rtol=1e-10, atol=0.0)
+    assert fit.log_likelihood == pytest.approx(ll, rel=1e-12)
+
+
+def test_logistic_step_halving_matches_reference_newton():
+    # one column and no intercept, so the fit starts at 0; near the optimum
+    # these rows' Newton steps lower the log-likelihood by more than the
+    # halving floor and are halved, yet the fit converges and is not separated
+    rng = np.random.default_rng(63)
+    x = rng.standard_normal(30) + 1.0
+    y = (rng.random(30) < scipy.special.expit(3.0 * x - 2.0)).astype(float)
+    X = x[:, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        fit = fit_logistic(X, y)
+    B, iterations, converged, ll, halvings = _reference_newton(
+        X, y.astype(np.intp) + 1, score_tol=1e-8)
+    assert halvings > 0
+    assert (fit.iterations, fit.converged, fit.separated) == (iterations, True, False)
+    np.testing.assert_allclose(fit.coefficients, B[0], rtol=1e-10, atol=0.0)
     assert fit.log_likelihood == pytest.approx(ll, rel=1e-12)
 
 
@@ -639,7 +660,7 @@ def test_multinomial_warns_when_not_converged():
         fit = fit_multinomial(X, cat, max_iter=1)
     assert not fit.converged
     assert fit.iterations == 1
-    B, iterations, converged, ll = _reference_newton(X, cat, max_iter=1)
+    B, iterations, converged, ll, _ = _reference_newton(X, cat, max_iter=1)
     assert (iterations, converged) == (1, False)
     np.testing.assert_allclose(fit.coefficients, B, rtol=1e-10, atol=0.0)
 

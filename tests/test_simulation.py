@@ -393,6 +393,32 @@ def test_run_study_surfaces_failures():
         run_study(sc, replicates=25, estimators=("tau",), master_seed=1)
 
 
+def test_run_study_drops_failures_within_the_limit(monkeypatch):
+    # one failed replicate in 50 is within the 2% limit: the study counts it
+    # and every cell aggregates only the 49 kept replicates
+    sc = two_center_scenario(n=200)
+    estimators, failing = ("tau", "phi"), (5, 17)
+    draw = simulation_module.generate_dataset
+
+    def draw_or_fail(scenario, seed):
+        if seed == failing:
+            raise InsufficientDataError("planted failure")
+        return draw(scenario, seed=seed)
+
+    monkeypatch.setattr(simulation_module, "generate_dataset", draw_or_fail)
+    rep = run_study(sc, replicates=50, estimators=estimators, master_seed=5,
+                    oracle=true_center_ates_quadrature(sc), workers=1)
+    assert rep.failures == 1
+    configs = default_nuisance_configs(("x1", "x2", "x3"), known_arm_prob=sc.arm_prob)
+    kept = [simulation_module._replicate_records(draw(sc, seed=(5, r)), estimators, (1, 0),
+                                                 configs, 0.05)
+            for r in range(50) if (5, r) != failing]
+    for (c, estimator), cell in rep.cells.items():
+        values = np.array([records[c, estimator][0] for records, _ in kept])
+        assert cell.bias == float(values.mean() - cell.true_value)
+        assert cell.avg_n_c == pytest.approx(np.mean([sizes[c - 1] for _, sizes in kept]))
+
+
 def test_run_study_oracle_override():
     fixed = true_center_ates_quadrature(two_center_scenario(n=400))
     rep = small_study(oracle=fixed)
