@@ -110,7 +110,6 @@ from .simulation import (
     default_nuisance_configs,
     generate_dataset,
     run_study,
-    true_center_ate,
     true_center_ates,
     true_center_ates_quadrature,
 )
@@ -188,7 +187,6 @@ __all__ = [
     "run_study",
     "save_csv",
     "se_from_influence",
-    "true_center_ate",
     "true_center_ates",
     "true_center_ates_quadrature",
     "validate_positivity",

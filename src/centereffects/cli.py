@@ -261,14 +261,7 @@ def cmd_analyze(cfg, outdir):
     validate_positivity(data, arms=sorted((a, a_prime)))
     configs = _resolve_nuisance_configs(cfg, data)
 
-    records = []
-    for rec in estimate_effects(data, estimators, (a, a_prime), configs, cfg["alpha"]):
-        if rec.center == 0:  # a comparator: one number for every center
-            records.extend(
-                dataclasses.replace(rec, center=c) for c in range(1, data.m + 1)
-            )
-        else:
-            records.append(rec)
+    records = estimate_effects(data, estimators, (a, a_prime), configs, cfg["alpha"])
 
     counts = cell_counts(data)
     report = {
@@ -321,11 +314,8 @@ def cmd_check_assumptions(cfg, outdir):
     entry = ancova.to_dict()
     entry["estimator"] = None
     tests.append(entry)
-    fits = {}
     for estimator in estimators:
-        result = homogeneity_test(
-            data, estimator, a, a_prime, configs.get(estimator), fits
-        )
+        result = homogeneity_test(data, estimator, a, a_prime, configs.get(estimator))
         entry = result.to_dict()
         entry["estimator"] = estimator
         tests.append(entry)

@@ -79,7 +79,12 @@ def _as_int_1d(x, name):
 
 @dataclass(frozen=True)
 class TrialDataset:
-    """Immutable (X, C, A, Y) container with centers relabeled 1..m."""
+    """Immutable (X, C, A, Y) container with centers relabeled 1..m.
+
+    A dataset keeps the memo of its nuisance fits (see FittedNuisances): each
+    key names what determines its value, so every bundle on the dataset
+    shares it, and it is freed with the dataset.
+    """
 
     covariates: np.ndarray
     covariate_names: tuple
@@ -121,6 +126,7 @@ class TrialDataset:
         for arr in (self.covariates, self.center, self.arm, self.outcome):
             arr.setflags(write=False)
         object.__setattr__(self, "_arms", tuple(int(a) for a in np.unique(self.arm)))
+        object.__setattr__(self, "_fits", {})
 
     @property
     def n(self):

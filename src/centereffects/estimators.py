@@ -257,26 +257,21 @@ class FittedNuisances:
 
     All methods return per-observation vectors aligned with the full dataset;
     estimators index into them as needed. Designs and (read-only) predictions
-    are memoised in ``fits``, keyed by what determines them: model, design
-    spec value and row subset. The donor outcome fits share one
-    ``factor_cells`` result per spec and arm: each center's rows of that arm
-    are factored once, and one call solves the donor pools of every center
-    asked for, memoised as one (n, k) prediction. Bundles for different
-    configurations on one dataset may share a ``fits`` dict, so a model that
-    two configurations specify alike is fit once; a bundle built without one
-    keeps its own. A ``fits`` dict records the dataset it serves, and a
-    bundle for another dataset raises ParameterError.
+    are memoised in the dataset's fits memo, keyed by what determines them:
+    model, design spec value and row subset. So every bundle on one dataset
+    shares its fits, and a model that two configurations specify alike is fit
+    once. The donor outcome fits share one ``factor_cells`` result per spec
+    and arm: each center's rows of that arm are factored once, and one call
+    solves the donor pools of every center asked for, memoised as one (n, k)
+    prediction.
     """
 
-    def __init__(self, data: TrialDataset, cfg: NuisanceConfig, fits=None):
+    def __init__(self, data: TrialDataset, cfg: NuisanceConfig):
         if cfg is None:
             raise ConfigError("nuisance configuration required")
         self.data = data
         self.cfg = cfg
-        self._fits = {} if fits is None else fits
-        if self._fits.setdefault("dataset", data) is not data:
-            raise ParameterError("this fits memo holds another dataset's fits; "
-                                 "pass one memo per dataset")
+        self._fits = data._fits
 
     def _rows(self, donor, arm):
         """Rows outside center ``donor`` and in arm ``arm``; None leaves either open."""
@@ -286,7 +281,7 @@ class FittedNuisances:
         return rows if arm is None else rows & (self.data.arm == arm)
 
     def _design(self, model, spec):
-        """``spec``'s design on every row and its column names, memoised in ``fits``."""
+        """``spec``'s design on every row and its column names, memoised."""
         if spec is None:
             raise ConfigError(f"{model} model specification missing")
         if ("design", spec) not in self._fits:
@@ -319,7 +314,7 @@ class FittedNuisances:
         return self._fits[key]
 
     def _outcome_cells(self, X, spec, arm):
-        """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised in ``fits``."""
+        """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised."""
         key = ("outcome cells", spec, arm)
         if key not in self._fits:
             rows = self._rows(None, arm)
@@ -605,12 +600,12 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
     return _weighted_means(data, centers, ghat, weights)
 
 
-def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None, fits=None):
+def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
     """Mean (one arm) or contrast (two arms) records for consecutive ``centers``.
 
     Every (center, arm) pair is validated, center by center, before anything
     is fitted. One nuisance bundle (``nuisances``, else one fit from ``cfg``
-    with the ``fits`` memo) serves every center and arm, and each arm gets
+    with the dataset's fits) serves every center and arm, and each arm gets
     one all-centers pass: a contrast is the first arm's pass minus the
     second's, so its two arms must differ.
     """
@@ -623,7 +618,7 @@ def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None
             _check_mean(data, estimator, c, a, cfg, variant)
     centers, arms = np.array([int(c) for c in centers]), tuple(int(a) for a in arms)
     if estimator != "tau" and nuisances is None:
-        nuisances = FittedNuisances(data, cfg, fits)
+        nuisances = FittedNuisances(data, cfg)
     values, influence = _means(data, estimator, centers, arms[0], cfg, variant, nuisances)
     if len(arms) == 2:
         values_b, influence_b = _means(data, estimator, centers, arms[1], cfg, variant, nuisances)
@@ -692,16 +687,14 @@ def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nu
     return _estimates(data, estimator, [c], [a, a_prime], cfg, variant, nuisances)[0]
 
 
-def center_contrasts(data, estimator, a, a_prime, cfg=None, fits=None):
+def center_contrasts(data, estimator, a, a_prime, cfg=None):
     """Contrast records for centers 1..m, from one all-centers pass per arm.
 
     Record c equals ``estimate_contrast(data, estimator, c, a, a_prime, cfg)``
     bit for bit: both come from the same computation, and errors name the
-    first failing (center, arm) in center-major order. ``fits`` is the
-    fitted-model memo of the one nuisance bundle (see FittedNuisances), so
-    pass one dict per dataset to share fits with other estimators' bundles.
+    first failing (center, arm) in center-major order.
     """
-    return _estimates(data, estimator, range(1, data.m + 1), [a, a_prime], cfg, fits=fits)
+    return _estimates(data, estimator, range(1, data.m + 1), [a, a_prime], cfg)
 
 
 def estimate_comparators(data, which, covariates=None):

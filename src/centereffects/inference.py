@@ -10,6 +10,7 @@ treatment.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,42 +113,49 @@ def add_interval(record, alpha=0.05):
 
 
 def _check_estimators(estimators, arms):
-    """``estimators`` as a tuple; ParameterError unless they are distinct known
-    names and, when a comparator is among them, the contrast ``arms`` are 0 and 1."""
+    """(estimators, arms) as tuples; ParameterError unless the estimators are
+    distinct known names, ``arms`` is two different integers and, when a
+    comparator is among the estimators, those arms are 0 and 1."""
     estimators, known = tuple(estimators), MEAN_ESTIMATORS + COMPARATORS
     for estimator in estimators:
         if estimator not in known:
             raise ParameterError(f"unknown estimator {estimator!r}; expected one of {known}")
     if len(set(estimators)) != len(estimators):
         raise ParameterError(f"estimators must be distinct, got {list(estimators)}")
-    if set(estimators) & set(COMPARATORS) and tuple(arms) not in ((1, 0), (0, 1)):
+    try:
+        pair = tuple(operator.index(a) for a in arms)
+    except TypeError:
+        pair = ()
+    if len(pair) != 2:
+        raise ParameterError(f"arms must be two different integers, got {arms!r}")
+    if pair[0] == pair[1]:
+        raise ParameterError(f"a contrast needs two different arms, got {pair[0]} twice")
+    if set(estimators) & set(COMPARATORS) and pair not in ((1, 0), (0, 1)):
         raise ParameterError("comparators require the contrast arms to be 0 and 1")
-    return estimators
+    return estimators, pair
 
 
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
-    """Interval-carrying contrast records for every requested estimator.
+    """Interval-carrying contrast records for every requested estimator and center.
 
-    The whole request is checked before anything is fitted. A comparator
-    gives one record with center 0, its sign flipped when ``arms`` is (0, 1);
-    any other estimator gives one record per center, using
-    ``configs[estimator]`` as its nuisance configuration. All estimators
-    share one fitted-model memo, so a nuisance model that several
+    The whole request is checked before anything is fitted. Every estimator
+    gives one record per center 1..m. A comparator's one number, its sign
+    flipped when ``arms`` is (0, 1), is repeated in every center; any other
+    estimator uses ``configs[estimator]`` as its nuisance configuration. All
+    estimators share the dataset's fits, so a nuisance model that several
     configurations specify alike is fit once.
     """
-    estimators = _check_estimators(estimators, arms)
-    a, a_prime = arms
-    fits = {}
+    estimators, (a, a_prime) = _check_estimators(estimators, arms)
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
             rec = estimate_comparators(data, estimator)
             if (a, a_prime) == (0, 1):
                 rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
-            records.append(add_interval(rec, alpha=alpha))
+            rec = add_interval(rec, alpha=alpha)
+            records.extend(dataclasses.replace(rec, center=c) for c in range(1, data.m + 1))
         else:
-            cfg = configs.get(estimator)
-            contrasts = center_contrasts(data, estimator, a, a_prime, cfg, fits)
+            contrasts = center_contrasts(data, estimator, a, a_prime, configs.get(estimator))
             records.extend(add_interval(rec, alpha=alpha) for rec in contrasts)
     return records
 
@@ -210,16 +218,15 @@ def bootstrap_se(data, estimator, c, arms, cfg=None, variant="dr", replicates=10
 # ---------------------------------------------------------------------------
 
 
-def homogeneity_test(data, estimator, a, a_prime, cfg=None, fits=None):
+def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     """Omnibus Wald test that all center-specific contrasts are equal.
 
     Builds the vector of per-center contrasts and its covariance from the
     per-observation influence contributions (shared nuisance fits are reused
     across centers, and their induced cross-center covariance is kept), then
     tests all differences against center 1 with a chi-square on m−1 degrees
-    of freedom. ``fits`` is the fitted-model memo passed to
-    ``center_contrasts``, so tests of several estimators on one dataset share
-    their common nuisance fits.
+    of freedom. Tests of several estimators on one dataset share their
+    common nuisance fits through the dataset.
     """
     m = data.m
     if m < 2:
@@ -229,7 +236,7 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None, fits=None):
             f"homogeneity test supports {', '.join(HOMOGENEITY_ESTIMATORS)} "
             f"(got {estimator!r})"
         )
-    records = center_contrasts(data, estimator, a, a_prime, cfg, fits)
+    records = center_contrasts(data, estimator, a, a_prime, cfg)
     deltas = np.array([rec.value for rec in records])
     influence = np.column_stack([rec.influence for rec in records])
     if not np.all(np.isfinite(influence)):

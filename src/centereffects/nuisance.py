@@ -441,10 +441,11 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     or relative log-likelihood change < 1e-10. The likelihood stop matters on
     large samples, where the absolute score threshold sits below the roundoff
     of a log-likelihood summed over n rows. A step is halved only when it
-    lowers the log-likelihood ll by more than n·eps·(1 + |ll|), the worst-case
-    rounding error of a sum of n log-probabilities (all ≤ 0, so their absolute
-    values add up to |ll|); halving on a smaller fall makes the coefficients
-    depend on the row order.
+    lowers the log-likelihood by more than n·eps·(1 + S), the worst-case
+    rounding error of ll = Σ η_chosen − Σ log Σ_j exp(η_j). S = Σ|η_chosen| +
+    Σ|log Σ_j exp(η_j)| is the size of those two sums, which can be far above
+    |ll|; halving on a smaller fall makes the coefficients depend on the row
+    order.
 
     Per-category arrays are category-major: the predictors η, the
     probabilities P and the indicators Y of categories 2..m are (m − 1, n),
@@ -474,19 +475,21 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     Y = np.zeros((q, n))
     Y.ravel()[chosen] = 1.0
 
-    def softmax_loglik(eta):  # probabilities of categories 2..m and log-likelihood
+    def softmax_loglik(eta):  # probabilities of categories 2..m, ll and its sums' size S
         shift = np.maximum(eta.max(axis=0), 0.0)
         P = np.exp(eta - shift)
         denom = np.exp(-shift) + P.sum(axis=0)
         P /= denom
-        return P, float(eta.ravel()[chosen].sum() - (shift + np.log(denom)).sum())
+        picked = eta.ravel()[chosen]
+        log_norm = (shift + np.log(denom)).sum()  # each term ≥ 0: the reference's η is 0
+        return P, float(picked.sum() - log_norm), float(np.abs(picked).sum() + log_norm)
 
     B = np.zeros((q, k))
     ones = np.flatnonzero((XkT == 1.0).all(axis=1))
     if len(ones):
         counts = np.bincount(cat, minlength=m + 1)[1:]
         B[:, ones[0]] = np.log(counts[1:] / counts[0])
-    P, ll = softmax_loglik(B @ XkT)
+    P, ll, size = softmax_loglik(B @ XkT)
     converged = False
     iterations = 0
 
@@ -511,14 +514,14 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, score, rcond=None)[0]
 
-        floor = ll - n * _EPS * (1.0 + abs(ll))
+        floor = ll - n * _EPS * (1.0 + size)
         for _ in range(51):  # the Newton step, then up to 50 halvings
             new_B = B + step.reshape(q, k)
-            new_P, new_ll = softmax_loglik(new_B @ XkT)
+            new_P, new_ll, new_size = softmax_loglik(new_B @ XkT)
             if not new_ll < floor:
                 break
             step *= 0.5
-        B, P, ll, previous = new_B, new_P, new_ll, ll
+        B, P, ll, size, previous = new_B, new_P, new_ll, new_size, ll
         if np.max(np.abs(B), initial=0.0) > _SEPARATION_BOUND:
             break
         if abs(ll - previous) < _LL_TOL * (1.0 + abs(previous)):

@@ -30,7 +30,7 @@ from .errors import (
     ParameterError,
     StudyError,
 )
-from .estimators import COMPARATORS, KnownProbabilities, NuisanceConfig
+from .estimators import KnownProbabilities, NuisanceConfig
 from .inference import _check_estimators, estimate_effects, normal_quantile
 from .nuisance import reference_softmax
 
@@ -296,13 +296,6 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     )
 
 
-def true_center_ate(scenario, c, oracle_n=10_000_000, seed=0):
-    """True ATE of one center (Monte Carlo oracle; see true_center_ates)."""
-    if not 1 <= c <= scenario.m:
-        raise ParameterError(f"center {c} outside 1..{scenario.m}")
-    return true_center_ates(scenario, oracle_n, seed).values[c - 1]
-
-
 def true_center_ates_quadrature(scenario, nodes=40):
     """Independent oracle: tensor-product Gauss-Hermite quadrature.
 
@@ -372,8 +365,7 @@ def _replicate_records(data, estimators, arms, configs, alpha):
     """All requested contrast estimates on one dataset.
 
     Returns (records, center_sizes); records maps (center, estimator) to a
-    (value, se, ci_low, ci_high) tuple, with center 0 for the single-number
-    comparators.
+    (value, se, ci_low, ci_high) tuple.
     """
     records = {
         (rec.center, rec.estimator): (rec.value, rec.se, rec.ci_low, rec.ci_high)
@@ -528,8 +520,7 @@ def run_study(
     cancelled and the error is raised. Every worker has ended by the time
     run_study returns or raises.
     """
-    arms = (int(arms[0]), int(arms[1]))
-    estimators = _check_estimators(estimators, arms)
+    estimators, arms = _check_estimators(estimators, arms)
     (replicates,) = _integers("replicates", replicates)
     if replicates < 1:
         raise ParameterError("study needs at least 1 replicate")
@@ -585,10 +576,8 @@ def run_study(
 
     cells = {}
     for estimator in estimators:
-        comparator = estimator in COMPARATORS
         for c in range(1, m + 1):
-            key = (0, estimator) if comparator else (c, estimator)
-            vals, ses, lows, highs = np.array([rec[key] for rec, _ in kept]).T
+            vals, ses, lows, highs = np.array([rec[c, estimator] for rec, _ in kept]).T
             truth = float(oracle.values[c - 1])
             covered = (lows <= truth) & (truth <= highs)
             R = len(vals)

@@ -5,6 +5,7 @@ algebraic identities (variant reductions, crude-mean equality, location and
 scale equivariance, center and row permutation, arm-code swap) are checked by
 brute force on seeded or hypothesis-drawn random datasets.
 """
+import dataclasses
 import json
 import warnings
 
@@ -455,15 +456,14 @@ def test_donor_outcome_means_match_per_donor_fit_ols(m):
     x = rng.standard_normal((len(arm), 2))
     d = from_arrays(x, center, arm, x @ [1.0, -2.0] + rng.standard_normal(len(arm)))
     spec = ["1", "x1", "x2", "x1:x2"]
-    fits = {}
-    nuis = FittedNuisances(d, simple_config(outcome_spec=spec), fits)
+    nuis = FittedNuisances(d, simple_config(outcome_spec=spec))
     for c in range(1, m + 1):
         for a in (0, 1):
             want = donor_reference(d, spec, c, a)
             np.testing.assert_allclose(nuis.donor_outcome_mean(c, a), want,
                                        rtol=1e-10, atol=1e-10 * np.abs(want).max())
     # each arm's centers are factored once, for every donor fit
-    assert sum(key[0] == "outcome cells" for key in fits) == 2
+    assert sum(key[0] == "outcome cells" for key in d._fits) == 2
 
 
 @pytest.mark.parametrize("outside", [2.5, 1.0, -1.0])
@@ -527,16 +527,15 @@ def one_row_cell_data(m):
 def test_chi_batched_donor_fits_match_one_pool_at_a_time(m):
     d = one_row_cell_data(m)
     cfg = simple_config(outcome_spec=["1", "x1", "x2", "x1:x2"], treatment_spec=["1"])
-    fits = {}
-    got = center_contrasts(d, "chi", 1, 0, cfg, fits=fits)
-    reference = per_donor_chi_nuisances(d, cfg, range(1, m + 1), FittedNuisances(d, cfg, fits))
+    got = center_contrasts(d, "chi", 1, 0, cfg)
+    reference = per_donor_chi_nuisances(d, cfg, range(1, m + 1), FittedNuisances(d, cfg))
     for c, rec in enumerate(got, start=1):
         want = estimate_contrast(d, "chi", c, 1, 0, cfg, nuisances=reference)
         assert rec.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(rec.influence, want.influence, rtol=0.0,
                                    atol=1e-12 * np.abs(want.influence).max())
     # one all-centers prediction per arm, not one fit per donor pool
-    assert sorted(key[3] for key in fits if key[0] in ("outcome", "donor outcome")) == [0, 1]
+    assert sorted(key[3] for key in d._fits if key[0] in ("outcome", "donor outcome")) == [0, 1]
 
 
 @pytest.mark.parametrize("outside", [2.5, 1.0, -1.0])
@@ -701,15 +700,15 @@ def test_arm_code_swap_invariance(seed, n, m):
 def test_center_contrasts_are_slices_of_per_center_estimates():
     d = random_dataset(np.random.default_rng(97), n=90, m=3)
     # a floor of 0.6 binds on the arm probabilities (about 0.5) and on some
-    # 1 - p_c membership complements
+    # 1 - p_c membership complements; each per-center estimate fits its own
+    # models, on a fresh copy of the dataset
     for cfg in (simple_config(), simple_config(weight_floor=0.6)):
-        fits = {}
         for estimator in MEANS:
             for arms in ((1, 0), (0, 1)):
-                records = center_contrasts(d, estimator, *arms, cfg, fits)
+                records = center_contrasts(d, estimator, *arms, cfg)
                 assert [rec.center for rec in records] == [1, 2, 3]
                 for c, rec in enumerate(records, start=1):
-                    want = estimate_contrast(d, estimator, c, *arms, cfg)
+                    want = estimate_contrast(dataclasses.replace(d), estimator, c, *arms, cfg)
                     assert (rec.estimator, rec.arms) == (want.estimator, want.arms)
                     assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
                     assert rec.influence.tobytes() == want.influence.tobytes()
@@ -851,16 +850,3 @@ def test_nuisance_config_to_dict_round_trips(configs):
     if "phi" in configs:  # a field that is not set is left out
         assert list(configs["phi"].to_dict()) == ["outcome_spec", "treatment_spec", "weight_floor"]
         assert configs["chi"].to_dict()["membership_spec"] == ["1", "x1", "x2"]
-
-
-def test_a_fits_memo_serves_one_dataset():
-    rng = np.random.default_rng(7)
-    first, second = random_dataset(rng, n=60, m=3), random_dataset(rng, n=60, m=3)
-    cfg = simple_config()
-    fits = {}
-    want = center_contrasts(first, "psi", 1, 0, cfg)
-    center_contrasts(first, "phi", 1, 0, cfg, fits)
-    with pytest.raises(ParameterError, match="another dataset"):
-        center_contrasts(second, "phi", 1, 0, cfg, fits)
-    got = center_contrasts(first, "psi", 1, 0, cfg, fits)
-    assert [rec.value for rec in got] == [rec.value for rec in want]

@@ -5,6 +5,7 @@ P-value routes are validated against a frozen reference grid computed with
 50-digit arithmetic (regularized incomplete gamma/beta), and test statistics
 against second implementations built directly from OLS residual sums.
 """
+import dataclasses
 import warnings
 from types import SimpleNamespace
 
@@ -31,6 +32,7 @@ from centereffects import (
     estimate_comparators,
     estimate_contrast,
     estimate_effects,
+    estimate_phi,
     estimate_tau,
     fit_ols,
     from_arrays,
@@ -167,9 +169,10 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
     assert len(multinomial) == 1
     assert len(logistic) == 1 + d.m  # shared all-rows fit + chi's donor fits
 
+    fresh = dataclasses.replace(d)  # its own fits: an independent computation
     for est in estimators:
         got = [rec for rec in records if rec.estimator == est]
-        want = center_contrasts(d, est, 1, 0, configs.get(est))
+        want = center_contrasts(fresh, est, 1, 0, configs.get(est))
         assert len(got) == len(want) == d.m
         for g, w in zip(got, want):
             assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
@@ -187,7 +190,7 @@ def test_estimate_contrast_fits_each_shared_model_once(monkeypatch, estimator):
     rec = estimate_contrast(d, estimator, 2, 1, 0, cfg)
     assert len(multinomial) == 1
     assert len(logistic) == 1
-    want = center_contrasts(d, estimator, 1, 0, cfg)[1]
+    want = center_contrasts(dataclasses.replace(d), estimator, 1, 0, cfg)[1]
     assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
     assert rec.influence.tobytes() == want.influence.tobytes()
 
@@ -248,15 +251,16 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
 
 
 def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
-    # phi and psi specify the same intercept-only treatment model: with one
-    # fitted-model memo for the dataset it is fit once, and no statistic moves
+    # phi and psi specify the same intercept-only treatment model: three tests
+    # on one dataset fit it once, and no statistic moves from a run on a fresh
+    # copy of the dataset, which fits its own models
     d = three_center_data(seed=43)
     configs = default_nuisance_configs(d.covariate_names)
     estimators = ["tau", "phi", "psi"]
-    unshared = [homogeneity_test(d, est, 1, 0, configs.get(est)) for est in estimators]
+    unshared = [homogeneity_test(dataclasses.replace(d), est, 1, 0, configs.get(est))
+                for est in estimators]
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
-    fits = {}
-    shared = [homogeneity_test(d, est, 1, 0, configs.get(est), fits) for est in estimators]
+    shared = [homogeneity_test(d, est, 1, 0, configs.get(est)) for est in estimators]
     assert len(logistic) == 1
     for got, want in zip(shared, unshared):
         assert np.float64(got.statistic).tobytes() == np.float64(want.statistic).tobytes()
@@ -264,13 +268,41 @@ def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
         assert got.df == want.df
 
 
-def test_homogeneity_test_rejects_another_datasets_memo():
-    first, second = three_center_data(seed=43), three_center_data(seed=44)
-    cfg = default_nuisance_configs(first.covariate_names)["phi"]
-    fits = {}
-    homogeneity_test(first, "phi", 1, 0, cfg, fits)
-    with pytest.raises(ParameterError, match="another dataset"):
-        homogeneity_test(second, "phi", 1, 0, cfg, fits)
+def test_per_center_estimates_share_the_datasets_fits(monkeypatch):
+    # a loop over the centers fits each of phi's models once, not once per center
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["phi"]
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    ols = _count_calls(monkeypatch, estimators_module, "fit_ols")
+    for c in range(1, d.m + 1):
+        estimate_phi(d, c, 1, cfg)
+    assert len(logistic) == 1 and len(ols) == 1
+
+
+def test_a_replaced_dataset_starts_with_no_fits(monkeypatch):
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["psi"]
+    multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
+    first = estimate_contrast(d, "psi", 1, 1, 0, cfg)
+    copy = dataclasses.replace(d)
+    assert copy._fits == {} and d._fits
+    second = estimate_contrast(copy, "psi", 1, 1, 0, cfg)
+    assert len(multinomial) == 2
+    assert np.float64(first.value).tobytes() == np.float64(second.value).tobytes()
+    assert first.influence.tobytes() == second.influence.tobytes()
+
+
+@pytest.mark.parametrize("arms", [(1, 0), (0, 1)])
+def test_estimate_effects_repeats_a_comparator_in_every_center(arms):
+    d = three_center_data()
+    records = estimate_effects(d, ["pooled", "fe1", "fe2"], arms, {})
+    for which in ("pooled", "fe1", "fe2"):
+        got = [rec for rec in records if rec.estimator == which]
+        assert [rec.center for rec in got] == list(range(1, d.m + 1))
+        assert len({(rec.value, rec.se, rec.arms) for rec in got}) == 1
+        want = estimate_comparators(d, which)
+        sign = 1.0 if arms == (1, 0) else -1.0
+        assert (got[0].value, got[0].se, got[0].arms) == (sign * want.value, want.se, arms)
 
 
 # ---------------------------------------------------------------------------

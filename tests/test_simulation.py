@@ -23,11 +23,11 @@ from centereffects import (
     StudyError,
     build_design,
     default_nuisance_configs,
+    estimate_effects,
     fit_ols,
     generate_dataset,
     reference_softmax,
     run_study,
-    true_center_ate,
     true_center_ates,
     true_center_ates_quadrature,
 )
@@ -182,14 +182,6 @@ def test_zero_interaction_oracle_is_exact():
     assert mc.mc_se == tuple([0.0] * 10)
     quad = true_center_ates_quadrature(sc)
     assert quad.values == tuple([-43.0] * 10)
-
-
-def test_true_center_ate_scalar_and_range():
-    sc = two_center_scenario()
-    v = true_center_ate(sc, 1, oracle_n=50_000, seed=0)
-    assert isinstance(v, float)
-    with pytest.raises(ParameterError):
-        true_center_ate(sc, 3, oracle_n=50_000, seed=0)
 
 
 def _unblocked_oracle(scenario, oracle_n, seed):
@@ -376,6 +368,30 @@ def test_run_study_rejects_bad_arms_for_comparators():
 def test_run_study_rejects_repeated_estimators():
     with pytest.raises(ParameterError, match="distinct"):
         small_study(estimators=("tau", "tau"))
+
+
+@pytest.mark.parametrize("arms, message", [
+    ((1, 1), "a contrast needs two different arms, got 1 twice"),
+    ((1,), "two different integers"),
+    ((1, 0, 2), "two different integers"),
+    ((1.5, 0), "two different integers"),
+    (("a", 0), "two different integers"),
+], ids=["equal", "one", "three", "float", "string"])
+@pytest.mark.parametrize("function", ["estimate_effects", "run_study"])
+def test_arms_must_be_two_different_integers(monkeypatch, arms, message, function):
+    # checked once, at the request: no replicate is drawn and nothing is fitted
+    def no_draw(scenario, seed):
+        raise AssertionError("generate_dataset called")
+
+    sc = two_center_scenario(n=200)
+    data = generate_dataset(sc, seed=0)
+    monkeypatch.setattr(simulation_module, "generate_dataset", no_draw)
+    with pytest.raises(ParameterError, match=message):
+        if function == "run_study":
+            run_study(sc, replicates=3, estimators=("tau",), arms=arms,
+                      oracle=true_center_ates_quadrature(sc), workers=1)
+        else:
+            estimate_effects(data, ("tau",), arms, {})
 
 
 @pytest.mark.parametrize("workers", [0, -1])
