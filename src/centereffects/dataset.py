@@ -9,9 +9,9 @@ from __future__ import annotations
 import csv
 import logging
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import compress, islice
-from operator import itemgetter
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .errors import (
     ConfigError,
     EmptyInputError,
     MissingDataError,
+    ParameterError,
     ParseError,
     PositivityError,
     SchemaError,
@@ -40,6 +41,15 @@ DEFAULT_SCHEMA = {
 
 def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integers(what, *values):
+    """``values`` as Python ints; ParameterError naming ``what`` for any that is not an integer."""
+    try:  # operator.index is the rule, and a bool is not an integer
+        return [index(None if isinstance(v, bool) else v) for v in values]
+    except TypeError:
+        kind = "an integer" if len(values) == 1 else "integers"
+        raise ParameterError(f"{what} must be {kind}, got {', '.join(map(repr, values))}") from None
 
 
 def _as_float_1d(x, name):
@@ -127,6 +137,9 @@ class TrialDataset:
             arr.setflags(write=False)
         object.__setattr__(self, "_arms", tuple(int(a) for a in np.unique(self.arm)))
         object.__setattr__(self, "_fits", {})
+
+    def __reduce__(self):  # pickles and copies are rebuilt from the fields: no fits
+        return TrialDataset, tuple(getattr(self, f.name) for f in fields(self))
 
     @property
     def n(self):

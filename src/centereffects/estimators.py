@@ -21,12 +21,11 @@ Weighting uses raw probabilities — no truncation unless an explicit
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import TrialDataset, _is_number
+from .dataset import TrialDataset, _integers, _is_number, cell_counts
 from .errors import (
     ComparatorError,
     ConfigError,
@@ -74,8 +73,8 @@ class KnownProbabilities:
     def __post_init__(self):
         try:
             table = np.atleast_2d(np.asarray(self.table))
-            arms = tuple(operator.index(a) for a in self.arms)
-        except (TypeError, ValueError):  # ragged rows, or arms that are not integers
+            arms = tuple(_integers("arms", *self.arms))
+        except (TypeError, ValueError, ParameterError):  # ragged rows, or arms not integers
             table = arms = None
         if arms is None or table.dtype.kind not in "iuf":
             raise SpecError(f"known probabilities need numbers and integer arms, got {self!r}")
@@ -100,15 +99,12 @@ class KnownProbabilities:
             raise SpecError(f"known constant probability must be a number, got {prob_of_arm_one!r}")
         return cls(np.array([[1.0 - prob_of_arm_one, prob_of_arm_one]]), arms)
 
-    def _arm_index(self, a):
-        try:
-            return self.arms.index(int(a))
-        except ValueError:
-            raise ParameterError(f"arm {a} not covered by known probabilities") from None
-
     def per_center(self, a, m):
         """Length-m vector of Pr[A=a | C=c], c = 1..m."""
-        j = self._arm_index(a)
+        (a,) = _integers("arm", a)
+        if a not in self.arms:
+            raise ParameterError(f"arm {a} not covered by known probabilities")
+        j = self.arms.index(a)
         if self.table.shape[0] == 1:
             return np.full(m, self.table[0, j])
         if self.table.shape[0] != m:
@@ -341,7 +337,7 @@ class FittedNuisances:
         """
         spec = self.cfg.outcome_spec
         X, names = self._design("outcome", spec)
-        key = ("donor outcome", spec, tuple(int(c) for c in centers), arm)
+        key = ("donor outcome", spec, tuple(centers), arm)
         if key not in self._fits:
             coef = leave_one_out_coefficients(self._outcome_cells(X, spec, arm), centers, names)
             # one product per column: the bits of an (n, p) @ (p, k) product's
@@ -466,29 +462,38 @@ class FixedNuisances:
 # ---------------------------------------------------------------------------
 
 
-def _check_mean(data, estimator, c, a, cfg, variant):
-    """Check (c, a): known estimator, center, arm and variant; nonempty weighted rows."""
+def _check_request(data, estimator, centers, arms, cfg, variant):
+    """Check a request for ``estimator``'s means in ``centers`` under ``arms``
+    (one arm, or two different ones) and return both as integers; a cell error
+    names the first failing (center, arm), center by center."""
     if estimator not in MEAN_ESTIMATORS:
-        raise ParameterError(
-            f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}"
-        )
-    c, a = int(c), int(a)
-    if not 1 <= c <= data.m:
-        raise ParameterError(f"center {c} outside 1..{data.m}")
-    if a not in data.arms:
-        raise ParameterError(f"arm {a} not present in data (arms: {data.arms})")
+        raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
         raise ParameterError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    if estimator in ("tau", "phi"):
-        if not np.any((data.center == c) & (data.arm == a)):
-            raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
-        return
+    if len(arms) not in (1, 2):
+        raise ParameterError(f"an estimate needs one arm (mean) or two (contrast), got {arms}")
+    centers = _integers("center", *centers)
+    arms = tuple(_integers("arm" if len(arms) == 1 else "arms", *arms))
+    if len(arms) == 2 and arms[0] == arms[1]:
+        raise ParameterError(f"a contrast needs two different arms, got {arms[0]} twice")
     if estimator == "chi" and data.m < 2:
         raise NoDonorError("transport estimator needs at least two centers")
-    if cfg is not None:
+    if estimator in ("psi", "chi") and cfg is not None:
         _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    if estimator == "chi" and not np.any((data.center != c) & (data.arm == a)):
-        raise PositivityError(f"donor pool has no rows in arm {a}")
+    counts = cell_counts(data, arms).counts
+    if estimator == "chi":  # each arm's rows outside each center
+        counts = counts.sum(axis=0) - counts
+    for c in centers:
+        if not 1 <= c <= data.m:
+            raise ParameterError(f"center {c} outside 1..{data.m}")
+        for a, count in zip(arms, counts[c - 1]):
+            if a not in data.arms:
+                raise ParameterError(f"arm {a} not present in data (arms: {data.arms})")
+            if count == 0 and estimator == "chi":
+                raise PositivityError(f"donor pool has no rows in arm {a}")
+            if count == 0 and estimator != "psi":
+                raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
+    return centers, arms
 
 
 def _floor(values, cfg):
@@ -520,7 +525,7 @@ def _weights(centers, rows, numerator, denominators):
     bad = np.stack(np.broadcast_arrays(*[rows & (f <= 0.0) for f in factors]), axis=-1)
     if bad.any():
         j, i = np.argwhere(bad.any(axis=0))[0]  # first center, then factor
-        row = int(np.flatnonzero(bad[:, j, i])[0])
+        row = np.flatnonzero(bad[:, j, i])[0]
         raise DivisionError(denominators[i][1].format(c=centers[j], row=row))
     den = factors[0] if len(factors) == 1 else np.multiply(*factors)
     weights = np.zeros((len(rows), len(centers)), order="F")
@@ -559,7 +564,7 @@ def _tau_means(data, centers, a):
     influence = np.zeros((data.n, len(centers)), order="F")
     for j, c in enumerate(centers):
         cell = (data.center == c) & (data.arm == a)
-        n_cell = int(cell.sum())
+        n_cell = np.count_nonzero(cell)
         y_cell = data.outcome[cell]
         values[j] = y_cell.sum() / n_cell
         influence[cell, j] = (data.n / n_cell) * (y_cell - values[j])
@@ -603,20 +608,13 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
 def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
     """Mean (one arm) or contrast (two arms) records for consecutive ``centers``.
 
-    Every (center, arm) pair is validated, center by center, before anything
-    is fitted. One nuisance bundle (``nuisances``, else one fit from ``cfg``
+    The request is checked (``_check_request``) before anything is fitted.
+    One nuisance bundle (``nuisances``, else one fit from ``cfg``
     with the dataset's fits) serves every center and arm, and each arm gets
     one all-centers pass: a contrast is the first arm's pass minus the
     second's, so its two arms must differ.
     """
-    if len(arms) not in (1, 2):
-        raise ParameterError(f"an estimate needs one arm (mean) or two (contrast), got {arms}")
-    if len(arms) == 2 and int(arms[0]) == int(arms[1]):
-        raise ParameterError(f"a contrast needs two different arms, got {arms[0]} twice")
-    for c in centers:
-        for a in arms:
-            _check_mean(data, estimator, c, a, cfg, variant)
-    centers, arms = np.array([int(c) for c in centers]), tuple(int(a) for a in arms)
+    centers, arms = _check_request(data, estimator, centers, arms, cfg, variant)
     if estimator != "tau" and nuisances is None:
         nuisances = FittedNuisances(data, cfg)
     values, influence = _means(data, estimator, centers, arms[0], cfg, variant, nuisances)
@@ -628,7 +626,7 @@ def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None
         estimator = f"{estimator}_{variant}"
     estimand = "mean" if len(arms) == 1 else "contrast"
     return [
-        EstimateRecord(estimand, estimator, int(c), arms, values[j], influence[:, j])
+        EstimateRecord(estimand, estimator, c, arms, values[j], influence[:, j])
         for j, c in enumerate(centers)
     ]
 
@@ -706,10 +704,12 @@ def estimate_comparators(data, which, covariates=None):
     """
     if which not in COMPARATORS:
         raise ParameterError(f"unknown comparator {which!r}; expected one of {COMPARATORS}")
+    if isinstance(covariates, str):
+        raise ParameterError(f"covariates must be a list of names, got the string {covariates!r}")
     if set(data.arms) != {0, 1}:
         raise ComparatorError("comparators require arms coded {0,1}")
     for a in (0, 1):
-        if int((data.arm == a).sum()) < 2:
+        if np.count_nonzero(data.arm == a) < 2:
             raise InsufficientDataError(f"comparators need at least 2 rows in arm {a}")
     tokens = ["1", "A"]
     if which == "fe2":

@@ -10,17 +10,17 @@ treatment.
 from __future__ import annotations
 
 import dataclasses
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.special
 
-from .dataset import TrialDataset
+from .dataset import TrialDataset, _integers, _is_number
 from .errors import (
     BootstrapError,
     CenterEffectsError,
+    ConfigError,
     InsufficientDataError,
     ParameterError,
     SaturatedModelError,
@@ -30,6 +30,7 @@ from .errors import (
 from .estimators import (
     COMPARATORS,
     MEAN_ESTIMATORS,
+    _check_request,
     _estimates,
     center_contrasts,
     estimate_comparators,
@@ -80,7 +81,7 @@ def se_from_influence(influence):
 
 def normal_quantile(alpha):
     """Upper z-quantile z_{1-alpha/2} for a two-sided interval."""
-    if not 0.0 < alpha < 1.0:
+    if not (_is_number(alpha) and 0.0 < alpha < 1.0):
         raise ParameterError(f"alpha must lie in (0,1), got {alpha}")
     return float(scipy.special.ndtri(1.0 - alpha / 2.0))
 
@@ -123,8 +124,8 @@ def _check_estimators(estimators, arms):
     if len(set(estimators)) != len(estimators):
         raise ParameterError(f"estimators must be distinct, got {list(estimators)}")
     try:
-        pair = tuple(operator.index(a) for a in arms)
-    except TypeError:
+        pair = tuple(_integers("arms", *arms))
+    except (TypeError, ParameterError):  # arms not a sequence, or not integers
         pair = ()
     if len(pair) != 2:
         raise ParameterError(f"arms must be two different integers, got {arms!r}")
@@ -138,14 +139,22 @@ def _check_estimators(estimators, arms):
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     """Interval-carrying contrast records for every requested estimator and center.
 
-    The whole request is checked before anything is fitted. Every estimator
-    gives one record per center 1..m. A comparator's one number, its sign
-    flipped when ``arms`` is (0, 1), is repeated in every center; any other
-    estimator uses ``configs[estimator]`` as its nuisance configuration. All
-    estimators share the dataset's fits, so a nuisance model that several
-    configurations specify alike is fit once.
+    The whole request is checked before anything is fitted, except a model
+    spec missing from a configuration and a fitted treatment model on arms
+    other than 0 and 1, which are found when that model is first fitted, and
+    a comparator's data, which ``estimate_comparators`` checks. Every estimator gives one record per center 1..m. A comparator's
+    one number, its sign flipped when ``arms`` is (0, 1), is repeated in every
+    center; any other estimator uses ``configs[estimator]`` as its nuisance
+    configuration. All estimators share the dataset's fits, so a nuisance
+    model that several configurations specify alike is fit once.
     """
     estimators, (a, a_prime) = _check_estimators(estimators, arms)
+    normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
+    for estimator in [e for e in estimators if e in MEAN_ESTIMATORS]:
+        cfg = configs.get(estimator)
+        if estimator != "tau" and cfg is None:
+            raise ConfigError("nuisance configuration required")
+        _check_request(data, estimator, range(1, data.m + 1), (a, a_prime), cfg, "dr")
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
@@ -191,8 +200,11 @@ def bootstrap_se(data, estimator, c, arms, cfg=None, variant="dr", replicates=10
     aborts. Deterministic given ``seed``: replicate r draws from a fresh
     generator keyed by (seed, r), so results do not depend on execution order.
     """
-    if replicates < 2:
-        raise ParameterError("bootstrap needs at least 2 replicates")
+    replicates, seed = _integers("replicates and seed", replicates, seed)
+    if replicates < 2 or seed < 0:
+        raise ParameterError("bootstrap needs at least 2 replicates and a seed >= 0, got "
+                             f"{replicates} and {seed}")
+    normal_quantile(alpha)  # ParameterError before any resample
     point = _estimates(data, estimator, [c], arms, cfg, variant)[0]
     values = []
     failures = 0

@@ -15,15 +15,13 @@ independent Gauss-Hermite quadrature implementation.
 from __future__ import annotations
 
 import functools
-import numbers
-import operator
 import os
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import _ONE_BLAS_THREAD
-from .dataset import TrialDataset, _is_number
+from .dataset import TrialDataset, _integers, _is_number
 from .errors import (
     CenterEffectsError,
     InsufficientDataError,
@@ -81,10 +79,8 @@ class Scenario:
     strength: str = "baseline"
 
     def __post_init__(self):
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise ParameterError(f"scenario {name} must be an integer >= 1, got {value!r}")
+        if min(_integers("scenario n and m", self.n, self.m)) < 1:
+            raise ParameterError(f"scenario n and m must be at least 1, got {self.n} and {self.m}")
         object.__setattr__(
             self, "membership_coeffs", _float_rows("membership_coeffs", self.membership_coeffs)
         )
@@ -231,16 +227,6 @@ class OracleReport:
 
 _ORACLE_CHUNK = 1_000_000  # draws per chunk: X, u and the centers are drawn whole
 _ORACLE_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one block of (m, rows) probabilities
-
-
-def _integers(what, *values):
-    """``values`` as Python ints; ParameterError naming ``what`` for any that is not an integer."""
-    try:
-        return [operator.index(v) for v in values]
-    except TypeError:
-        kind = "an integer" if len(values) == 1 else "integers"
-        raise ParameterError(f"{what} must be {kind}, got "
-                             f"{', '.join(repr(v) for v in values)}") from None
 
 
 @functools.lru_cache(maxsize=32)

@@ -163,6 +163,13 @@ def test_bad_center_and_arm_rejected():
         estimate_tau(d, 1, 7)
     with pytest.raises(ParameterError):
         estimate_contrast(d, "nope", 1, 1, 0)
+    # a center or arm that is not an integer is not truncated to one
+    with pytest.raises(ParameterError, match="center must be an integer, got 1.9"):
+        estimate_tau(d, 1.9, 1)
+    with pytest.raises(ParameterError, match="center must be an integer, got '2'"):
+        estimate_tau(d, "2", 1)
+    with pytest.raises(ParameterError, match="arms must be integers, got 1.5, 0"):
+        estimate_contrast(d, "tau", 1, 1.5, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -759,6 +766,8 @@ def test_fe2_uses_covariates():
     assert fe1.value != fe2.value  # covariates shift the fit on noisy data
     sub = estimate_comparators(d, "fe2", covariates=["x1"])
     assert sub.value != fe2.value
+    with pytest.raises(ParameterError, match="got the string 'x1'"):
+        estimate_comparators(d, "fe2", covariates="x1")
 
 
 def test_comparator_aliased_arm():

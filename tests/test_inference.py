@@ -5,7 +5,9 @@ P-value routes are validated against a frozen reference grid computed with
 50-digit arithmetic (regularized incomplete gamma/beta), and test statistics
 against second implementations built directly from OLS residual sums.
 """
+import copy
 import dataclasses
+import pickle
 import warnings
 from types import SimpleNamespace
 
@@ -17,10 +19,13 @@ import centereffects.estimators as estimators_module
 import centereffects.inference as inference_module
 from centereffects import (
     BootstrapError,
+    ConfigError,
     DesignSpec,
     InsufficientDataError,
+    KnownProbabilities,
     NuisanceConfig,
     ParameterError,
+    PositivityError,
     SpecError,
     TestError,
     add_interval,
@@ -32,6 +37,7 @@ from centereffects import (
     estimate_comparators,
     estimate_contrast,
     estimate_effects,
+    estimate_mean,
     estimate_phi,
     estimate_tau,
     fit_ols,
@@ -250,6 +256,91 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
     assert multinomial == [] and logistic == []
 
 
+@pytest.mark.parametrize("case, error, message", [
+    ("empty cell", PositivityError, "empty cell: center 3, arm 1"),
+    ("missing configuration", ConfigError, "nuisance configuration required"),
+    ("alpha 2", ParameterError, r"alpha must lie in \(0,1\), got 2"),
+    ("alpha 'a'", ParameterError, r"alpha must lie in \(0,1\), got a"),
+], ids=["empty-cell", "missing-config", "alpha-2", "alpha-string"])
+def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case, error, message):
+    # phi's fault is found before psi's and chi's models are fitted
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    if case == "empty cell":
+        keep = ~((d.center == 3) & (d.arm == 1))
+        d = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
+    if case == "missing configuration":
+        del configs["phi"]
+    alpha = {"alpha 2": 2, "alpha 'a'": "a"}.get(case, 0.05)
+    fits = [_count_calls(monkeypatch, estimators_module, name)
+            for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
+    with pytest.raises(error, match=message):
+        estimate_effects(d, ["psi", "chi", "phi"], (1, 0), configs, alpha)
+    assert fits == [[], [], [], []]
+
+
+def test_bootstrap_checks_alpha_before_resampling(monkeypatch):
+    d = three_center_data()
+    resamples = _count_calls(monkeypatch, inference_module, "_resample")
+    with pytest.raises(ParameterError, match="alpha"):
+        bootstrap_se(d, "tau", 1, (1, 0), replicates=300, alpha=1.5)
+    assert resamples == []
+
+
+@pytest.mark.parametrize("kw", [
+    {"replicates": 2.5}, {"replicates": "3"}, {"seed": 1.5}, {"seed": "a"}, {"seed": -1},
+], ids=["replicates-float", "replicates-string", "seed-float", "seed-string", "seed-negative"])
+def test_bootstrap_replicates_and_seed_are_integers(kw):
+    d = three_center_data()
+    with pytest.raises(ParameterError, match="replicates"):
+        bootstrap_se(d, "tau", 1, (1, 0), **{"replicates": 3, **kw})
+
+
+#: every per-center entry point: (whether it takes a center, call(data, center, arm))
+INTEGER_ENTRY_POINTS = {
+    "estimate_mean": (True, lambda d, c, a: estimate_mean(d, "tau", c, a)),
+    "estimate_contrast": (True, lambda d, c, a: estimate_contrast(d, "tau", c, a, 0)),
+    "center_contrasts": (False, lambda d, c, a: center_contrasts(d, "tau", a, 0)),
+    "homogeneity_test": (False, lambda d, c, a: homogeneity_test(d, "tau", a, 0)),
+    "bootstrap_se": (True, lambda d, c, a: bootstrap_se(d, "tau", c, (a, 0), replicates=2)),
+    "per_center": (False, lambda d, c, a: KnownProbabilities.constant(0.5).per_center(a, d.m)),
+}
+
+
+@pytest.mark.parametrize("name, where, value", [
+    (name, where, value)
+    for name, (takes_center, _) in INTEGER_ENTRY_POINTS.items()
+    for where in (("center", "arm") if takes_center else ("arm",))
+    for value in (1.5, "1", True)
+])
+def test_centers_and_arms_must_be_integers(name, where, value):
+    # int() would read each of these as 1, a valid center and arm
+    call = INTEGER_ENTRY_POINTS[name][1]
+    d = three_center_data()
+    with pytest.raises(ParameterError, match=f"{where}s? must be (an integer|integers)"):
+        call(d, value, 1) if where == "center" else call(d, 1, value)
+
+
+def _bits(result):
+    """A result's exact content: array bytes, and the repr of every other field."""
+    if isinstance(result, list):
+        return [_bits(r) for r in result]
+    if isinstance(result, np.ndarray):
+        return result.tobytes()
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else repr(v)
+            for k, v in vars(result).items()}
+
+
+@pytest.mark.parametrize("name", list(INTEGER_ENTRY_POINTS))
+def test_numpy_integer_centers_and_arms_give_the_same_results(name):
+    # records hold Python ints, so their repr matches too
+    call = INTEGER_ENTRY_POINTS[name][1]
+    d = three_center_data()
+    want = call(d, 1, 1)
+    got = call(dataclasses.replace(d), np.int64(1), np.int64(1))
+    assert _bits(got) == _bits(want)
+
+
 def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
     # phi and psi specify the same intercept-only treatment model: three tests
     # on one dataset fit it once, and no statistic moves from a run on a fresh
@@ -290,6 +381,18 @@ def test_a_replaced_dataset_starts_with_no_fits(monkeypatch):
     assert len(multinomial) == 2
     assert np.float64(first.value).tobytes() == np.float64(second.value).tobytes()
     assert first.influence.tobytes() == second.influence.tobytes()
+
+
+def test_a_pickled_or_copied_dataset_leaves_its_fits_behind():
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    size = len(pickle.dumps(d))
+    want = estimate_effects(d, ["phi", "psi", "chi"], (1, 0), configs)
+    assert d._fits and len(pickle.dumps(d)) == size
+    for other in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert other._fits == {} and other.center_labels == d.center_labels
+        got = estimate_effects(other, ["phi", "psi", "chi"], (1, 0), configs)
+        assert _bits(got) == _bits(want)
 
 
 @pytest.mark.parametrize("arms", [(1, 0), (0, 1)])

@@ -376,7 +376,8 @@ def test_run_study_rejects_repeated_estimators():
     ((1, 0, 2), "two different integers"),
     ((1.5, 0), "two different integers"),
     (("a", 0), "two different integers"),
-], ids=["equal", "one", "three", "float", "string"])
+    ((True, False), "two different integers"),
+], ids=["equal", "one", "three", "float", "string", "bool"])
 @pytest.mark.parametrize("function", ["estimate_effects", "run_study"])
 def test_arms_must_be_two_different_integers(monkeypatch, arms, message, function):
     # checked once, at the request: no replicate is drawn and nothing is fitted
