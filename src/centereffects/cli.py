@@ -18,9 +18,9 @@ import json
 import sys
 from pathlib import Path
 
-from .dataset import load_csv, cell_counts, validate_positivity
+from .dataset import load_csv, cell_counts
 from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
-from .estimators import COMPARATORS, KnownProbabilities, MEAN_ESTIMATORS, _coerce_spec
+from .estimators import COMPARATORS, MEAN_ESTIMATORS, _check_request, _coerce_spec
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
     ancova_center_outcome_test,
@@ -182,8 +182,8 @@ def _known_covariates(spec, what, data):
 def _resolve_nuisance_configs(cfg, data):
     """Each estimator's NuisanceConfig: its default with the fields ``nuisance.<name>``
     gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name.
-    A block may set only the fields its default sets (``to_dict``), and a field whose
-    default holds a model may not be set to null."""
+    A block may set only the fields its default sets (``to_dict``), each a model, and
+    none of them to null."""
     configs = default_nuisance_configs(data.covariate_names)
     for name, sub in cfg.get("nuisance", {}).items():
         if name not in configs:
@@ -197,8 +197,7 @@ def _resolve_nuisance_configs(cfg, data):
                               f"its fields are {fields}")
         try:
             for field in sub:
-                if sub[field] is None and isinstance(getattr(configs[name], field),
-                                                     (DesignSpec, KnownProbabilities)):
+                if sub[field] is None:
                     raise ConfigError(f"{field}: {name} needs a model here, got null")
             configs[name] = dataclasses.replace(configs[name], **sub)
             for field in sub:
@@ -258,7 +257,6 @@ def _estimator_list(cfg, allowed):
 def cmd_analyze(cfg, outdir):
     data, (a, a_prime) = _read_input(cfg)
     estimators = _estimator_list(cfg, MEAN_ESTIMATORS + COMPARATORS)
-    validate_positivity(data, arms=sorted((a, a_prime)))
     configs = _resolve_nuisance_configs(cfg, data)
 
     records = estimate_effects(data, estimators, (a, a_prime), configs, cfg["alpha"])
@@ -309,6 +307,8 @@ def cmd_check_assumptions(cfg, outdir):
         cfg["base_spec"] = list(base.terms)
         cfg["extended_spec"] = list(extended.terms)
 
+    for est in estimators:  # every homogeneity request is checked before the ANCOVA's fits
+        _check_request(data, est, range(1, data.m + 1), (a, a_prime), configs.get(est), "dr")
     tests = []
     ancova = ancova_center_outcome_test(data, base, extended)
     entry = ancova.to_dict()

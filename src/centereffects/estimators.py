@@ -16,8 +16,6 @@ their arm contrasts and conventional regression comparators:
 Every tau/phi/psi/chi estimate carries a vector of per-observation influence
 contributions whose sample mean is zero (the estimator solves its own
 estimating equation); downstream variance estimation consumes that vector.
-Weighting uses raw probabilities — no truncation unless an explicit
-``weight_floor`` is configured.
 """
 from __future__ import annotations
 
@@ -148,17 +146,14 @@ class NuisanceConfig:
     """Model specifications for the nuisance functions the estimators need.
 
     ``treatment_spec`` is a design for the fitted logistic model of Pr[A=1],
-    or arm probabilities known by design. ``weight_floor`` (default 0 = off)
-    truncates probabilities entering weight denominators from below;
-    exploratory use only, since truncation changes the estimand. Every error
-    a field's value raises begins with the field's name. Each field also
-    takes its JSON form, the one ``to_dict`` writes.
+    or arm probabilities known by design. Every error a field's value raises
+    begins with the field's name. Each field also takes its JSON form, the
+    one ``to_dict`` writes.
     """
 
     outcome_spec: DesignSpec = None
     treatment_spec: object = None  # DesignSpec or KnownProbabilities
     membership_spec: DesignSpec = None
-    weight_floor: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "outcome_spec", _coerce_spec(self.outcome_spec, "outcome_spec"))
@@ -169,8 +164,6 @@ class NuisanceConfig:
             self, "membership_spec", _coerce_spec(self.membership_spec, "membership_spec")
         )
         _reject_center_terms(self.membership_spec, "membership_spec: a membership model")
-        if not (_is_number(self.weight_floor) and 0.0 <= self.weight_floor < 1.0):
-            raise ParameterError(f"weight_floor: must lie in [0, 1), got {self.weight_floor!r}")
 
     def to_dict(self):
         """The fields that are set, as JSON: designs as term lists, known
@@ -293,8 +286,6 @@ class FittedNuisances:
         X, names = self._design(model, spec)
         key = (model, spec, donor, arm)
         if key not in self._fits:
-            if model == "treatment" and set(self.data.arms) != {0, 1}:
-                raise SpecError("fitted treatment models require arms coded {0,1}")
             rows = self._rows(donor, arm)
             if model == "outcome":
                 fit = fit_ols(X[rows], self.data.outcome[rows], column_names=names)
@@ -493,14 +484,18 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
                 raise PositivityError(f"donor pool has no rows in arm {a}")
             if count == 0 and estimator != "psi":
                 raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
+    if (estimator == "chi" or estimator != "tau" and variant != "om") and set(data.arms) != {0, 1}:
+        if isinstance(getattr(cfg, "treatment_spec", None), DesignSpec):  # fitted, not known
+            raise SpecError("fitted treatment models require arms coded {0,1}")
     return centers, arms
 
 
-def _floor(values, cfg):
-    floor = 0.0 if cfg is None else cfg.weight_floor
-    if floor > 0.0:
-        return np.maximum(values, floor)
-    return values
+def _check_comparator_data(data):
+    if set(data.arms) != {0, 1}:
+        raise ComparatorError("comparators require arms coded {0,1}")
+    for a in (0, 1):
+        if np.count_nonzero(data.arm == a) < 2:
+            raise InsufficientDataError(f"comparators need at least 2 rows in arm {a}")
 
 
 def _columns(values):
@@ -571,7 +566,7 @@ def _tau_means(data, centers, a):
     return values, influence
 
 
-def _means(data, estimator, centers, a, cfg, variant, nuis):
+def _means(data, estimator, centers, a, variant, nuis):
     """Means under arm ``a`` for validated ``centers``: values (k,), influence (n, k).
 
     ``centers`` is a run of consecutive center ids, so the membership columns
@@ -585,9 +580,9 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
         p = nuis.membership()[:, member]
         e = np.column_stack([nuis.donor_arm_probability(c, a) for c in centers])
         weights = _weights(centers, (data.center[:, None] != centers) & in_arm, p, [
-            (_floor(1.0 - p, cfg), "membership probability for center {c} is 1 at "
-                                   "donor row {row} (no overlap)"),
-            (_floor(e, cfg), "donor arm probability is 0 at row {row}"),
+            (1.0 - p, "membership probability for center {c} is 1 at donor row {row} "
+                      "(no overlap)"),
+            (e, "donor arm probability is 0 at row {row}"),
         ])
         del e
         ghat = nuis.donor_outcome_means(centers, a)
@@ -601,7 +596,7 @@ def _means(data, estimator, centers, a, cfg, variant, nuis):
     else:
         rows, numerator = in_arm, nuis.membership()[:, member]
         e, what = nuis.marginal_arm_probability(a), "marginal arm probability"
-    weights = _weights(centers, rows, numerator, [(_floor(e, cfg), what + " is 0 at row {row}")])
+    weights = _weights(centers, rows, numerator, [(e, what + " is 0 at row {row}")])
     return _weighted_means(data, centers, ghat, weights)
 
 
@@ -617,9 +612,9 @@ def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None
     centers, arms = _check_request(data, estimator, centers, arms, cfg, variant)
     if estimator != "tau" and nuisances is None:
         nuisances = FittedNuisances(data, cfg)
-    values, influence = _means(data, estimator, centers, arms[0], cfg, variant, nuisances)
+    values, influence = _means(data, estimator, centers, arms[0], variant, nuisances)
     if len(arms) == 2:
-        values_b, influence_b = _means(data, estimator, centers, arms[1], cfg, variant, nuisances)
+        values_b, influence_b = _means(data, estimator, centers, arms[1], variant, nuisances)
         values -= values_b
         influence -= influence_b
     if variant != "dr" and estimator in ("phi", "psi"):
@@ -706,11 +701,7 @@ def estimate_comparators(data, which, covariates=None):
         raise ParameterError(f"unknown comparator {which!r}; expected one of {COMPARATORS}")
     if isinstance(covariates, str):
         raise ParameterError(f"covariates must be a list of names, got the string {covariates!r}")
-    if set(data.arms) != {0, 1}:
-        raise ComparatorError("comparators require arms coded {0,1}")
-    for a in (0, 1):
-        if np.count_nonzero(data.arm == a) < 2:
-            raise InsufficientDataError(f"comparators need at least 2 rows in arm {a}")
+    _check_comparator_data(data)
     tokens = ["1", "A"]
     if which == "fe2":
         tokens += list(covariates) if covariates is not None else list(data.covariate_names)

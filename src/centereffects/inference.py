@@ -30,6 +30,7 @@ from .errors import (
 from .estimators import (
     COMPARATORS,
     MEAN_ESTIMATORS,
+    _check_comparator_data,
     _check_request,
     _estimates,
     center_contrasts,
@@ -139,17 +140,19 @@ def _check_estimators(estimators, arms):
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     """Interval-carrying contrast records for every requested estimator and center.
 
-    The whole request is checked before anything is fitted, except a model
-    spec missing from a configuration and a fitted treatment model on arms
-    other than 0 and 1, which are found when that model is first fitted, and
-    a comparator's data, which ``estimate_comparators`` checks. Every estimator gives one record per center 1..m. A comparator's
-    one number, its sign flipped when ``arms`` is (0, 1), is repeated in every
-    center; any other estimator uses ``configs[estimator]`` as its nuisance
-    configuration. All estimators share the dataset's fits, so a nuisance
-    model that several configurations specify alike is fit once.
+    The whole request, the comparators' data first, is checked before
+    anything is fitted, except a model spec missing from a configuration,
+    which is found when that model is first fitted. Every estimator gives one
+    record per center 1..m. A comparator's one number, its sign flipped when
+    ``arms`` is (0, 1), is repeated in every center; any other estimator uses
+    ``configs[estimator]`` as its nuisance configuration. All estimators
+    share the dataset's fits, so a nuisance model that several configurations
+    specify alike is fit once.
     """
     estimators, (a, a_prime) = _check_estimators(estimators, arms)
     normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
+    if set(estimators) & set(COMPARATORS):
+        _check_comparator_data(data)
     for estimator in [e for e in estimators if e in MEAN_ESTIMATORS]:
         cfg = configs.get(estimator)
         if estimator != "tau" and cfg is None:

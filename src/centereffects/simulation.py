@@ -25,6 +25,7 @@ from .dataset import TrialDataset, _integers, _is_number
 from .errors import (
     CenterEffectsError,
     InsufficientDataError,
+    NoDonorError,
     ParameterError,
     StudyError,
 )
@@ -507,6 +508,10 @@ def run_study(
     run_study returns or raises.
     """
     estimators, arms = _check_estimators(estimators, arms)
+    if arms not in ((1, 0), (0, 1)):  # generate_dataset codes arms 0 and 1
+        raise ParameterError(f"simulated trials have arms 0 and 1, got arms {arms}")
+    if "chi" in estimators and scenario.m < 2:
+        raise NoDonorError("transport estimator needs at least two centers")
     (replicates,) = _integers("replicates", replicates)
     if replicates < 1:
         raise ParameterError("study needs at least 1 replicate")

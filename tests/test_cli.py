@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import centereffects as ce
+import centereffects.inference as inference_module
 from centereffects import cli
 
 
@@ -217,6 +218,33 @@ def test_analyze_nonbinary_arms_need_explicit_contrast(tmp_path, capsys):
     assert rec["arms"] == [2, 1]
 
 
+def test_analyze_runs_the_estimators_that_need_no_rows_in_an_empty_cell(tmp_path, capsys):
+    # center "3" has no arm-1 rows: psi, chi and the comparators need none
+    # there; tau and phi name the empty cell, and an arm the data lack is named
+    data = ce.generate_dataset(ce.Scenario(), seed=7)
+    keep = ~((data.center == 3) & (data.arm == 1))
+    path = tmp_path / "hole.csv"
+    ce.save_csv(ce.from_arrays(data.covariates[keep], data.center[keep], data.arm[keep],
+                               data.outcome[keep]), path)
+    out = tmp_path / "o"
+    assert cli.main(["analyze", "--input", str(path), "--output", str(out),
+                     "--estimators", "psi,chi,pooled,fe1,fe2"]) == 0
+    report = read_report(out)
+    c = report["center_labels"].index("3") + 1
+    got = {rec["estimator"]: rec["value"] for rec in report["estimates"] if rec["center"] == c}
+    assert got["psi"] == pytest.approx(-46.54, abs=0.005)
+    assert got["chi"] == pytest.approx(-46.00, abs=0.005)
+    for estimator in ("tau", "phi"):
+        assert cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / estimator),
+                         "--estimators", f"psi,{estimator}"]) == 2
+        payload = stderr_payload(capsys)
+        assert (payload["error"], payload["message"]) == ("PositivityError",
+                                                         f"empty cell: center {c}, arm 1")
+    assert cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / "a"),
+                     "--arms", "1,7"]) == 1
+    assert "arm 7 not present in data" in stderr_payload(capsys)["message"]
+
+
 def test_analyze_nuisance_overrides_echoed(tmp_path):
     csv_path = write_trial_csv(tmp_path, n=300, seed=4)
     cfg = write_config(tmp_path, {
@@ -249,11 +277,10 @@ def test_analyze_nuisance_block_keeps_defaults_for_fields_it_leaves_out(tmp_path
     echo = read_report(out1)["config"]
     assert echo["nuisance"]["psi"] == {
         "outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
-        "membership_spec": ["1", "x1", "x2", "x3"], "weight_floor": 0.0,
+        "membership_spec": ["1", "x1", "x2", "x3"],
     }
     assert echo["nuisance"]["phi"] == {
         "outcome_spec": ["1", "x1", "x2", "x3", "C"], "treatment_spec": ["1"],
-        "weight_floor": 0.0,
     }
 
     rerun_cfg = write_config(tmp_path, echo, name="echo.json")
@@ -509,6 +536,18 @@ def test_check_assumptions_outcome_fit_exactly_exits_3(tmp_path, capsys):
     assert "fits the outcome exactly" in payload["message"]
 
 
+def test_check_assumptions_checks_every_request_before_the_ancova(tmp_path, capsys, monkeypatch):
+    csv_path = write_trial_csv(tmp_path, n=200, seed=4)
+    calls = []
+    for name in ("factor_cells", "fit_ols_cells"):
+        monkeypatch.setattr(inference_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    code = cli.main(["check-assumptions", "--input", csv_path, "--arms", "1,7",
+                     "--output", str(tmp_path / "o")])
+    assert code == 1
+    assert "arm 7 not present in data" in stderr_payload(capsys)["message"]
+    assert calls == []
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS")
 
@@ -632,7 +671,7 @@ NUISANCE_OVERRIDES = {
     "psi": {"outcome_spec": ["1", "x1"], "membership_spec": ["1", "x1"],
             "treatment_spec": {"known": {"table": [[0.45, 0.55], [0.55, 0.45]]}}},
     "chi": {"outcome_spec": ["1", "x1"], "treatment_spec": ["1"],
-            "membership_spec": ["1", "x1", "x2"], "weight_floor": 0.01},
+            "membership_spec": ["1", "x1", "x2"]},
 }
 
 
@@ -733,10 +772,11 @@ WRONG_VALUES = [
     ("simulate", {**SIM, "scenario": {"n": "x"}}, [], "ParameterError", "scenario n"),
     ("simulate", {**SIM, "scenario": {"membership_coeffs": 3}}, [], "ParameterError",
      "membership_coeffs"),
-    ("analyze", {"nuisance": {"psi": {"weight_floor": "a"}}}, [], "ParameterError",
-     "weight_floor"),
     # settings that no longer exist, as configs echoed by earlier versions hold them
     ("analyze", {"nuisance": {"psi": {"ridge": 0.0}}}, [], "ConfigError", "ridge"),
+    ("analyze", {"nuisance": {"psi": {"weight_floor": 0.0}}}, [], "ConfigError", "weight_floor"),
+    ("analyze", {"nuisance": {"chi": {"weight_floor": 0.0}}}, [], "ConfigError",
+     "chi has unknown fields ['weight_floor']"),
     ("analyze", {"nuisance": {"psi": {"treatment_decomposition": False}}}, [], "ConfigError",
      "treatment_decomposition"),
     # phi reads no membership model, so its block has no such field
@@ -755,8 +795,6 @@ WRONG_VALUES = [
      [], "SpecError", "nuisance.phi.treatment_spec"),
     ("analyze", {"nuisance": {"chi": {"membership_spec": "x1"}}}, [], "SpecError",
      "nuisance.chi.membership_spec"),
-    ("analyze", {"nuisance": {"chi": {"weight_floor": 1.5}}}, [], "ParameterError",
-     "nuisance.chi.weight_floor"),
     ("analyze", {"estimators": ["psi"], "nuisance": {"psi": {"membership_spec": None}}}, [],
      "ConfigError", "nuisance.psi.membership_spec"),
     ("check-assumptions", {"base_spec": ["1", "1:A"], "extended_spec": ["1", "A", "C"]}, [],

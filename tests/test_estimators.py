@@ -272,24 +272,6 @@ def test_phi_unknown_variant():
         estimate_phi(d, 1, 1, cfg=simple_config(), variant="aipw")
 
 
-def test_weight_floor_applied():
-    # e = 0.1 floored to 0.5 halves the ipw weight
-    d = from_arrays([[0.0]], [1], [1], [10.0])
-    nuis = FixedNuisances(arm_probabilities={1: np.array([0.1])})
-    raw = estimate_phi(d, 1, 1, cfg=None, variant="ipw", nuisances=nuis)
-    assert raw.value == 100.0
-    cfg = simple_config(weight_floor=0.5)
-    floored = estimate_phi(d, 1, 1, cfg=cfg, variant="ipw", nuisances=nuis)
-    assert floored.value == 20.0
-
-
-def test_weight_floor_validation():
-    with pytest.raises(ParameterError):
-        simple_config(weight_floor=1.0)
-    with pytest.raises(ParameterError):
-        simple_config(weight_floor=-0.1)
-
-
 # ---------------------------------------------------------------------------
 # pooled doubly robust estimator
 # ---------------------------------------------------------------------------
@@ -706,19 +688,17 @@ def test_arm_code_swap_invariance(seed, n, m):
 
 def test_center_contrasts_are_slices_of_per_center_estimates():
     d = random_dataset(np.random.default_rng(97), n=90, m=3)
-    # a floor of 0.6 binds on the arm probabilities (about 0.5) and on some
-    # 1 - p_c membership complements; each per-center estimate fits its own
-    # models, on a fresh copy of the dataset
-    for cfg in (simple_config(), simple_config(weight_floor=0.6)):
-        for estimator in MEANS:
-            for arms in ((1, 0), (0, 1)):
-                records = center_contrasts(d, estimator, *arms, cfg)
-                assert [rec.center for rec in records] == [1, 2, 3]
-                for c, rec in enumerate(records, start=1):
-                    want = estimate_contrast(dataclasses.replace(d), estimator, c, *arms, cfg)
-                    assert (rec.estimator, rec.arms) == (want.estimator, want.arms)
-                    assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
-                    assert rec.influence.tobytes() == want.influence.tobytes()
+    # each per-center estimate fits its own models, on a fresh copy of the dataset
+    cfg = simple_config()
+    for estimator in MEANS:
+        for arms in ((1, 0), (0, 1)):
+            records = center_contrasts(d, estimator, *arms, cfg)
+            assert [rec.center for rec in records] == [1, 2, 3]
+            for c, rec in enumerate(records, start=1):
+                want = estimate_contrast(dataclasses.replace(d), estimator, c, *arms, cfg)
+                assert (rec.estimator, rec.arms) == (want.estimator, want.arms)
+                assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
+                assert rec.influence.tobytes() == want.influence.tobytes()
 
 
 @pytest.mark.parametrize("estimator", ["tau", "phi"])
@@ -848,7 +828,7 @@ def test_nuisance_config_reads_the_json_forms_of_known_probabilities():
     default_nuisance_configs(["x1", "x2"]),
     default_nuisance_configs(["x1", "x2"], known_arm_prob=0.3),
     {"table": NuisanceConfig(
-        outcome_spec=["1", "x1"], membership_spec=["1"], weight_floor=0.01,
+        outcome_spec=["1", "x1"], membership_spec=["1"],
         treatment_spec=KnownProbabilities([[0.4, 0.6], [0.7, 0.3]], arms=(2, 5)))},
 ], ids=["defaults", "known-constant", "per-center-table"])
 def test_nuisance_config_to_dict_round_trips(configs):
@@ -857,5 +837,5 @@ def test_nuisance_config_to_dict_round_trips(configs):
         assert json.loads(json.dumps(payload)) == payload
         assert NuisanceConfig(**payload).to_dict() == payload
     if "phi" in configs:  # a field that is not set is left out
-        assert list(configs["phi"].to_dict()) == ["outcome_spec", "treatment_spec", "weight_floor"]
+        assert list(configs["phi"].to_dict()) == ["outcome_spec", "treatment_spec"]
         assert configs["chi"].to_dict()["membership_spec"] == ["1", "x1", "x2"]

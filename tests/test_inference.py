@@ -261,22 +261,53 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
     ("missing configuration", ConfigError, "nuisance configuration required"),
     ("alpha 2", ParameterError, r"alpha must lie in \(0,1\), got 2"),
     ("alpha 'a'", ParameterError, r"alpha must lie in \(0,1\), got a"),
-], ids=["empty-cell", "missing-config", "alpha-2", "alpha-string"])
+    ("three arms", SpecError, r"fitted treatment models require arms coded \{0,1\}"),
+    ("one arm-0 row", InsufficientDataError, "comparators need at least 2 rows in arm 0"),
+], ids=["empty-cell", "missing-config", "alpha-2", "alpha-string", "fitted-treatment-three-arms",
+        "comparator-one-arm-0-row"])
 def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case, error, message):
-    # phi's fault is found before psi's and chi's models are fitted
+    # phi's fault is found before psi's and chi's models are fitted, a fitted
+    # treatment model's arm coding and a comparator's data before psi's
     d = three_center_data()
     configs = default_nuisance_configs(d.covariate_names)
+    estimators, arms = ["psi", "chi", "phi"], (1, 0)
     if case == "empty cell":
         keep = ~((d.center == 3) & (d.arm == 1))
         d = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
     if case == "missing configuration":
         del configs["phi"]
+    if case == "three arms":
+        d = from_arrays(d.covariates, d.center, np.tile([0, 1, 2], d.n // 3), d.outcome)
+        estimators, arms = ["psi"], (2, 1)
+    if case == "one arm-0 row":
+        keep = (d.arm == 1) | (np.arange(d.n) == 0)
+        d = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
+        estimators = ["psi", "pooled"]
     alpha = {"alpha 2": 2, "alpha 'a'": "a"}.get(case, 0.05)
     fits = [_count_calls(monkeypatch, estimators_module, name)
             for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
     with pytest.raises(error, match=message):
-        estimate_effects(d, ["psi", "chi", "phi"], (1, 0), configs, alpha)
+        estimate_effects(d, estimators, arms, configs, alpha)
     assert fits == [[], [], [], []]
+
+
+def test_only_a_fitted_treatment_model_needs_arms_0_and_1(monkeypatch):
+    # on arms {0, 1, 2}, phi and psi (but not their om variants) and chi read
+    # the fitted treatment model: refused before any fit; known probabilities run
+    d = three_center_data()
+    d = from_arrays(d.covariates, d.center, np.tile([0, 1, 2], d.n // 3), d.outcome)
+    cfg = default_nuisance_configs(d.covariate_names)["psi"]
+    fits = [_count_calls(monkeypatch, estimators_module, name)
+            for name in ("fit_ols", "fit_logistic", "fit_multinomial")]
+    for estimator, variant in [("phi", "dr"), ("phi", "ipw"), ("psi", "dr"), ("psi", "ipw"),
+                               ("chi", "dr")]:
+        with pytest.raises(SpecError, match="arms coded"):
+            estimate_mean(d, estimator, 1, 2, cfg, variant)
+    assert fits == [[], [], []]
+    known = dataclasses.replace(cfg, treatment_spec=KnownProbabilities(
+        [[0.3, 0.3, 0.4]], arms=(0, 1, 2)))
+    for estimator, variant, config in [("phi", "om", cfg), ("psi", "om", cfg), ("psi", "dr", known)]:
+        assert np.isfinite(estimate_mean(d, estimator, 1, 2, config, variant).value)
 
 
 def test_bootstrap_checks_alpha_before_resampling(monkeypatch):

@@ -17,6 +17,7 @@ from centereffects import (
     DesignSpec,
     InsufficientDataError,
     KnownProbabilities,
+    NoDonorError,
     OracleReport,
     ParameterError,
     Scenario,
@@ -393,6 +394,23 @@ def test_arms_must_be_two_different_integers(monkeypatch, arms, message, functio
                       oracle=true_center_ates_quadrature(sc), workers=1)
         else:
             estimate_effects(data, ("tau",), arms, {})
+
+
+@pytest.mark.parametrize("scenario, estimators, arms, error, message", [
+    (two_center_scenario(n=200), ("tau", "phi", "psi"), (2, 1), ParameterError,
+     r"arms 0 and 1, got arms \(2, 1\)"),
+    (Scenario(m=1, membership_coeffs=()), ("chi",), (1, 0), NoDonorError,
+     "at least two centers"),
+], ids=["arms-2-1", "chi-one-center"])
+def test_run_study_rejects_what_no_simulated_trial_can_serve(monkeypatch, scenario, estimators,
+                                                             arms, error, message):
+    # generate_dataset codes arms 0 and 1: refused before the oracle or any replicate
+    calls = []
+    for name in ("generate_dataset", "true_center_ates"):
+        monkeypatch.setattr(simulation_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    with pytest.raises(error, match=message):
+        run_study(scenario, replicates=200, estimators=estimators, arms=arms, workers=1)
+    assert calls == []
 
 
 @pytest.mark.parametrize("workers", [0, -1])
