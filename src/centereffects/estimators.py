@@ -15,7 +15,8 @@ their arm contrasts and conventional regression comparators:
 
 Every tau/phi/psi/chi estimate carries a vector of per-observation influence
 contributions whose sample mean is zero (the estimator solves its own
-estimating equation); downstream variance estimation consumes that vector.
+estimating equation); downstream variance estimation consumes that vector,
+and ``estimate_effects`` drops it once the SE is attached.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .errors import (
     SpecError,
 )
 from .nuisance import (
+    _INFORMATION_BLOCK_VALUES,
     CENTER_TOKEN,
     DesignSpec,
     build_design,
@@ -251,8 +253,8 @@ class FittedNuisances:
     shares its fits, and a model that two configurations specify alike is fit
     once. The donor outcome fits share one ``factor_cells`` result per spec
     and arm: each center's rows of that arm are factored once, and one call
-    solves the donor pools of every center asked for, memoised as one (n, k)
-    prediction.
+    solves the donor pools of every center asked for. Donor pools keep no
+    per-row array in the memo.
     """
 
     def __init__(self, data: TrialDataset, cfg: NuisanceConfig):
@@ -281,7 +283,8 @@ class FittedNuisances:
         """Every row's prediction from the ``model`` fit of ``spec`` on a row subset.
 
         ``model`` is "outcome" (OLS of Y), "treatment" (logistic Pr[A=1]) or
-        "membership" (multinomial Pr[C=c]).
+        "membership" (multinomial Pr[C=c]). The memo keeps the read-only
+        prediction, or a donor pool's fit alone, which chi predicts per block.
         """
         X, names = self._design(model, spec)
         key = (model, spec, donor, arm)
@@ -295,10 +298,11 @@ class FittedNuisances:
                 )
             else:
                 fit = fit_multinomial(X[rows], self.data.center[rows], column_names=names)
-            prediction = predict(fit, X)
-            prediction.flags.writeable = False
-            self._fits[key] = prediction
-        return self._fits[key]
+            if donor is None:
+                fit = predict(fit, X)
+                fit.flags.writeable = False
+            self._fits[key] = fit
+        return self._fits[key] if donor is None else predict(self._fits[key], X)
 
     def _outcome_cells(self, X, spec, arm):
         """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised."""
@@ -317,28 +321,24 @@ class FittedNuisances:
         return self._predicted("outcome", self.cfg.outcome_spec, arm=arm)
 
     def donor_outcome_means(self, centers, arm):
-        """(n, k) read-only predictions: column j is the within-arm outcome fit
-        on every center but centers[j], evaluated everywhere.
+        """(n, k) predictions: column j is the within-arm outcome fit on every
+        center but centers[j], evaluated everywhere.
 
-        The k donor pools are solved together from the arm's per-center R
-        factors (``leave_one_out_coefficients``); the fitted values match
-        fit_ols on each pool's rows up to roundoff. Only the pools of
-        ``centers`` are fit, and column j does not depend on which other
-        centers are asked for.
+        The k donor pools are solved together from the arm's memoised
+        per-center R factors (``leave_one_out_coefficients``); the fitted
+        values match fit_ols on each pool's rows up to roundoff. Only the pools
+        of ``centers`` are fit, column j does not depend on which other centers
+        are asked for, and chi, their one reader, asks per block: no memo.
         """
         spec = self.cfg.outcome_spec
         X, names = self._design("outcome", spec)
-        key = ("donor outcome", spec, tuple(centers), arm)
-        if key not in self._fits:
-            coef = leave_one_out_coefficients(self._outcome_cells(X, spec, arm), centers, names)
-            # one product per column: the bits of an (n, p) @ (p, k) product's
-            # column change with k
-            prediction = np.empty((self.data.n, len(coef)), order="F")
-            for j, beta in enumerate(coef):
-                np.matmul(X, beta, out=prediction[:, j])
-            prediction.flags.writeable = False
-            self._fits[key] = prediction
-        return self._fits[key]
+        coef = leave_one_out_coefficients(self._outcome_cells(X, spec, arm), centers, names)
+        # one product per column: the bits of an (n, p) @ (p, k) product's
+        # column change with k
+        prediction = np.empty((self.data.n, len(coef)), order="F")
+        for j, beta in enumerate(coef):
+            np.matmul(X, beta, out=prediction[:, j])
+        return prediction
 
     def donor_outcome_mean(self, c, arm):
         """Within-arm outcome fit on all centers except c, evaluated everywhere."""
@@ -456,7 +456,7 @@ class FixedNuisances:
 def _check_request(data, estimator, centers, arms, cfg, variant):
     """Check a request for ``estimator``'s means in ``centers`` under ``arms``
     (one arm, or two different ones) and return both as integers; a cell error
-    names the first failing (center, arm), center by center."""
+    names the first failing (center, arm), center by center, by its label."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
@@ -480,10 +480,11 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
         for a, count in zip(arms, counts[c - 1]):
             if a not in data.arms:
                 raise ParameterError(f"arm {a} not present in data (arms: {data.arms})")
+            label = data.center_labels[c - 1]
             if count == 0 and estimator == "chi":
-                raise PositivityError(f"donor pool has no rows in arm {a}")
+                raise PositivityError(f"donor pool of center {label} has no rows in arm {a}")
             if count == 0 and estimator != "psi":
-                raise PositivityError(f"empty cell: center {c}, arm {a}", cells=[(c, a)])
+                raise PositivityError(f"empty cell: center {label}, arm {a}", cells=[(c, a)])
     if (estimator == "chi" or estimator != "tau" and variant != "om") and set(data.arms) != {0, 1}:
         if isinstance(getattr(cfg, "treatment_spec", None), DesignSpec):  # fitted, not known
             raise SpecError("fitted treatment models require arms coded {0,1}")
@@ -508,23 +509,28 @@ def _columns(values):
 # ---------------------------------------------------------------------------
 
 
-def _weights(centers, rows, numerator, denominators):
+def _weights(labels, rows, numerator, denominators):
     """(n, k) F-ordered weights W = numerator / Π denominators on ``rows``, else 0.
 
     Each denominator is a (values, message) pair; a value ≤ 0 on a weighted
     row raises DivisionError with the message formatted for the first such
-    center, factor and row. Arguments are scalars, per-row vectors or (n, k)
-    matrices.
+    center (by its label in ``labels``), factor and row. Arguments are
+    scalars, per-row vectors or F-ordered (n, k) matrices.
     """
     factors = [_columns(values) for values, _ in denominators]
     bad = np.stack(np.broadcast_arrays(*[rows & (f <= 0.0) for f in factors]), axis=-1)
     if bad.any():
         j, i = np.argwhere(bad.any(axis=0))[0]  # first center, then factor
         row = np.flatnonzero(bad[:, j, i])[0]
-        raise DivisionError(denominators[i][1].format(c=centers[j], row=row))
+        raise DivisionError(denominators[i][1].format(c=labels[j], row=row))
     den = factors[0] if len(factors) == 1 else np.multiply(*factors)
-    weights = np.zeros((len(rows), len(centers)), order="F")
+    weights = np.zeros((len(rows), len(labels)), order="F")
     return np.divide(numerator, den, out=weights, where=rows)
+
+
+def _in_centers(data, centers):
+    """F-ordered (n, k) mask of the rows in each of ``centers``: numpy runs along rows."""
+    return (np.asarray(centers)[:, None] == data.center).T
 
 
 def _weighted_means(data, centers, ghat, weights=None):
@@ -537,7 +543,7 @@ def _weighted_means(data, centers, ghat, weights=None):
     The influence is F-ordered, so each column sum equals the one-center sum
     bit for bit.
     """
-    in_center = data.center[:, None] == centers
+    in_center = _in_centers(data, centers)
     n_c = np.count_nonzero(in_center, axis=0)
     ghat = _columns(ghat)
     scratch = np.multiply(in_center, ghat, out=np.empty(in_center.shape, order="F"))
@@ -576,10 +582,11 @@ def _means(data, estimator, centers, a, variant, nuis):
         return _tau_means(data, centers, a)
     in_arm = _columns(data.arm == a)
     member = slice(centers[0] - 1, centers[-1])
+    labels = data.center_labels[member]
     if estimator == "chi":
         p = nuis.membership()[:, member]
-        e = np.column_stack([nuis.donor_arm_probability(c, a) for c in centers])
-        weights = _weights(centers, (data.center[:, None] != centers) & in_arm, p, [
+        e = np.array([nuis.donor_arm_probability(c, a) for c in centers]).T
+        weights = _weights(labels, ~_in_centers(data, centers) & in_arm, p, [
             (1.0 - p, "membership probability for center {c} is 1 at donor row {row} "
                       "(no overlap)"),
             (e, "donor arm probability is 0 at row {row}"),
@@ -591,32 +598,46 @@ def _means(data, estimator, centers, a, variant, nuis):
     if variant == "om":
         return _weighted_means(data, centers, ghat)
     if estimator == "phi":
-        rows, numerator = (data.center[:, None] == centers) & in_arm, 1.0
+        rows, numerator = _in_centers(data, centers) & in_arm, 1.0
         e, what = nuis.arm_probability(a), "arm probability"
     else:
         rows, numerator = in_arm, nuis.membership()[:, member]
         e, what = nuis.marginal_arm_probability(a), "marginal arm probability"
-    weights = _weights(centers, rows, numerator, [(e, what + " is 0 at row {row}")])
+    weights = _weights(labels, rows, numerator, [(e, what + " is 0 at row {row}")])
     return _weighted_means(data, centers, ghat, weights)
 
 
 def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
-    """Mean (one arm) or contrast (two arms) records for consecutive ``centers``.
-
-    The request is checked (``_check_request``) before anything is fitted.
-    One nuisance bundle (``nuisances``, else one fit from ``cfg``
-    with the dataset's fits) serves every center and arm, and each arm gets
-    one all-centers pass: a contrast is the first arm's pass minus the
-    second's, so its two arms must differ.
-    """
+    """``_unchecked_estimates`` of a request checked before anything is fitted."""
     centers, arms = _check_request(data, estimator, centers, arms, cfg, variant)
+    return _unchecked_estimates(data, estimator, centers, arms, cfg, variant, nuisances)
+
+
+def _unchecked_estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
+    """Mean (one arm) or contrast (two arms) records for the consecutive
+    ``centers`` of a checked request.
+
+    One nuisance bundle (``nuisances``, else one fit from ``cfg`` with the
+    dataset's fits) serves every center and arm. The centers run in blocks of
+    about ``_INFORMATION_BLOCK_VALUES`` (n, k) values, and each block gets one
+    pass per arm: a contrast is the first arm's pass minus the second's. A
+    column depends only on its own center, so the blocks change no bit.
+    """
     if estimator != "tau" and nuisances is None:
         nuisances = FittedNuisances(data, cfg)
-    values, influence = _means(data, estimator, centers, arms[0], variant, nuisances)
-    if len(arms) == 2:
-        values_b, influence_b = _means(data, estimator, centers, arms[1], variant, nuisances)
-        values -= values_b
-        influence -= influence_b
+    width = max(1, _INFORMATION_BLOCK_VALUES // data.n)
+    for start in range(0, len(centers), width):
+        block = slice(start, start + width)
+        value, inf = _means(data, estimator, centers[block], arms[0], variant, nuisances)
+        if len(arms) == 2:
+            value_b, inf_b = _means(data, estimator, centers[block], arms[1], variant, nuisances)
+            value -= value_b
+            inf -= inf_b
+            del inf_b
+        if start == 0:  # after the first block's lazy fits, not beneath them
+            values, influence = np.empty(len(centers)), np.empty((data.n, len(centers)), order="F")
+        values[block], influence[:, block] = value, inf
+        del inf  # before the next block's temporaries
     if variant != "dr" and estimator in ("phi", "psi"):
         estimator = f"{estimator}_{variant}"
     estimand = "mean" if len(arms) == 1 else "contrast"

@@ -33,6 +33,7 @@ from .estimators import (
     _check_comparator_data,
     _check_request,
     _estimates,
+    _unchecked_estimates,
     center_contrasts,
     estimate_comparators,
 )
@@ -147,17 +148,20 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     ``arms`` is (0, 1), is repeated in every center; any other estimator uses
     ``configs[estimator]`` as its nuisance configuration. All estimators
     share the dataset's fits, so a nuisance model that several configurations
-    specify alike is fit once.
+    specify alike is fit once. The records carry no influence columns: each
+    goes once its SE is attached (``center_contrasts`` keeps them).
     """
     estimators, (a, a_prime) = _check_estimators(estimators, arms)
     normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
     if set(estimators) & set(COMPARATORS):
         _check_comparator_data(data)
+    requests = {}
     for estimator in [e for e in estimators if e in MEAN_ESTIMATORS]:
         cfg = configs.get(estimator)
         if estimator != "tau" and cfg is None:
             raise ConfigError("nuisance configuration required")
-        _check_request(data, estimator, range(1, data.m + 1), (a, a_prime), cfg, "dr")
+        requests[estimator] = _check_request(data, estimator, range(1, data.m + 1),
+                                             (a, a_prime), cfg, "dr")
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
@@ -166,9 +170,10 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
                 rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
             rec = add_interval(rec, alpha=alpha)
             records.extend(dataclasses.replace(rec, center=c) for c in range(1, data.m + 1))
-        else:
-            contrasts = center_contrasts(data, estimator, a, a_prime, configs.get(estimator))
-            records.extend(add_interval(rec, alpha=alpha) for rec in contrasts)
+        else:  # the (n, m) influence columns go before the next estimator's pass
+            records.extend(dataclasses.replace(add_interval(rec, alpha=alpha), influence=None)
+                           for rec in _unchecked_estimates(data, estimator, *requests[estimator],
+                                                           configs.get(estimator)))
     return records
 
 

@@ -220,7 +220,9 @@ def test_analyze_nonbinary_arms_need_explicit_contrast(tmp_path, capsys):
 
 def test_analyze_runs_the_estimators_that_need_no_rows_in_an_empty_cell(tmp_path, capsys):
     # center "3" has no arm-1 rows: psi, chi and the comparators need none
-    # there; tau and phi name the empty cell, and an arm the data lack is named
+    # there; tau and phi name the empty cell by the center's label, not by its
+    # position (8: centers are numbered as they first appear), and an arm the
+    # data lack is named
     data = ce.generate_dataset(ce.Scenario(), seed=7)
     keep = ~((data.center == 3) & (data.arm == 1))
     path = tmp_path / "hole.csv"
@@ -231,6 +233,7 @@ def test_analyze_runs_the_estimators_that_need_no_rows_in_an_empty_cell(tmp_path
                      "--estimators", "psi,chi,pooled,fe1,fe2"]) == 0
     report = read_report(out)
     c = report["center_labels"].index("3") + 1
+    assert c == 8
     got = {rec["estimator"]: rec["value"] for rec in report["estimates"] if rec["center"] == c}
     assert got["psi"] == pytest.approx(-46.54, abs=0.005)
     assert got["chi"] == pytest.approx(-46.00, abs=0.005)
@@ -239,7 +242,7 @@ def test_analyze_runs_the_estimators_that_need_no_rows_in_an_empty_cell(tmp_path
                          "--estimators", f"psi,{estimator}"]) == 2
         payload = stderr_payload(capsys)
         assert (payload["error"], payload["message"]) == ("PositivityError",
-                                                         f"empty cell: center {c}, arm 1")
+                                                         "empty cell: center 3, arm 1")
     assert cli.main(["analyze", "--input", str(path), "--output", str(tmp_path / "a"),
                      "--arms", "1,7"]) == 1
     assert "arm 7 not present in data" in stderr_payload(capsys)["message"]

@@ -7,6 +7,7 @@ brute force on seeded or hypothesis-drawn random datasets.
 """
 import dataclasses
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -28,6 +29,7 @@ from centereffects import (
     NuisanceConfig,
     ParameterError,
     PositivityError,
+    Scenario,
     SpecError,
     build_design,
     center_contrasts,
@@ -36,13 +38,16 @@ from centereffects import (
     estimate_comparators,
     estimate_contrast,
     estimate_effects,
+    estimate_mean,
     estimate_phi,
     estimate_psi,
     estimate_tau,
     fit_ols,
     from_arrays,
+    generate_dataset,
     predict,
 )
+import centereffects.estimators as estimators_module
 from centereffects.nuisance import factor_cells, fit_ols_cells
 
 
@@ -411,19 +416,21 @@ def test_chi_needs_two_centers():
 
 
 def test_chi_empty_donor_arm():
-    d = from_arrays([[0.0]] * 3, [1, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0])
-    with pytest.raises(PositivityError):
+    # errors name a center by its label: center 1 is label 7
+    d = from_arrays([[0.0]] * 3, [7, 7, 3], [0, 1, 0], [1.0, 2.0, 3.0])
+    with pytest.raises(PositivityError, match="^donor pool of center 7 has no rows in arm 1$"):
         estimate_chi(d, 1, 1, simple_config())
 
 
 def test_chi_overlap_violation():
-    d = from_arrays([[0.0]] * 2, [1, 2], [1, 1], [0.0, 4.0])
+    d = from_arrays([[0.0]] * 2, ["site-b", "site-a"], [1, 1], [0.0, 4.0])
     nuis = FixedNuisances(
         outcome={1: np.zeros(2)},
         arm_probabilities={1: np.full(2, 0.5)},
         membership=np.array([[0.5, 0.5], [1.0, 0.0]]),  # p_1 = 1 on the donor row
     )
-    with pytest.raises(DivisionError, match="overlap"):
+    with pytest.raises(DivisionError, match="^membership probability for center site-b is 1 "
+                                             r"at donor row 1 \(no overlap\)$"):
         estimate_chi(d, 1, 1, cfg=None, nuisances=nuis)
 
 
@@ -523,8 +530,11 @@ def test_chi_batched_donor_fits_match_one_pool_at_a_time(m):
         assert rec.value == pytest.approx(want.value, rel=1e-12, abs=0.0)
         np.testing.assert_allclose(rec.influence, want.influence, rtol=0.0,
                                    atol=1e-12 * np.abs(want.influence).max())
-    # one all-centers prediction per arm, not one fit per donor pool
-    assert sorted(key[3] for key in d._fits if key[0] in ("outcome", "donor outcome")) == [0, 1]
+    # each arm's per-center R factors, not one fit per donor pool; the memo
+    # keeps no n-row donor prediction: the membership model's is its only one
+    assert sorted(key[2] for key in d._fits if key[0] == "outcome cells") == [0, 1]
+    assert [key[0] for key, value in d._fits.items()
+            if getattr(value, "shape", ())[:1] == (d.n,)] == ["membership"]
 
 
 @pytest.mark.parametrize("outside", [2.5, 1.0, -1.0])
@@ -699,6 +709,45 @@ def test_center_contrasts_are_slices_of_per_center_estimates():
                 assert (rec.estimator, rec.arms) == (want.estimator, want.arms)
                 assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
                 assert rec.influence.tobytes() == want.influence.tobytes()
+
+
+def test_blocked_all_centers_pass_matches_per_center_estimates():
+    # n = 30 000 runs the m = 10 centers in blocks of 8 and 2
+    d = random_dataset(np.random.default_rng(11), n=30_000, m=10)
+    assert estimators_module._INFORMATION_BLOCK_VALUES // d.n == 8
+    cfg = simple_config()
+    per_center = dataclasses.replace(d)  # its own fits, shared by its centers
+    for estimator in MEANS:
+        for arms in ((1,), (0,), (1, 0), (0, 1)):
+            if len(arms) == 1:
+                records = estimators_module._estimates(d, estimator, range(1, d.m + 1), arms, cfg)
+            else:
+                records = center_contrasts(d, estimator, *arms, cfg)
+            assert [rec.center for rec in records] == list(range(1, d.m + 1))
+            for c, rec in enumerate(records, start=1):
+                if len(arms) == 1:
+                    want = estimate_mean(per_center, estimator, c, *arms, cfg)
+                else:
+                    want = estimate_contrast(per_center, estimator, c, *arms, cfg)
+                assert np.float64(rec.value).tobytes() == np.float64(want.value).tobytes()
+                assert rec.influence.tobytes() == want.influence.tobytes()
+
+
+def test_chi_pass_memory_stays_below_its_output_and_one_block():
+    # with the dataset's fits in place, chi's pass holds its (n, m) output
+    # and one block's temporaries of (n, 2) values; it measured 2.09 (n, m)
+    # matrices (5.40 before the centers ran in blocks), and the bound leaves
+    # a 20% margin
+    d = generate_dataset(Scenario.strong(n=100_000), seed=3)
+    cfg = default_nuisance_configs(d.covariate_names)["chi"]
+    center_contrasts(d, "chi", 1, 0, cfg)
+    tracemalloc.start()
+    try:
+        center_contrasts(d, "chi", 1, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * d.n * d.m * 8
 
 
 @pytest.mark.parametrize("estimator", ["tau", "phi"])

@@ -26,6 +26,7 @@ from centereffects import (
     NuisanceConfig,
     ParameterError,
     PositivityError,
+    Scenario,
     SpecError,
     TestError,
     add_interval,
@@ -42,6 +43,7 @@ from centereffects import (
     estimate_tau,
     fit_ols,
     from_arrays,
+    generate_dataset,
     homogeneity_test,
     normal_quantile,
     se_from_influence,
@@ -174,15 +176,44 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
     records = estimate_effects(d, estimators, (1, 0), configs)
     assert len(multinomial) == 1
     assert len(logistic) == 1 + d.m  # shared all-rows fit + chi's donor fits
+    # the records leave their influence columns behind; center_contrasts gives
+    # them again from the dataset's fits, with no further fit
+    again = {est: center_contrasts(d, est, 1, 0, configs.get(est)) for est in estimators}
+    assert (len(multinomial), len(logistic)) == (1, 1 + d.m)
 
     fresh = dataclasses.replace(d)  # its own fits: an independent computation
     for est in estimators:
         got = [rec for rec in records if rec.estimator == est]
         want = center_contrasts(fresh, est, 1, 0, configs.get(est))
         assert len(got) == len(want) == d.m
-        for g, w in zip(got, want):
-            assert np.float64(g.value).tobytes() == np.float64(w.value).tobytes()
-            assert g.influence.tobytes() == w.influence.tobytes()
+        for g, a, w in zip(got, again[est], want):
+            with_interval = add_interval(w)
+            for field in ("value", "se", "ci_low", "ci_high"):
+                assert (np.float64(getattr(g, field)).tobytes()
+                        == np.float64(getattr(with_interval, field)).tobytes())
+            assert a.influence.tobytes() == w.influence.tobytes()
+
+
+def test_estimate_effects_keeps_no_per_row_array_it_does_not_read():
+    # the influence columns go once the SE is attached, and chi's donor pools
+    # keep their fits and R factors, not a prediction on every row
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    records = estimate_effects(d, ["tau", "phi", "psi", "chi", "pooled"], (1, 0), configs)
+    assert len(records) == 5 * d.m and all(rec.influence is None for rec in records)
+    per_row = [key for key, value in d._fits.items() if getattr(value, "shape", ())[:1] == (d.n,)]
+    assert {key[0] for key in per_row} == {"outcome", "treatment", "membership"}
+    assert all(key[2] is None for key in per_row)  # no donor pool's
+    assert sum(key[0] == "treatment" and key[2] is not None for key in d._fits) == d.m
+
+
+def test_estimate_effects_checks_each_request_once(monkeypatch):
+    # one cell table per mean estimator, from the check before the first fit
+    d = generate_dataset(Scenario.strong(), seed=1)
+    configs = default_nuisance_configs(d.covariate_names)
+    counts = _count_calls(monkeypatch, estimators_module, "cell_counts")
+    estimate_effects(d, ["tau", "phi", "psi", "chi", "pooled", "fe1", "fe2"], (1, 0), configs)
+    assert len(counts) == 4
 
 
 @pytest.mark.parametrize("estimator", ["psi", "chi"])
