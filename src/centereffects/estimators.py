@@ -456,7 +456,8 @@ class FixedNuisances:
 def _check_request(data, estimator, centers, arms, cfg, variant):
     """Check a request for ``estimator``'s means in ``centers`` under ``arms``
     (one arm, or two different ones) and return both as integers; a cell error
-    names the first failing (center, arm), center by center, by its label."""
+    names the first failing (center, arm), center by center, by its label.
+    ``cfg``, when given, must specify each model ``_means`` reads."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
@@ -485,9 +486,17 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
                 raise PositivityError(f"donor pool of center {label} has no rows in arm {a}")
             if count == 0 and estimator != "psi":
                 raise PositivityError(f"empty cell: center {label}, arm {a}", cells=[(c, a)])
-    if (estimator == "chi" or estimator != "tau" and variant != "om") and set(data.arms) != {0, 1}:
+    reads = {  # the models _means reads; known arm probabilities are a treatment model
+        "outcome": estimator == "chi" or estimator != "tau" and variant != "ipw",
+        "treatment": estimator == "chi" or estimator != "tau" and variant != "om",
+        "membership": data.m > 1 and (estimator == "chi" or estimator == "psi" and variant != "om"),
+    }
+    if reads["treatment"] and set(data.arms) != {0, 1}:
         if isinstance(getattr(cfg, "treatment_spec", None), DesignSpec):  # fitted, not known
             raise SpecError("fitted treatment models require arms coded {0,1}")
+    for model, read in reads.items():
+        if read and cfg is not None and getattr(cfg, f"{model}_spec") is None:
+            raise ConfigError(f"{model} model specification missing")
     return centers, arms
 
 

@@ -141,10 +141,9 @@ def _check_estimators(estimators, arms):
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     """Interval-carrying contrast records for every requested estimator and center.
 
-    The whole request, the comparators' data first, is checked before
-    anything is fitted, except a model spec missing from a configuration,
-    which is found when that model is first fitted. Every estimator gives one
-    record per center 1..m. A comparator's one number, its sign flipped when
+    The whole request, the comparators' data first and each model spec a
+    configuration must hold, is checked before anything is fitted. Every
+    estimator gives one record per center 1..m. A comparator's one number, its sign flipped when
     ``arms`` is (0, 1), is repeated in every center; any other estimator uses
     ``configs[estimator]`` as its nuisance configuration. All estimators
     share the dataset's fits, so a nuisance model that several configurations

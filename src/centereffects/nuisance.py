@@ -171,6 +171,8 @@ def _solve_upper(R, B):
 
 
 def _warn_dropped(dropped, column_names, model):
+    """Warn of aliased columns, pointing at the caller of the fit that calls
+    ``_least_squares`` or ``_newton``, the two callers of this function."""
     if len(dropped) == 0:
         return
     if column_names:
@@ -180,8 +182,23 @@ def _warn_dropped(dropped, column_names, model):
     warnings.warn(
         f"{model}: dropped aliased design column(s) {what}",
         AliasedColumnsWarning,
-        stacklevel=3,
+        stacklevel=4,
     )
+
+
+def _fit_data(design, response, model, name="y", dtype=np.float64):
+    """A fit's design as a float64 matrix and its response as an array, checked:
+    the design is 2-D with rows, and the response has one entry per row."""
+    X = np.asarray(design, dtype=np.float64)
+    response = np.asarray(response, dtype=dtype)
+    if X.ndim != 2:
+        raise ShapeError("design must be 2-dimensional")
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyFitError(f"cannot fit a {model} model on zero rows")
+    if response.shape != (n,):
+        raise ShapeError(f"{name} has shape {response.shape}, expected ({n},)")
+    return X, response
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +220,16 @@ class LinearFit:
     unscaled_variance: np.ndarray = field(default=None, repr=False)
 
 
-def _least_squares(M, b, n, rss0=0.0, column_names=None):
-    """min ‖b − Mβ‖ by pivoted QR, for a problem of ``n`` data rows.
+def _least_squares(M, b, n=None, rss0=0.0, column_names=None):
+    """min ‖b − Mβ‖ by pivoted QR, for a problem of ``n`` data rows (default:
+    M's rows); zero rows raise EmptyFitError, and aliased columns warn.
 
     M and b are the design and outcome themselves, or stacked R factors and
     Qᵀy whose other rows left the residual sum of squares ``rss0``.
     """
+    n = len(M) if n is None else n
+    if n == 0:
+        raise EmptyFitError("cannot fit a linear model on zero rows")
     p = M.shape[1]
     names = tuple(column_names or ())
     if p == 0:
@@ -223,9 +244,11 @@ def _least_squares(M, b, n, rss0=0.0, column_names=None):
         unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)
 
     resid = b - M @ coef
+    dropped = tuple(sorted(int(j) for j in piv[rank:]))
+    _warn_dropped(dropped, column_names, "fit_ols")
     return LinearFit(
         coefficients=coef,
-        dropped_columns=tuple(sorted(int(j) for j in piv[rank:])),
+        dropped_columns=dropped,
         rss=rss0 + float(resid @ resid),
         df_residual=n - rank,
         column_names=names,
@@ -241,18 +264,7 @@ def fit_ols(design, y, column_names=None):
     rank tolerance is diag(R)[0]·max(n, p)·eps on the pivoted R of the design.
     ``fit_ols_cells`` solves the same problem from per-cell R factors.
     """
-    X = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyFitError("cannot fit a linear model on zero rows")
-    if y.shape != (n,):
-        raise ShapeError(f"y has shape {y.shape}, expected ({n},)")
-    fit = _least_squares(X, y, n, column_names=column_names)
-    _warn_dropped(fit.dropped_columns, column_names, "fit_ols")
-    return fit
+    return _least_squares(*_fit_data(design, y, "linear"), column_names=column_names)
 
 
 @dataclass(frozen=True)
@@ -279,16 +291,9 @@ class CellFactors:
 
 def factor_cells(design, y, cells):
     """CellFactors of the rows of ``design`` and ``y``, split by the labels ``cells``."""
-    X = np.asarray(design, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    cells = np.asarray(cells)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n, p = X.shape
-    if y.shape != (n,) or cells.shape != (n,):
-        raise ShapeError(f"y and cells must have shape ({n},)")
-    if n == 0:
-        raise EmptyFitError("cannot fit a linear model on zero rows")
+    X, y = _fit_data(design, y, "linear")
+    cells = _fit_data(X, cells, "linear", "cells", None)[1]
+    p = X.shape[1]
     labels, inverse, rows = np.unique(cells, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")
     R, qty, rss = [], [], np.zeros(len(labels))
@@ -331,15 +336,8 @@ def fit_ols_cells(factors, leave_out=None, column_names=None):
     take = stacked = slice(None)
     if leave_out is not None:
         take, stacked = factors.labels != leave_out, factors.cell != leave_out
-    n = int(factors.rows[take].sum())
-    if n == 0:
-        raise EmptyFitError("cannot fit a linear model on zero rows")
-    fit = _least_squares(
-        factors.R[stacked], factors.qty[stacked], n, float(factors.rss[take].sum()),
-        column_names,
-    )
-    _warn_dropped(fit.dropped_columns, column_names, "fit_ols")
-    return fit
+    return _least_squares(factors.R[stacked], factors.qty[stacked], int(factors.rows[take].sum()),
+                          float(factors.rss[take].sum()), column_names)
 
 
 def leave_one_out_coefficients(factors, leave_out, column_names=None):
@@ -447,13 +445,15 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     |ll|; halving on a smaller fall makes the coefficients depend on the row
     order.
 
-    Per-category arrays are category-major: the predictors η, the
-    probabilities P and the indicators Y of categories 2..m are (m − 1, n),
-    so every softmax pass and the Z build run along the n rows. The
-    information matrix is blockdiag_j(Xᵀ diag(P_j) X) − ZZᵀ, where P_j is
-    category j's probability and Z[(j, a), i] = P[j, i] X[i, a]; the score
-    is (Y − P) X. The information is summed over blocks of data rows, about
-    2 MiB of Z each, bounding its memory.
+    Per-category arrays are category-major: the predictors η and the
+    probabilities P of categories 2..m are (m − 1, n), so every softmax pass
+    and the Z build run along the n rows. The information matrix is
+    blockdiag_j(Xᵀ diag(P_j) X) − ZZᵀ, where P_j is category j's probability
+    and Z[(j, a), i] = P[j, i] X[i, a]; the score is (Y − P) X for the
+    indicators Y of categories 2..m, formed as 0 − P plus 1 at each row's
+    observed category (1 − p rounds as −p + 1 does), so Y is never built. The
+    information is summed over blocks of data rows, about 2 MiB of Z each,
+    bounding its memory.
 
     Separation ends the fit with a SeparationWarning and converged=False: a
     coefficient above 1e3 in absolute value stops the iteration, and an
@@ -469,18 +469,16 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     XkT = np.ascontiguousarray(X[:, keep].T)  # (k, n)
     q = m - 1
 
-    # indicator matrix for categories 2..m; ``chosen`` flat-indexes its ones, in row order
+    # flat (m − 1, n) indices of each row's observed category 2..m, in row order
     nonref = np.flatnonzero(cat > 1)
     chosen = (cat[nonref] - 2) * n + nonref
-    Y = np.zeros((q, n))
-    Y.ravel()[chosen] = 1.0
 
-    def softmax_loglik(eta):  # probabilities of categories 2..m, ll and its sums' size S
+    def softmax_loglik(eta):  # η turned in place into P of categories 2..m, ll and S
+        picked = eta.ravel()[chosen]
         shift = np.maximum(eta.max(axis=0), 0.0)
-        P = np.exp(eta - shift)
+        P = np.exp(np.subtract(eta, shift, out=eta), out=eta)
         denom = np.exp(-shift) + P.sum(axis=0)
         P /= denom
-        picked = eta.ravel()[chosen]
         log_norm = (shift + np.log(denom)).sum()  # each term ≥ 0: the reference's η is 0
         return P, float(picked.sum() - log_norm), float(np.abs(picked).sum() + log_norm)
 
@@ -494,7 +492,10 @@ def _newton(X, cat, m, max_iter, score_tol, column_names, model):
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        score = ((Y - P) @ XkT.T).ravel()  # (q*k,)
+        residual = 0.0 - P  # Y − P; 0 − p keeps Y − P's +0 where p is 0
+        residual.ravel()[chosen] += 1.0
+        score = (residual @ XkT.T).ravel()  # (q*k,)
+        del residual  # not held through the information build and the halvings
         if np.max(np.abs(score), initial=0.0) < score_tol:
             converged = True
             iterations -= 1
@@ -565,15 +566,7 @@ def fit_logistic(design, y, max_iter=100, column_names=None):
     is 1e-8. A separated fit issues a SeparationWarning and is returned with
     separated=True and converged=False.
     """
-    X = np.asarray(design, dtype=np.float64)
-    yv = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyFitError("cannot fit a logistic model on zero rows")
-    if yv.shape != (n,):
-        raise ShapeError(f"y has shape {yv.shape}, expected ({n},)")
+    X, yv = _fit_data(design, y, "logistic")
     if not np.all((yv == 0.0) | (yv == 1.0)):
         raise ShapeError("logistic outcome must be coded 0/1")
     if yv.min() == yv.max():
@@ -592,15 +585,7 @@ def fit_multinomial(design, category, max_iter=200, column_names=None):
     issues a SeparationWarning and is returned with separated=True and
     converged=False.
     """
-    X = np.asarray(design, dtype=np.float64)
-    cat = np.asarray(category)
-    if X.ndim != 2:
-        raise ShapeError("design must be 2-dimensional")
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyFitError("cannot fit a multinomial model on zero rows")
-    if cat.shape != (n,):
-        raise ShapeError(f"category has shape {cat.shape}, expected ({n},)")
+    X, cat = _fit_data(design, category, "multinomial", "category", None)
     cat = _as_int_1d(cat, "category")
     if cat.min() < 1:
         low = np.unique(cat[cat < 1]).tolist()

@@ -290,15 +290,17 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
 @pytest.mark.parametrize("case, error, message", [
     ("empty cell", PositivityError, "empty cell: center 3, arm 1"),
     ("missing configuration", ConfigError, "nuisance configuration required"),
+    ("missing treatment spec", ConfigError, "treatment model specification missing"),
     ("alpha 2", ParameterError, r"alpha must lie in \(0,1\), got 2"),
     ("alpha 'a'", ParameterError, r"alpha must lie in \(0,1\), got a"),
     ("three arms", SpecError, r"fitted treatment models require arms coded \{0,1\}"),
     ("one arm-0 row", InsufficientDataError, "comparators need at least 2 rows in arm 0"),
-], ids=["empty-cell", "missing-config", "alpha-2", "alpha-string", "fitted-treatment-three-arms",
+], ids=["empty-cell", "missing-config", "missing-treatment-spec", "alpha-2", "alpha-string", "fitted-treatment-three-arms",
         "comparator-one-arm-0-row"])
 def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case, error, message):
     # phi's fault is found before psi's and chi's models are fitted, a fitted
-    # treatment model's arm coding and a comparator's data before psi's
+    # treatment model's arm coding and a comparator's data before psi's, and a
+    # model spec that phi reads but its configuration lacks before psi's
     d = three_center_data()
     configs = default_nuisance_configs(d.covariate_names)
     estimators, arms = ["psi", "chi", "phi"], (1, 0)
@@ -307,6 +309,9 @@ def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case,
         d = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
     if case == "missing configuration":
         del configs["phi"]
+    if case == "missing treatment spec":
+        configs["phi"] = dataclasses.replace(configs["phi"], treatment_spec=None)
+        estimators = ["psi", "phi"]
     if case == "three arms":
         d = from_arrays(d.covariates, d.center, np.tile([0, 1, 2], d.n // 3), d.outcome)
         estimators, arms = ["psi"], (2, 1)
@@ -339,6 +344,29 @@ def test_only_a_fitted_treatment_model_needs_arms_0_and_1(monkeypatch):
         [[0.3, 0.3, 0.4]], arms=(0, 1, 2)))
     for estimator, variant, config in [("phi", "om", cfg), ("psi", "om", cfg), ("psi", "dr", known)]:
         assert np.isfinite(estimate_mean(d, estimator, 1, 2, config, variant).value)
+
+
+def test_a_configuration_needs_only_the_specs_its_estimate_reads(monkeypatch):
+    # a spec the estimate reads is refused before any fit, one it does not
+    # read may be missing, and known arm probabilities are a treatment model
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["psi"]
+    fits = [_count_calls(monkeypatch, estimators_module, name)
+            for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
+    for estimator, variant, model in [("phi", "dr", "outcome"), ("phi", "ipw", "treatment"),
+                                      ("psi", "om", "outcome"), ("psi", "ipw", "membership"),
+                                      ("chi", "om", "treatment"), ("chi", "dr", "membership")]:
+        config = dataclasses.replace(cfg, **{f"{model}_spec": None})
+        with pytest.raises(ConfigError, match=f"^{model} model specification missing$"):
+            estimate_mean(d, estimator, 1, 1, config, variant)
+    assert fits == [[], [], [], []]
+    for estimator, variant, unread in [("phi", "dr", ["membership"]), ("phi", "om", ["treatment"]),
+                                       ("phi", "ipw", ["outcome"]), ("psi", "ipw", ["outcome"]),
+                                       ("psi", "om", ["treatment", "membership"])]:
+        config = dataclasses.replace(cfg, **{f"{model}_spec": None for model in unread})
+        assert np.isfinite(estimate_mean(d, estimator, 1, 1, config, variant).value)
+    known = dataclasses.replace(cfg, treatment_spec=KnownProbabilities.constant(0.5))
+    assert np.isfinite(estimate_mean(d, "chi", 1, 1, known).value)
 
 
 def test_bootstrap_checks_alpha_before_resampling(monkeypatch):

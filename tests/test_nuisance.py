@@ -193,6 +193,17 @@ def test_ols_aliased_column_dropped():
     np.testing.assert_allclose(predict(fit, X), X[:, keep] @ direct.coefficients, atol=1e-10)
 
 
+@pytest.mark.parametrize("fit", [fit_ols, fit_logistic, fit_multinomial])
+def test_aliased_column_warning_points_at_the_fits_caller(fit):
+    # like the separation and convergence warnings, it names the line that
+    # called the fit, not a line of nuisance.py
+    X, cat = _multinomial_sample(np.random.default_rng(8), 200, 2, 2)
+    X = np.column_stack([X, 2.0 * X[:, 1]])
+    with pytest.warns(AliasedColumnsWarning) as caught:
+        fit(X, cat - 1.0 if fit is fit_logistic else cat)
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_ols_matches_lstsq_and_orthogonal_residuals():
     rng = np.random.default_rng(11)
     for _ in range(30):
@@ -695,6 +706,22 @@ def test_multinomial_memory_stays_below_one_unblocked_z():
         tracemalloc.stop()
     assert fit.converged
     assert peak < n * (m - 1) * k * 8
+
+
+def test_multinomial_working_set_stays_below_four_probability_matrices():
+    # psi's membership fit at the benchmark's n = 1e5, m = 10 with four design
+    # columns: P, the next step's P and the score's Y − P are each (m − 1, n);
+    # it measured 3.41 such matrices (6.09 with a dense indicator matrix Y)
+    n, m = 100_000, 10
+    X, cat = _multinomial_sample(np.random.default_rng(7), n, m, 4)
+    tracemalloc.start()
+    try:
+        fit = fit_multinomial(X, cat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fit.converged
+    assert peak < 4 * n * (m - 1) * 8
 
 
 def test_reference_softmax_by_hand():
