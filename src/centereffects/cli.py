@@ -20,9 +20,10 @@ from pathlib import Path
 
 from .dataset import load_csv, cell_counts
 from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
-from .estimators import COMPARATORS, MEAN_ESTIMATORS, _check_request, _coerce_spec
+from .estimators import COMPARATORS, MEAN_ESTIMATORS, _coerce_spec
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
+    _homogeneity_request,
     ancova_center_outcome_test,
     default_assumption_specs,
     estimate_effects,
@@ -308,7 +309,7 @@ def cmd_check_assumptions(cfg, outdir):
         cfg["extended_spec"] = list(extended.terms)
 
     for est in estimators:  # every homogeneity request is checked before the ANCOVA's fits
-        _check_request(data, est, range(1, data.m + 1), (a, a_prime), configs.get(est), "dr")
+        _homogeneity_request(data, est, a, a_prime, configs.get(est))
     tests = []
     ancova = ancova_center_outcome_test(data, base, extended)
     entry = ancova.to_dict()

@@ -481,7 +481,8 @@ def cell_counts(data, arms=None):
 def validate_positivity(data, arms=None):
     """Check every (center, arm) cell is nonempty; return the counts table.
 
-    Raises PositivityError listing the empty (center, arm) pairs otherwise.
+    Raises PositivityError listing the empty (center, arm) pairs otherwise,
+    each center by its label in the message and by its id in ``cells``.
     """
     table = cell_counts(data, arms=arms)
     empty = [
@@ -491,6 +492,6 @@ def validate_positivity(data, arms=None):
         if table.counts[c, j] == 0
     ]
     if empty:
-        pairs = ", ".join(f"(center {c}, arm {a})" for c, a in empty)
+        pairs = ", ".join(f"(center {data.center_labels[c - 1]}, arm {a})" for c, a in empty)
         raise PositivityError(f"empty treatment cells: {pairs}", cells=empty)
     return table

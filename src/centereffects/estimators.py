@@ -20,6 +20,7 @@ and ``estimate_effects`` drops it once the SE is attached.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -455,9 +456,11 @@ class FixedNuisances:
 
 def _check_request(data, estimator, centers, arms, cfg, variant):
     """Check a request for ``estimator``'s means in ``centers`` under ``arms``
-    (one arm, or two different ones) and return both as integers; a cell error
-    names the first failing (center, arm), center by center, by its label.
-    ``cfg``, when given, must specify each model ``_means`` reads."""
+    (one arm, or two different ones) and return its pass, the one way into the
+    kernel: ``_estimates`` of the checked request, called with an optional
+    nuisance bundle. A cell error names the first failing (center, arm), center
+    by center, by its label; chi's fitted treatment model needs both arms in
+    each donor pool. ``cfg``, when given, must specify each model ``_means`` reads."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
@@ -472,13 +475,17 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
         raise NoDonorError("transport estimator needs at least two centers")
     if estimator in ("psi", "chi") and cfg is not None:
         _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    counts = cell_counts(data, arms).counts
+    fitted = isinstance(getattr(cfg, "treatment_spec", None), DesignSpec)  # not known probabilities
+    checked = arms  # chi's fitted donor treatment models need both arms in each pool
+    if estimator == "chi" and fitted and len(arms) == 1 and set(data.arms) == {0, 1}:
+        checked = arms + tuple({0, 1} - set(arms))  # a contrast has both already
+    counts = cell_counts(data, checked).counts
     if estimator == "chi":  # each arm's rows outside each center
         counts = counts.sum(axis=0) - counts
     for c in centers:
         if not 1 <= c <= data.m:
             raise ParameterError(f"center {c} outside 1..{data.m}")
-        for a, count in zip(arms, counts[c - 1]):
+        for a, count in zip(checked, counts[c - 1]):
             if a not in data.arms:
                 raise ParameterError(f"arm {a} not present in data (arms: {data.arms})")
             label = data.center_labels[c - 1]
@@ -491,13 +498,12 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
         "treatment": estimator == "chi" or estimator != "tau" and variant != "om",
         "membership": data.m > 1 and (estimator == "chi" or estimator == "psi" and variant != "om"),
     }
-    if reads["treatment"] and set(data.arms) != {0, 1}:
-        if isinstance(getattr(cfg, "treatment_spec", None), DesignSpec):  # fitted, not known
-            raise SpecError("fitted treatment models require arms coded {0,1}")
+    if reads["treatment"] and fitted and set(data.arms) != {0, 1}:
+        raise SpecError("fitted treatment models require arms coded {0,1}")
     for model, read in reads.items():
         if read and cfg is not None and getattr(cfg, f"{model}_spec") is None:
             raise ConfigError(f"{model} model specification missing")
-    return centers, arms
+    return functools.partial(_estimates, data, estimator, centers, arms, cfg, variant)
 
 
 def _check_comparator_data(data):
@@ -616,15 +622,9 @@ def _means(data, estimator, centers, a, variant, nuis):
     return _weighted_means(data, centers, ghat, weights)
 
 
-def _estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
-    """``_unchecked_estimates`` of a request checked before anything is fitted."""
-    centers, arms = _check_request(data, estimator, centers, arms, cfg, variant)
-    return _unchecked_estimates(data, estimator, centers, arms, cfg, variant, nuisances)
-
-
-def _unchecked_estimates(data, estimator, centers, arms, cfg, variant="dr", nuisances=None):
+def _estimates(data, estimator, centers, arms, cfg, variant, nuisances=None):
     """Mean (one arm) or contrast (two arms) records for the consecutive
-    ``centers`` of a checked request.
+    ``centers`` of a request; ``_check_request`` alone calls it.
 
     One nuisance bundle (``nuisances``, else one fit from ``cfg`` with the
     dataset's fits) serves every center and arm. The centers run in blocks of
@@ -662,7 +662,7 @@ def estimate_mean(data, estimator, c, a, cfg=None, variant="dr", nuisances=None)
     ``variant`` applies to phi and psi only; tau and chi ignore it. Without
     ``nuisances``, the nuisance models are fit from ``cfg``.
     """
-    return _estimates(data, estimator, [c], [a], cfg, variant, nuisances)[0]
+    return _check_request(data, estimator, [c], [a], cfg, variant)(nuisances)[0]
 
 
 def estimate_tau(data, c, a):
@@ -707,7 +707,7 @@ def estimate_chi(data, c, a, cfg, nuisances=None):
 
 def estimate_contrast(data, estimator, c, a, a_prime, cfg=None, variant="dr", nuisances=None):
     """Center-specific average treatment effect: mean(c, a) − mean(c, a′)."""
-    return _estimates(data, estimator, [c], [a, a_prime], cfg, variant, nuisances)[0]
+    return _check_request(data, estimator, [c], [a, a_prime], cfg, variant)(nuisances)[0]
 
 
 def center_contrasts(data, estimator, a, a_prime, cfg=None):
@@ -717,7 +717,7 @@ def center_contrasts(data, estimator, a, a_prime, cfg=None):
     bit for bit: both come from the same computation, and errors name the
     first failing (center, arm) in center-major order.
     """
-    return _estimates(data, estimator, range(1, data.m + 1), [a, a_prime], cfg)
+    return _check_request(data, estimator, range(1, data.m + 1), [a, a_prime], cfg, "dr")()
 
 
 def estimate_comparators(data, which, covariates=None):

@@ -32,9 +32,6 @@ from .estimators import (
     MEAN_ESTIMATORS,
     _check_comparator_data,
     _check_request,
-    _estimates,
-    _unchecked_estimates,
-    center_contrasts,
     estimate_comparators,
 )
 from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
@@ -154,13 +151,13 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
     if set(estimators) & set(COMPARATORS):
         _check_comparator_data(data)
-    requests = {}
+    passes = {}
     for estimator in [e for e in estimators if e in MEAN_ESTIMATORS]:
         cfg = configs.get(estimator)
         if estimator != "tau" and cfg is None:
             raise ConfigError("nuisance configuration required")
-        requests[estimator] = _check_request(data, estimator, range(1, data.m + 1),
-                                             (a, a_prime), cfg, "dr")
+        passes[estimator] = _check_request(data, estimator, range(1, data.m + 1),
+                                           (a, a_prime), cfg, "dr")
     records = []
     for estimator in estimators:
         if estimator in COMPARATORS:
@@ -171,8 +168,7 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
             records.extend(dataclasses.replace(rec, center=c) for c in range(1, data.m + 1))
         else:  # the (n, m) influence columns go before the next estimator's pass
             records.extend(dataclasses.replace(add_interval(rec, alpha=alpha), influence=None)
-                           for rec in _unchecked_estimates(data, estimator, *requests[estimator],
-                                                           configs.get(estimator)))
+                           for rec in passes[estimator]())
     return records
 
 
@@ -212,14 +208,14 @@ def bootstrap_se(data, estimator, c, arms, cfg=None, variant="dr", replicates=10
         raise ParameterError("bootstrap needs at least 2 replicates and a seed >= 0, got "
                              f"{replicates} and {seed}")
     normal_quantile(alpha)  # ParameterError before any resample
-    point = _estimates(data, estimator, [c], arms, cfg, variant)[0]
+    point = _check_request(data, estimator, [c], arms, cfg, variant)()[0]
     values = []
     failures = 0
     for r in range(replicates):
         rng = np.random.default_rng((seed, r))
         try:
             resampled = _resample(data, rng)
-            values.append(_estimates(resampled, estimator, [c], arms, cfg, variant)[0].value)
+            values.append(_check_request(resampled, estimator, [c], arms, cfg, variant)()[0].value)
         except (CenterEffectsError, np.linalg.LinAlgError):
             failures += 1
     if failures > 0.10 * replicates:
@@ -237,6 +233,17 @@ def bootstrap_se(data, estimator, c, arms, cfg=None, variant="dr", replicates=10
 # ---------------------------------------------------------------------------
 
 
+def _homogeneity_request(data, estimator, a, a_prime, cfg):
+    """The pass of a homogeneity test's m center contrasts, its request checked
+    (m >= 2; tau, phi or psi; then the estimator's own checks)."""
+    if data.m < 2:
+        raise InsufficientDataError("homogeneity test needs at least 2 centers")
+    if estimator not in HOMOGENEITY_ESTIMATORS:
+        raise ParameterError(f"homogeneity test supports {', '.join(HOMOGENEITY_ESTIMATORS)} "
+                             f"(got {estimator!r})")
+    return _check_request(data, estimator, range(1, data.m + 1), (a, a_prime), cfg, "dr")
+
+
 def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     """Omnibus Wald test that all center-specific contrasts are equal.
 
@@ -247,15 +254,7 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     of freedom. Tests of several estimators on one dataset share their
     common nuisance fits through the dataset.
     """
-    m = data.m
-    if m < 2:
-        raise InsufficientDataError("homogeneity test needs at least 2 centers")
-    if estimator not in HOMOGENEITY_ESTIMATORS:
-        raise ParameterError(
-            f"homogeneity test supports {', '.join(HOMOGENEITY_ESTIMATORS)} "
-            f"(got {estimator!r})"
-        )
-    records = center_contrasts(data, estimator, a, a_prime, cfg)
+    records = _homogeneity_request(data, estimator, a, a_prime, cfg)()
     deltas = np.array([rec.value for rec in records])
     influence = np.column_stack([rec.influence for rec in records])
     if not np.all(np.isfinite(influence)):
@@ -273,17 +272,13 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     try:
         solved = scipy.linalg.solve(M, diffs, assume_a="sym")
     except (scipy.linalg.LinAlgError, ValueError):
-        raise TestError(
-            "singular contrast covariance; consider collapsing small centers"
-        ) from None
+        solved = np.array([np.nan])
     if not np.all(np.isfinite(solved)):
-        raise TestError(
-            "singular contrast covariance; consider collapsing small centers"
-        )
+        raise TestError("singular contrast covariance; consider collapsing small centers")
     statistic = float(diffs @ solved)
     if statistic < 0.0:
         statistic = 0.0
-    df = m - 1
+    df = data.m - 1
     p = float(scipy.special.chdtrc(df, statistic))
     return TestResult(statistic=statistic, df=df, p_value=p, test="homogeneity_wald")
 

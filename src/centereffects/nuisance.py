@@ -143,7 +143,9 @@ def _pivoted_qr(X, n=None, b=None):
     rows, p = X.shape
     if X.size == 0:
         return None, None, np.arange(p), 0
-    qr, piv, tau = _lapack(dgeqp3, np.asarray_chkfinite(X))
+    # dgeqp3 factors in place: one Fortran copy of X, which f2py does not copy again
+    qr = np.array(np.asarray_chkfinite(X), dtype=np.float64, order="F")
+    qr, piv, tau = _lapack(dgeqp3, qr, overwrite_a=1)
     piv -= 1
     R = np.triu(qr[:p] if rows >= p else qr)
     qtb = None

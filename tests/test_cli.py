@@ -551,6 +551,21 @@ def test_check_assumptions_checks_every_request_before_the_ancova(tmp_path, caps
     assert calls == []
 
 
+def test_check_assumptions_on_one_center_fails_before_the_ancova(tmp_path, capsys, monkeypatch):
+    rng = np.random.default_rng(2)
+    data = ce.from_arrays(rng.normal(size=(40, 2)), np.ones(40, dtype=int), np.tile([0, 1], 20),
+                          rng.normal(size=40))
+    path = tmp_path / "one.csv"
+    ce.save_csv(data, path)
+    calls = []
+    for name in ("factor_cells", "fit_ols_cells"):
+        monkeypatch.setattr(inference_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    code = cli.main(["check-assumptions", "--input", str(path), "--output", str(tmp_path / "o")])
+    assert code == 2
+    assert stderr_payload(capsys)["message"] == "homogeneity test needs at least 2 centers"
+    assert calls == []
+
+
 BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
                          "VECLIB_MAXIMUM_THREADS")
 

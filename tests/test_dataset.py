@@ -542,6 +542,14 @@ def test_cell_counts_by_hand():
     assert table.arms == (0, 1)
 
 
+def test_validate_positivity_names_centers_by_label():
+    d = from_arrays([[0.0]] * 4, ["x", "x", "y", "y"], [0, 1, 1, 1], [1.0, 2.0, 3.0, 4.0])
+    message = r"^empty treatment cells: \(center y, arm 0\)$"
+    with pytest.raises(PositivityError, match=message) as info:
+        validate_positivity(d)
+    assert list(info.value.cells) == [(2, 0)]
+
+
 def test_validate_positivity_reports_empty_cells():
     d = from_arrays(
         covariates=[[0.0]] * 3,

@@ -422,6 +422,26 @@ def test_chi_empty_donor_arm():
         estimate_chi(d, 1, 1, simple_config())
 
 
+def test_chi_fitted_treatment_model_needs_both_arms_in_each_donor_pool(monkeypatch):
+    # only center A has arm-0 rows, so A's donor pool (B and C) has none and
+    # its treatment model cannot be fit: the request fails before any fit
+    rng = np.random.default_rng(3)
+    center = np.repeat(["A", "B", "C"], 20)
+    arm = np.where(center == "A", np.tile([0, 1], 30), 1)
+    d = from_arrays(rng.standard_normal((60, 2)), center, arm, rng.standard_normal(60))
+    cfg = default_nuisance_configs(d.covariate_names)["chi"]
+    calls = []
+    for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells"):
+        monkeypatch.setattr(estimators_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    with pytest.raises(PositivityError, match="^donor pool of center A has no rows in arm 0$"):
+        estimate_mean(d, "chi", 1, 1, cfg)
+    assert calls == []
+    monkeypatch.undo()
+    # known arm probabilities fit no treatment model: the pool needs arm 1 alone
+    known = dataclasses.replace(cfg, treatment_spec=KnownProbabilities.constant(0.5))
+    assert np.isfinite(estimate_mean(d, "chi", 1, 1, known).value)
+
+
 def test_chi_overlap_violation():
     d = from_arrays([[0.0]] * 2, ["site-b", "site-a"], [1, 1], [0.0, 4.0])
     nuis = FixedNuisances(
@@ -720,7 +740,8 @@ def test_blocked_all_centers_pass_matches_per_center_estimates():
     for estimator in MEANS:
         for arms in ((1,), (0,), (1, 0), (0, 1)):
             if len(arms) == 1:
-                records = estimators_module._estimates(d, estimator, range(1, d.m + 1), arms, cfg)
+                records = estimators_module._check_request(d, estimator, range(1, d.m + 1),
+                                                           arms, cfg, "dr")()
             else:
                 records = center_contrasts(d, estimator, *arms, cfg)
             assert [rec.center for rec in records] == list(range(1, d.m + 1))

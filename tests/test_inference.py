@@ -657,7 +657,7 @@ def test_homogeneity_statistic_survives_outcome_scale_near_overflow():
 def test_homogeneity_rejects_non_finite_influence(monkeypatch):
     records = [SimpleNamespace(value=0.0, influence=np.array([1.0, -1.0, 0.0])),
                SimpleNamespace(value=1.0, influence=np.array([np.inf, 0.0, 1.0]))]
-    monkeypatch.setattr(inference_module, "center_contrasts", lambda *args: records)
+    monkeypatch.setattr(inference_module, "_homogeneity_request", lambda *args: lambda: records)
     with pytest.raises(TestError, match="non-finite influence"):
         homogeneity_test(SimpleNamespace(m=2, n=3), "tau", 1, 0)
 
@@ -865,7 +865,7 @@ def test_homogeneity_p_value_is_bitwise_chi2_sf(monkeypatch, m):
         influence[2 * j - 2:2 * j, j] = (1.0, -1.0)
     direction = np.concatenate([[0.0], np.random.default_rng(m).uniform(0.5, 2.0, m - 1)])
     records = []
-    monkeypatch.setattr(inference_module, "center_contrasts", lambda *args: records)
+    monkeypatch.setattr(inference_module, "_homogeneity_request", lambda *args: lambda: records)
     data = SimpleNamespace(m=m, n=n)
 
     def contrasts(scale):

@@ -274,6 +274,22 @@ def test_pivoted_qr_applies_q_transpose_only_on_request():
         assert no_q[3] == with_q[3] == min(shape[0], shape[1] - 1)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pivoted_qr_leaves_the_callers_array_unchanged(order):
+    # the factorization overwrites a copy of its own, and R and the pivots
+    # stay scipy.linalg.qr's bit for bit
+    rng = np.random.default_rng(44)
+    for shape in [(300, 6), (4, 7)]:
+        X = np.asarray(rng.standard_normal(shape), order=order)
+        X[:, -1] = X[:, 0]
+        before = X.copy(order=order)
+        _, R, piv, _ = _pivoted_qr(X, b=rng.standard_normal(shape[0]))
+        assert X.tobytes(order="A") == before.tobytes(order="A")
+        _, R_ref, piv_ref = scipy.linalg.qr(X, mode="economic", pivoting=True)
+        assert R.tobytes() == R_ref.tobytes()
+        assert piv.tolist() == piv_ref.tolist()
+
+
 def _ancova_design(rng):
     """A random ANCOVA extended design, with single-arm centers, one-row cells
     and covariates constant within a center."""

@@ -1,0 +1,106 @@
+"""Compare the command-line outputs of two checkouts byte for byte.
+
+Usage (from the repository root):
+
+    python3 tools/compare_outputs.py PARENT CHANGE [--scale tiny|full]
+
+PARENT and CHANGE are checkout roots. The benchmark's inputs, variants 0 and 1
+of each workload in ``perfbench/workloads.py`` at the chosen scale (default
+full), are written once. Then each checkout's CLI, imported from its own
+``src/``, runs every case:
+
+  * ``analyze`` with all seven estimators at arms 1,0 and at 0,1, and
+    ``check-assumptions``, on the analyze_large_n and many_centers CSVs;
+  * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1.
+
+A case is identical when both runs give the same exit code, the same stderr,
+the same stdout once each run's output directory is masked, and the same
+output files with the same bytes. The script names each case that differs and
+what differs, prints "N of M cases identical", and exits 0 only when every
+case is identical.
+"""
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import workloads  # noqa: E402
+
+ARMS = ("1,0", "0,1")
+
+
+def cases(inputs, scale):
+    """(case name, CLI arguments but --output) for every case; writes the inputs."""
+    estimators = ",".join(workloads.ALL_ESTIMATORS)
+    for variant in (0, 1):
+        for name, workload in sorted(workloads.WORKLOADS[scale].items()):
+            workdir = inputs / f"{name}-{variant}"
+            workload.make_inputs(workdir, variant)
+            prefix = f"{name} variant {variant}:"
+            if workload.kind == "study":
+                for arms in ARMS:
+                    yield (f"{prefix} simulate --arms {arms}",
+                           ["simulate", "--config", str(workdir / "study.json"), "--arms", arms])
+                continue
+            trial = str(workdir / "trial.csv")
+            for arms in ARMS:
+                yield (f"{prefix} analyze --arms {arms}",
+                       ["analyze", "--input", trial, "--estimators", estimators, "--arms", arms])
+            yield f"{prefix} check-assumptions", ["check-assumptions", "--input", trial]
+
+
+def run(tree, args, outdir, cwd):
+    """One CLI run from ``tree``'s src/: (exit code, stdout, stderr, {file: bytes}),
+    with the output directory masked in stdout and stderr."""
+    path = [str(tree / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-m", "centereffects.cli", *args,
+                           "--output", str(outdir)], env=env, cwd=cwd, capture_output=True)
+    mask = str(outdir).encode()
+    files = {p.relative_to(outdir).as_posix(): p.read_bytes()
+             for p in sorted(outdir.rglob("*")) if p.is_file()}
+    return (proc.returncode, proc.stdout.replace(mask, b"<output>"),
+            proc.stderr.replace(mask, b"<output>"), files)
+
+
+def differences(parent, change):
+    """What differs between two runs' results, as a list of words."""
+    found = [what for what, a, b in zip(("exit code", "stdout", "stderr"), parent, change)
+             if a != b]
+    files = sorted(set(parent[3]) | set(change[3]))
+    return found + [name for name in files if parent[3].get(name) != change[3].get(name)]
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path, help="root of the first checkout")
+    parser.add_argument("change", type=Path, help="root of the second checkout")
+    parser.add_argument("--scale", choices=sorted(workloads.WORKLOADS), default="full",
+                        help="workload sizes (default full)")
+    args = parser.parse_args(argv)
+    trees = [tree.resolve() for tree in (args.parent, args.change)]
+    for tree in trees:
+        if not (tree / "src" / "centereffects" / "cli.py").is_file():
+            parser.error(f"{tree} has no src/centereffects/cli.py")
+    identical = total = 0
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
+        work = Path(tmp)
+        for total, (name, cli_args) in enumerate(cases(work / "inputs", args.scale), start=1):
+            results = [run(tree, cli_args, work / side / str(total), work)
+                       for side, tree in zip(("a", "b"), trees)]
+            differ = differences(*results)
+            identical += not differ
+            if differ:
+                print(f"differs: {name}: {', '.join(differ)}")
+    print(f"{identical} of {total} cases identical")
+    return 0 if identical == total else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
