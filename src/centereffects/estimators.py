@@ -506,14 +506,6 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
     return functools.partial(_estimates, data, estimator, centers, arms, cfg, variant)
 
 
-def _check_comparator_data(data):
-    if set(data.arms) != {0, 1}:
-        raise ComparatorError("comparators require arms coded {0,1}")
-    for a in (0, 1):
-        if np.count_nonzero(data.arm == a) < 2:
-            raise InsufficientDataError(f"comparators need at least 2 rows in arm {a}")
-
-
 def _columns(values):
     """A per-row vector as an (n, 1) column; scalars and matrices pass through."""
     return values[:, None] if np.ndim(values) == 1 else values
@@ -720,21 +712,24 @@ def center_contrasts(data, estimator, a, a_prime, cfg=None):
     return _check_request(data, estimator, range(1, data.m + 1), [a, a_prime], cfg, "dr")()
 
 
-def estimate_comparators(data, which, covariates=None):
+def estimate_comparators(data, which):
     """OLS treatment-coefficient comparators reporting one number for all centers.
 
-    pooled: Y ~ 1 + A; fe1 adds center indicators; fe2 adds covariates and
-    center indicators. The influence field is empty; the standard error is
-    the homoskedastic OLS one.
+    pooled: Y ~ 1 + A; fe1 adds center indicators; fe2 adds every covariate
+    and center indicators. The data must have arms 0 and 1 only, each in at
+    least 2 rows; that is checked here, before the fit. The influence field is
+    empty; the standard error is the homoskedastic OLS one.
     """
     if which not in COMPARATORS:
         raise ParameterError(f"unknown comparator {which!r}; expected one of {COMPARATORS}")
-    if isinstance(covariates, str):
-        raise ParameterError(f"covariates must be a list of names, got the string {covariates!r}")
-    _check_comparator_data(data)
+    if set(data.arms) != {0, 1}:
+        raise ComparatorError("comparators require arms coded {0,1}")
+    for a in (0, 1):
+        if np.count_nonzero(data.arm == a) < 2:
+            raise InsufficientDataError(f"comparators need at least 2 rows in arm {a}")
     tokens = ["1", "A"]
     if which == "fe2":
-        tokens += list(covariates) if covariates is not None else list(data.covariate_names)
+        tokens += list(data.covariate_names)
     if which in ("fe1", "fe2"):
         tokens.append("C")
     X, names = build_design(DesignSpec(tokens), data)

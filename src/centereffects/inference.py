@@ -27,13 +27,7 @@ from .errors import (
     SpecError,
     TestError,
 )
-from .estimators import (
-    COMPARATORS,
-    MEAN_ESTIMATORS,
-    _check_comparator_data,
-    _check_request,
-    estimate_comparators,
-)
+from .estimators import COMPARATORS, MEAN_ESTIMATORS, _check_request, estimate_comparators
 from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
 
 HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
@@ -138,19 +132,19 @@ def _check_estimators(estimators, arms):
 def estimate_effects(data, estimators, arms, configs, alpha=0.05):
     """Interval-carrying contrast records for every requested estimator and center.
 
-    The whole request, the comparators' data first and each model spec a
-    configuration must hold, is checked before anything is fitted. Every
-    estimator gives one record per center 1..m. A comparator's one number, its sign flipped when
-    ``arms`` is (0, 1), is repeated in every center; any other estimator uses
-    ``configs[estimator]`` as its nuisance configuration. All estimators
-    share the dataset's fits, so a nuisance model that several configurations
-    specify alike is fit once. The records carry no influence columns: each
-    goes once its SE is attached (``center_contrasts`` keeps them).
+    The whole request, each model spec a configuration must hold included, is
+    checked before anything is fitted. Then the comparators run, each checking
+    its data before its fit: they read none of the dataset's fits, so their
+    designs are freed before those fits accumulate. Every estimator gives one
+    record per center 1..m, in the requested order. A comparator's one number,
+    its sign flipped when ``arms`` is (0, 1), is repeated in every center; any
+    other estimator uses ``configs[estimator]`` as its nuisance configuration.
+    All estimators share the dataset's fits, so a nuisance model that several
+    configurations specify alike is fit once. The records carry no influence
+    columns: each goes once its SE is attached (``center_contrasts`` keeps them).
     """
     estimators, (a, a_prime) = _check_estimators(estimators, arms)
     normal_quantile(alpha)  # ParameterError for an alpha outside (0, 1)
-    if set(estimators) & set(COMPARATORS):
-        _check_comparator_data(data)
     passes = {}
     for estimator in [e for e in estimators if e in MEAN_ESTIMATORS]:
         cfg = configs.get(estimator)
@@ -158,18 +152,17 @@ def estimate_effects(data, estimators, arms, configs, alpha=0.05):
             raise ConfigError("nuisance configuration required")
         passes[estimator] = _check_request(data, estimator, range(1, data.m + 1),
                                            (a, a_prime), cfg, "dr")
-    records = []
-    for estimator in estimators:
-        if estimator in COMPARATORS:
-            rec = estimate_comparators(data, estimator)
-            if (a, a_prime) == (0, 1):
-                rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
-            rec = add_interval(rec, alpha=alpha)
-            records.extend(dataclasses.replace(rec, center=c) for c in range(1, data.m + 1))
-        else:  # the (n, m) influence columns go before the next estimator's pass
-            records.extend(dataclasses.replace(add_interval(rec, alpha=alpha), influence=None)
-                           for rec in passes[estimator]())
-    return records
+    records = {}
+    for estimator in [e for e in estimators if e in COMPARATORS]:
+        rec = estimate_comparators(data, estimator)
+        if (a, a_prime) == (0, 1):
+            rec = dataclasses.replace(rec, value=-rec.value, arms=(0, 1))
+        rec = add_interval(rec, alpha=alpha)
+        records[estimator] = [dataclasses.replace(rec, center=c) for c in range(1, data.m + 1)]
+    for estimator, run in passes.items():  # the (n, m) influence columns go before the next pass
+        records[estimator] = [dataclasses.replace(add_interval(rec, alpha=alpha), influence=None)
+                              for rec in run()]
+    return [rec for estimator in estimators for rec in records[estimator]]
 
 
 # ---------------------------------------------------------------------------

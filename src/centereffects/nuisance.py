@@ -151,8 +151,8 @@ def _pivoted_qr(X, n=None, b=None):
     qtb = None
     if b is not None:
         reflectors = qr[:, :rows] if rows < p else qr
-        qtb = _lapack(dormqr, "L", "T", reflectors, tau,
-                      np.asarray_chkfinite(b)[:, None])[0][:len(tau), 0]
+        qtb = np.array(np.asarray_chkfinite(b), dtype=np.float64)[:, None]  # dormqr overwrites it
+        qtb = _lapack(dormqr, "L", "T", reflectors, tau, qtb, overwrite_c=1)[0][:len(tau), 0]
     diag = np.abs(np.diag(R))
     if diag[0] == 0.0:
         return qtb, R, piv, 0

@@ -428,7 +428,7 @@ def test_unknown_estimator_exits_1(tmp_path, capsys):
     ])
     assert code == 1
     payload = stderr_payload(capsys)
-    assert payload["error"] == "ConfigError"
+    assert payload["error"] == "ParameterError"  # a ConfigError: exit 1
     assert "bogus" in payload["message"]
 
 
@@ -522,6 +522,25 @@ def test_check_assumptions_custom_estimator_list(tmp_path):
     assert code == 0
     tests = read_report(outdir)["tests"]
     assert [t["estimator"] for t in tests] == [None, "tau"]
+
+
+@pytest.mark.parametrize("m, code, error, message", [
+    (2, 1, "ParameterError", "homogeneity test supports tau, phi, psi (got 'chi')"),
+    (1, 2, "InsufficientDataError", "homogeneity test needs at least 2 centers"),
+], ids=["two-centers", "one-center"])
+def test_check_assumptions_checks_estimator_names_with_the_homogeneity_request(
+        tmp_path, capsys, m, code, error, message):
+    # the library's homogeneity request rules name the estimators; on one
+    # center, tau's request fails first
+    rng = np.random.default_rng(12)
+    data = ce.from_arrays(rng.normal(size=(200, 2)), np.repeat(np.arange(1, m + 1), 200 // m),
+                          np.tile([0, 1], 100), rng.normal(size=200))
+    path = tmp_path / "trial.csv"
+    ce.save_csv(data, path)
+    assert cli.main(["check-assumptions", "--input", str(path), "--output", str(tmp_path / "o"),
+                     "--estimators", "tau,chi"]) == code
+    payload = stderr_payload(capsys)
+    assert (payload["error"], payload["message"]) == (error, message)
 
 
 def test_check_assumptions_outcome_fit_exactly_exits_3(tmp_path, capsys):

@@ -79,6 +79,7 @@ def random_dataset(rng, n=None, m=None):
 
 
 MEANS = ("tau", "phi", "psi", "chi")
+ALL_ESTIMATORS = MEANS + ("pooled", "fe1", "fe2")
 
 # invariance properties: few examples, small n, reproducible draws
 invariance_settings = settings(
@@ -98,11 +99,11 @@ def effect_dataset(seed, n, m):
 
 
 def effects(d, arms=(1, 0)):
-    """{(estimator, center): (value, se)} for tau/phi/psi/chi by estimate_effects."""
+    """{(estimator, center): (value, se)} for all seven estimators by estimate_effects."""
     configs = default_nuisance_configs(d.covariate_names)
     return {
         (rec.estimator, rec.center): (rec.value, rec.se)
-        for rec in estimate_effects(d, MEANS, arms, configs)
+        for rec in estimate_effects(d, ALL_ESTIMATORS, arms, configs)
     }
 
 
@@ -814,10 +815,13 @@ def test_fe2_uses_covariates():
     fe1 = estimate_comparators(d, "fe1")
     fe2 = estimate_comparators(d, "fe2")
     assert fe1.value != fe2.value  # covariates shift the fit on noisy data
-    sub = estimate_comparators(d, "fe2", covariates=["x1"])
-    assert sub.value != fe2.value
-    with pytest.raises(ParameterError, match="got the string 'x1'"):
-        estimate_comparators(d, "fe2", covariates="x1")
+
+
+def test_estimate_comparators_takes_no_covariate_subset():
+    # fe2 always adjusts for every covariate; a subset is fit_ols on build_design
+    d = random_dataset(np.random.default_rng(91), n=40, m=2)
+    with pytest.raises(TypeError, match="covariates"):
+        estimate_comparators(d, "fe2", covariates=["x1"])
 
 
 def test_comparator_aliased_arm():

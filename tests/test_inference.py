@@ -498,6 +498,54 @@ def test_estimate_effects_repeats_a_comparator_in_every_center(arms):
         assert (got[0].value, got[0].se, got[0].arms) == (sign * want.value, want.se, arms)
 
 
+def test_estimate_effects_runs_the_comparators_first_and_keeps_the_requested_order(monkeypatch):
+    # the comparators read none of the dataset's fits, so they fit before any
+    # mean-estimator model and their designs never stack on the memo
+    d = three_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    log = []
+
+    def logged(module, name):
+        original = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, **k: log.append(name) or original(*a, **k))
+
+    for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells",
+                 "leave_one_out_coefficients"):
+        logged(estimators_module, name)
+    logged(inference_module, "estimate_comparators")
+    requested = ["tau", "fe2", "phi", "pooled"]
+    records = estimate_effects(d, requested, (1, 0), configs)
+    assert log[:4] == ["estimate_comparators", "fit_ols"] * 2
+    assert len(log) > 4 and "estimate_comparators" not in log[4:]
+    assert [rec.estimator for rec in records] == [e for e in requested for _ in range(d.m)]
+
+    def bits(recs):
+        return [(float(rec.value).hex(), float(rec.se).hex()) for rec in recs]
+
+    fresh = three_center_data()
+    for estimator in requested:
+        if estimator in ("fe2", "pooled"):
+            want = [add_interval(estimate_comparators(fresh, estimator))] * fresh.m
+        else:
+            want = [add_interval(rec) for rec in
+                    center_contrasts(fresh, estimator, 1, 0, configs.get(estimator))]
+        assert bits(rec for rec in records if rec.estimator == estimator) == bits(want)
+
+
+def test_a_mean_estimator_request_error_comes_before_the_comparators_data_error(monkeypatch):
+    # phi's fitted treatment model and the comparators both need arms {0, 1}:
+    # phi's request check runs first, and nothing is fitted
+    d = three_center_data()
+    d = from_arrays(d.covariates, d.center, np.tile([0, 1, 2], d.n // 3), d.outcome)
+    configs = default_nuisance_configs(d.covariate_names)
+    fits = [_count_calls(monkeypatch, estimators_module, name)
+            for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
+    with pytest.raises(SpecError, match=r"fitted treatment models require arms coded \{0,1\}"):
+        estimate_effects(d, ["phi", "pooled"], (1, 0), configs)
+    assert SpecError.exit_code == 1
+    assert fits == [[], [], [], []]
+
+
 # ---------------------------------------------------------------------------
 # bootstrap
 # ---------------------------------------------------------------------------

@@ -276,18 +276,22 @@ def test_pivoted_qr_applies_q_transpose_only_on_request():
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_pivoted_qr_leaves_the_callers_array_unchanged(order):
-    # the factorization overwrites a copy of its own, and R and the pivots
-    # stay scipy.linalg.qr's bit for bit
+    # the factorization and Qᵀb overwrite copies of their own, and R, the
+    # pivots and Qᵀb stay scipy.linalg's bit for bit
     rng = np.random.default_rng(44)
     for shape in [(300, 6), (4, 7)]:
         X = np.asarray(rng.standard_normal(shape), order=order)
         X[:, -1] = X[:, 0]
-        before = X.copy(order=order)
-        _, R, piv, _ = _pivoted_qr(X, b=rng.standard_normal(shape[0]))
+        b = rng.standard_normal(shape[0])
+        before, b_before = X.copy(order=order), b.copy()
+        qtb, R, piv, _ = _pivoted_qr(X, b=b)
         assert X.tobytes(order="A") == before.tobytes(order="A")
+        assert b.tobytes() == b_before.tobytes()
         _, R_ref, piv_ref = scipy.linalg.qr(X, mode="economic", pivoting=True)
         assert R.tobytes() == R_ref.tobytes()
         assert piv.tolist() == piv_ref.tolist()
+        qtb_ref = scipy.linalg.qr_multiply(X, b, mode="right", pivoting=True)[0]
+        assert qtb.tobytes() == qtb_ref[:min(shape)].tobytes()
 
 
 def _ancova_design(rng):
