@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import logging
 import numbers
+import warnings
 from dataclasses import dataclass, fields
 from itertools import compress, islice
 from operator import index, itemgetter
@@ -321,6 +322,39 @@ def _parse_block(rows, first_row, width, used, names, drop_incomplete_rows):
     return labels, arms, values
 
 
+def _read_clean(fh, width, used):
+    """The data rows left in ``fh`` as load_csv's block loop collects them
+    (center labels, [arms], [float columns], rows read), from one np.loadtxt
+    pass with int64 center and arm columns and float64 others; or None when
+    that pass might not give the row scanner's result: loadtxt raises or
+    warns, a line is not ASCII (loadtxt reads some other characters as
+    digits) or is longer than a csv field may be, a used float is not finite,
+    or the records are fewer than the lines (loadtxt skips blank lines and
+    joins quoted line breaks).
+    """
+    lines, limit = [0], csv.field_size_limit()
+
+    def checked():  # fh's lines, counted; a line the pass cannot vouch for ends it
+        for lines[0], line in enumerate(fh, 1):
+            if not line.isascii() or len(line) > limit:
+                raise ValueError(f"line {lines[0]} is not read in the clean pass")
+            yield line
+
+    dtype = [(str(j), np.int64 if j in used[:2] else np.float64) for j in range(width)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(checked(), dtype, delimiter=",", comments=None, quotechar='"',
+                               ndmin=1)
+    except (ValueError, OverflowError, Warning):
+        return None
+    values = np.column_stack([table[str(j)] for j in used[2:]])
+    if len(table) != lines[0] or not np.isfinite(values).all():
+        return None
+    labels = table[str(used[0])].tolist()
+    return labels, [np.ascontiguousarray(table[str(used[1])])], [values], len(labels)
+
+
 def _unreadable(path, exc):
     """ParseError for the first row of ``path`` that is not UTF-8 or csv.reader rejects.
 
@@ -395,7 +429,8 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
     outcome_col, covariate_cols (list of names, or "rest" for all remaining
     columns). Missing cells reject the file unless ``drop_incomplete_rows``.
     Bad cells or rows and undecodable bytes raise a DataError naming the
-    first such row.
+    first such row. A clean file is read in one np.loadtxt pass, any other by
+    the block parser, which alone raises and drops; both give the same arrays.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -410,8 +445,12 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
         names = [special["center_col"], special["arm_col"], special["outcome_col"]] + cov_cols
         used = [positions[name] for name in names]
 
-        labels, arms, values, read = [], [], [], 0
-        while True:
+        clean = _read_clean(fh, len(header), used)
+        labels, arms, values, read = clean or ([], [], [], 0)
+        if clean is None:  # the block parser reads the data rows again from the top
+            fh.seek(0)
+            next(reader)
+        while clean is None:
             rows, failure = [], None
             try:  # extend keeps the rows read before a failure; they may hold an earlier error
                 rows.extend(islice(reader, _BLOCK_ROWS))
@@ -433,14 +472,11 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
         logger.warning("dropped %d incomplete row(s) from %s", read - len(labels), path)
 
     ids, center_labels = relabel_centers(labels)
-    return TrialDataset(
-        covariates=np.concatenate([block[:, 1:] for block in values]),
-        covariate_names=tuple(cov_cols),
-        center=ids,
-        arm=np.concatenate(arms),
-        outcome=np.concatenate([block[:, 0] for block in values]),
-        center_labels=center_labels,
-    )
+    covariates = np.concatenate([block[:, 1:] for block in values])
+    outcome = np.concatenate([block[:, 0] for block in values])
+    del values[:]  # the blocks go before the dataset's checks copy and scan the columns
+    return TrialDataset(covariates, tuple(cov_cols), ids, np.concatenate(arms), outcome,
+                        center_labels)
 
 
 def save_csv(data, path, schema=None):

@@ -39,7 +39,9 @@ from .errors import (
 from .nuisance import (
     _INFORMATION_BLOCK_VALUES,
     CENTER_TOKEN,
+    INTERCEPT_TOKEN,
     DesignSpec,
+    LogisticFit,
     build_design,
     factor_cells,
     fit_logistic,
@@ -348,10 +350,22 @@ class FittedNuisances:
     # -- treatment models ---------------------------------------------------
 
     def _arm_probability(self, arm, donor=None):
-        """Known Pr[A=arm | C], or the logistic model's fit outside center ``donor``."""
+        """Known Pr[A=arm | C], or the logistic model's fit outside center ``donor``.
+        An intercept-only model on arms 0 and 1, both present, is not fit: its MLE
+        log(n₁/n₀), where fit_logistic starts and stops, comes from the memoised
+        center-by-arm counts."""
         ts = self.cfg.treatment_spec
         if isinstance(ts, KnownProbabilities):
             return ts.per_center(arm, self.data.m)[self.data.center - 1]
+        if getattr(ts, "terms", None) == (INTERCEPT_TOKEN,) and set(self.data.arms) <= {0, 1}:
+            key = ("arm counts",)  # row c: center c's (n₀, n₁)
+            if key not in self._fits:
+                self._fits[key] = np.bincount(2 * self.data.center + self.data.arm,
+                                              minlength=2 * self.data.m + 2).reshape(-1, 2)
+            pool = self._fits[key][np.arange(self.data.m + 1) != donor].sum(axis=0)  # None: all
+            if pool.all():
+                p1 = predict(LogisticFit(np.log(pool[1:] / pool[0]), True, 0), [1.0])[0]
+                return np.broadcast_to(p1 if arm == 1 else 1.0 - p1, self.data.outcome.shape)
         p1 = self._predicted("treatment", ts, donor)
         return p1 if arm == 1 else 1.0 - p1
 

@@ -500,6 +500,112 @@ def test_float_and_strip_agree_on_unicode_whitespace(tmp_path, monkeypatch):
     assert load_csv(str(path)).n == len(rows)
 
 
+# ---------------------------------------------------------------------------
+# load_csv's one np.loadtxt pass against the row scanner
+# ---------------------------------------------------------------------------
+
+
+def count_block_parses(monkeypatch):
+    """The first data row of each block load_csv hands to the block parser,
+    which reads every file the one np.loadtxt pass refuses."""
+    calls, parse = [], dataset._parse_block
+    monkeypatch.setattr(dataset, "_parse_block",
+                        lambda *args: calls.append(args[1]) or parse(*args))
+    return calls
+
+
+def clean_lines(rows=40):
+    """Header and data lines of a file with integer center labels and no defect."""
+    rng = np.random.default_rng(3)
+    floats = (rng.standard_normal((3, rows)) * 100).tolist()
+    return ["center,arm,outcome,x1,x2"] + [
+        f"{c},{a},{y!r},{x1!r},{x2!r}" for c, a, y, x1, x2 in
+        zip(rng.integers(1, 5, rows).tolist(), rng.integers(0, 2, rows).tolist(), *floats)]
+
+
+def test_clean_integer_labelled_file_takes_one_loadtxt_pass(tmp_path, monkeypatch):
+    calls = count_block_parses(monkeypatch)
+    path = write_csv(tmp_path / "clean.csv", "\n".join(clean_lines()) + "\n")
+    assert_same_as_reference(path, dataset._BLOCK_ROWS, monkeypatch)
+    assert calls == []
+
+
+def edit_line(row, edit):
+    """The clean file's text with data row ``row`` replaced by ``edit(line)``'s lines."""
+    return lambda lines: "\n".join(lines[:row] + edit(lines[row]) + lines[row + 1:]) + "\n"
+
+
+def edit_cell(row, column, cell):
+    def edit(line):
+        cells = line.split(",")
+        cells[column] = cell
+        return [",".join(cells)]
+    return edit_line(row, edit)
+
+
+#: name: (clean lines -> file text with one defect, whether the loadtxt pass reads it)
+ONE_DEFECT = {
+    "blank line": (edit_line(20, lambda line: [line, ""]), False),
+    "blank last line": (lambda lines: "\n".join(lines) + "\n\n", False),
+    "comment line": (edit_line(20, lambda line: ["#" + line]), False),
+    "extra field": (edit_line(20, lambda line: [line + ",1"]), False),
+    "missing field": (edit_line(20, lambda line: [line.rsplit(",", 1)[0]]), False),
+    "arm 1.0": (edit_cell(20, 1, "1.0"), False),
+    "inf": (edit_cell(20, 3, "inf"), False),
+    "nan": (edit_cell(20, 2, "nan"), False),
+    "1e400": (edit_cell(20, 4, "1e400"), False),
+    "underscore digits": (edit_cell(20, 3, "1_0"), False),
+    "arabic-indic digit": (edit_cell(20, 2, "\u0661"), False),
+    "quoted number": (edit_cell(20, 3, '"2.5"'), True),
+    "byte-order mark": (lambda lines: "\ufeff" + "\n".join(lines) + "\n", True),
+    "CRLF line ends": (lambda lines: "\r\n".join(lines) + "\r\n", True),
+    "no trailing newline": (lambda lines: "\n".join(lines), True),
+    "center beyond int64": (edit_cell(20, 0, str(2 ** 63)), False),
+    "non-ASCII center": (edit_cell(20, 0, "\u01fe"), False),  # loadtxt's int64 reads 462
+    "text labels": (lambda lines: "\n".join(
+        [lines[0]] + [f"site-{int(line.split(',')[0]):02d}" + line[1:] for line in lines[1:]]
+    ) + "\n", False),
+}
+
+
+@pytest.mark.parametrize("defect", list(ONE_DEFECT))
+def test_one_defect_reads_as_the_row_scanner_reads_it(tmp_path, monkeypatch, defect):
+    make, one_pass = ONE_DEFECT[defect]
+    path = tmp_path / "t.csv"
+    path.write_bytes(make(clean_lines()).encode("utf-8"))
+    calls = count_block_parses(monkeypatch)
+    assert_same_as_reference(str(path), dataset._BLOCK_ROWS, monkeypatch)
+    assert (calls == []) == one_pass
+
+
+#: ASCII cells on which np.loadtxt's tokenizer and number parsers could part
+#: from csv.reader, int() and float(): quotes, signs, padding, control bytes
+ASCII_CELLS = ['"1"', '"1"2', '""1', '"1" ', ' "1"', '1"2"', '"1""', '"1', "+1", "-0", "01",
+               " 1\t", "\x0b1\x1f", "\x1c1", "1e3", "0x1", "1.", ".5", "-.5e-3",
+               '"1,5"', "1 2", "#1", "1.0", "nan", "", "NA", "1e400", "1__0"]
+
+
+def test_loadtxt_pass_matches_row_scanner_on_adversarial_ascii_cells(tmp_path, monkeypatch):
+    # integer center labels, so the loadtxt pass is tried on every file
+    rng = np.random.default_rng(11)
+    calls = count_block_parses(monkeypatch)
+    one_pass = 0
+    for rep in range(300):
+        lines = ["center,arm,outcome,x1"]
+        for _ in range(int(rng.integers(1, 6))):
+            cells = [str(rng.integers(1, 4)), str(rng.integers(0, 2)), "0.5", "-2"]
+            for j in np.flatnonzero(rng.random(4) < 0.2):
+                cells[j] = ASCII_CELLS[rng.integers(len(ASCII_CELLS))]
+            lines.append(",".join(cells))
+        path = tmp_path / f"r{rep}.csv"
+        ending = ["\n", "\r\n", "\r"][rep % 3]
+        path.write_bytes((ending.join(lines) + ending).encode("utf-8"))
+        before = len(calls)
+        assert_same_as_reference(str(path), dataset._BLOCK_ROWS, monkeypatch)
+        one_pass += len(calls) == before
+    assert one_pass > 50  # both readers were exercised
+
+
 def test_center_labels_one_and_zero_one_are_one_center(tmp_path):
     p = write_csv(tmp_path / "t.csv",
                   "center,arm,outcome,x1\n01,0,1,0\n A,1,2,0\n1,1,3,0\nA,0,4,0\n")
@@ -521,6 +627,10 @@ def test_undecodable_bytes_name_the_row(tmp_path):
 def test_oversized_field_names_the_row(tmp_path):
     big = "9" * (csv.field_size_limit() + 1)
     p = write_csv(tmp_path / "t.csv", f"center,arm,outcome,x1\n1,0,1,2\n1,0,{big},2\n")
+    with pytest.raises(ParseError, match=r"data row 2 cannot be read: field larger"):
+        load_csv(p)
+    # a field over the limit that parses to a finite number
+    p = write_csv(tmp_path / "long.csv", f"center,arm,outcome,x1\n1,0,1,2\n1,0,1.{big},2\n")
     with pytest.raises(ParseError, match=r"data row 2 cannot be read: field larger"):
         load_csv(p)
     # an error in an earlier row of the same block is still reported first

@@ -20,13 +20,17 @@ import centereffects.inference as inference_module
 from centereffects import (
     BootstrapError,
     ConfigError,
+    DegenerateFitError,
     DesignSpec,
+    EmptyFitError,
+    FittedNuisances,
     InsufficientDataError,
     KnownProbabilities,
     NuisanceConfig,
     ParameterError,
     PositivityError,
     Scenario,
+    ShapeError,
     SpecError,
     TestError,
     add_interval,
@@ -41,11 +45,13 @@ from centereffects import (
     estimate_mean,
     estimate_phi,
     estimate_tau,
+    fit_logistic,
     fit_ols,
     from_arrays,
     generate_dataset,
     homogeneity_test,
     normal_quantile,
+    predict,
     se_from_influence,
     wald_ci,
 )
@@ -156,6 +162,13 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def fitted_treatment(configs):
+    """``configs`` with every fitted treatment model given a covariate: an
+    intercept-only one comes from the arm counts without a fit."""
+    return {est: dataclasses.replace(cfg, treatment_spec=["1", "x1"])
+            for est, cfg in configs.items()}
+
+
 def three_center_data(seed=41):
     rng = np.random.default_rng(seed)
     n = 300
@@ -166,10 +179,10 @@ def three_center_data(seed=41):
 
 
 def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
-    # psi and chi share the membership model, phi and psi the intercept-only
-    # treatment model: one dataset fits each of them once
+    # psi and chi share the membership model, phi and psi the treatment
+    # model: one dataset fits each of them once
     d = three_center_data()
-    configs = default_nuisance_configs(d.covariate_names)
+    configs = fitted_treatment(default_nuisance_configs(d.covariate_names))
     estimators = ["tau", "phi", "psi", "chi"]
     multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
@@ -198,7 +211,7 @@ def test_estimate_effects_keeps_no_per_row_array_it_does_not_read():
     # the influence columns go once the SE is attached, and chi's donor pools
     # keep their fits and R factors, not a prediction on every row
     d = three_center_data()
-    configs = default_nuisance_configs(d.covariate_names)
+    configs = fitted_treatment(default_nuisance_configs(d.covariate_names))
     records = estimate_effects(d, ["tau", "phi", "psi", "chi", "pooled"], (1, 0), configs)
     assert len(records) == 5 * d.m and all(rec.influence is None for rec in records)
     per_row = [key for key, value in d._fits.items() if getattr(value, "shape", ())[:1] == (d.n,)]
@@ -216,12 +229,61 @@ def test_estimate_effects_checks_each_request_once(monkeypatch):
     assert len(counts) == 4
 
 
+@pytest.mark.parametrize("make", [three_center_data,
+                                  lambda: generate_dataset(Scenario.strong(), seed=1)],
+                         ids=["three centers", "strong"])
+def test_intercept_only_treatment_model_comes_from_the_arm_counts(monkeypatch, make):
+    # Pr[A = a] on all rows and outside each center is bit for bit the
+    # prediction of fit_logistic on those rows, and no logistic model is fit
+    d = make()
+    configs = default_nuisance_configs(d.covariate_names)
+    logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
+    nuis = FittedNuisances(d, configs["chi"])
+    ones = np.ones((d.n, 1))
+    for donor in [None, *range(1, d.m + 1)]:
+        rows = slice(None) if donor is None else d.center != donor
+        fit = fit_logistic(ones[rows], d.arm[rows].astype(np.float64))
+        assert (fit.iterations, fit.converged) == (0, True)
+        p1 = predict(fit, ones)
+        for a, want in ((1, p1), (0, 1.0 - p1)):
+            got = (nuis.arm_probability(a) if donor is None
+                   else nuis.donor_arm_probability(donor, a))
+            assert got.shape == (d.n,) and got.tobytes() == want.tobytes()
+    estimate_effects(d, ["tau", "phi", "psi", "chi"], (1, 0), configs)
+    assert logistic == []
+
+
+def test_intercept_only_treatment_model_without_both_arms_raises_as_its_fit():
+    # a sample or pool with one arm, no rows or other arms raises fit_logistic's
+    # error, and the request gate refuses such a sample or pool before that
+    d = three_center_data()
+    cfg = default_nuisance_configs(d.covariate_names)["chi"]
+    keep = (d.arm == 1) | (d.center == 1)  # centers 2 and 3 keep arm 1 only
+    pools = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
+    single = "^logistic outcome has a single class$"
+    with pytest.raises(DegenerateFitError, match=single):
+        FittedNuisances(pools, cfg).donor_arm_probability(1, 0)
+    with pytest.raises(PositivityError, match="^donor pool of center 1 has no rows in arm 0$"):
+        estimate_mean(pools, "chi", 1, 1, cfg)
+    one_arm = from_arrays(d.covariates, d.center, np.ones(d.n, dtype=int), d.outcome)
+    with pytest.raises(DegenerateFitError, match=single):
+        FittedNuisances(one_arm, cfg).arm_probability(1)
+    with pytest.raises(SpecError, match="arms coded"):
+        estimate_mean(one_arm, "phi", 1, 1, cfg)
+    one_center = from_arrays(d.covariates, np.ones(d.n, dtype=int), d.arm, d.outcome)
+    with pytest.raises(EmptyFitError, match="zero rows"):
+        FittedNuisances(one_center, cfg).donor_arm_probability(1, 1)
+    arms_1_2 = from_arrays(d.covariates, d.center, d.arm + 1, d.outcome)
+    with pytest.raises(ShapeError, match="coded 0/1"):
+        FittedNuisances(arms_1_2, cfg).arm_probability(1)
+
+
 @pytest.mark.parametrize("estimator", ["psi", "chi"])
 def test_estimate_contrast_fits_each_shared_model_once(monkeypatch, estimator):
     # both arms' means share one bundle: one membership fit and one
     # treatment fit (the all-rows fit for psi, the donor fit for chi)
     d = three_center_data()
-    cfg = default_nuisance_configs(d.covariate_names)[estimator]
+    cfg = fitted_treatment(default_nuisance_configs(d.covariate_names))[estimator]
     multinomial = _count_calls(monkeypatch, estimators_module, "fit_multinomial")
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
     rec = estimate_contrast(d, estimator, 2, 1, 0, cfg)
@@ -432,11 +494,11 @@ def test_numpy_integer_centers_and_arms_give_the_same_results(name):
 
 
 def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
-    # phi and psi specify the same intercept-only treatment model: three tests
-    # on one dataset fit it once, and no statistic moves from a run on a fresh
-    # copy of the dataset, which fits its own models
+    # phi and psi specify the same treatment model: three tests on one
+    # dataset fit it once, and no statistic moves from a run on a fresh copy
+    # of the dataset, which fits its own models
     d = three_center_data(seed=43)
-    configs = default_nuisance_configs(d.covariate_names)
+    configs = fitted_treatment(default_nuisance_configs(d.covariate_names))
     estimators = ["tau", "phi", "psi"]
     unshared = [homogeneity_test(dataclasses.replace(d), est, 1, 0, configs.get(est))
                 for est in estimators]
@@ -452,7 +514,7 @@ def test_homogeneity_tests_share_fits_through_one_memo(monkeypatch):
 def test_per_center_estimates_share_the_datasets_fits(monkeypatch):
     # a loop over the centers fits each of phi's models once, not once per center
     d = three_center_data()
-    cfg = default_nuisance_configs(d.covariate_names)["phi"]
+    cfg = fitted_treatment(default_nuisance_configs(d.covariate_names))["phi"]
     logistic = _count_calls(monkeypatch, estimators_module, "fit_logistic")
     ols = _count_calls(monkeypatch, estimators_module, "fit_ols")
     for c in range(1, d.m + 1):

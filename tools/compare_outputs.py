@@ -11,6 +11,9 @@ full), are written once. Then each checkout's CLI, imported from its own
 
   * ``analyze`` with all seven estimators at arms 1,0 and at 0,1, and
     ``check-assumptions``, on the analyze_large_n and many_centers CSVs;
+  * ``analyze`` as above on the same CSVs with text center labels (site-01,
+    ...), which ``load_csv`` reads with its block parser rather than its one
+    np.loadtxt pass, so both readers are compared;
   * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1.
 
 A case is identical when both runs give the same exit code, the same stderr,
@@ -35,6 +38,16 @@ import workloads  # noqa: E402
 ARMS = ("1,0", "0,1")
 
 
+def with_text_labels(trial, path):
+    """Write ``trial`` to ``path`` with each integer center label c as site-cc."""
+    with open(trial, encoding="utf-8") as src, open(path, "w", encoding="utf-8") as dst:
+        dst.write(next(src))
+        for line in src:
+            center, rest = line.split(",", 1)
+            dst.write(f"site-{int(center):02d},{rest}")
+    return path
+
+
 def cases(inputs, scale):
     """(case name, CLI arguments but --output) for every case; writes the inputs."""
     estimators = ",".join(workloads.ALL_ESTIMATORS)
@@ -49,9 +62,12 @@ def cases(inputs, scale):
                            ["simulate", "--config", str(workdir / "study.json"), "--arms", arms])
                 continue
             trial = str(workdir / "trial.csv")
+            text = str(with_text_labels(trial, workdir / "trial_text_labels.csv"))
             for arms in ARMS:
                 yield (f"{prefix} analyze --arms {arms}",
                        ["analyze", "--input", trial, "--estimators", estimators, "--arms", arms])
+                yield (f"{prefix} analyze, text center labels, --arms {arms}",
+                       ["analyze", "--input", text, "--estimators", estimators, "--arms", arms])
             yield f"{prefix} check-assumptions", ["check-assumptions", "--input", trial]
 
 
