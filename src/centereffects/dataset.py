@@ -9,9 +9,8 @@ from __future__ import annotations
 import csv
 import logging
 import numbers
-import warnings
 from dataclasses import dataclass, fields
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from operator import index, itemgetter
 
 import numpy as np
@@ -221,7 +220,7 @@ def from_arrays(covariates, center, arm, outcome, covariate_names=None):
 
 
 #: data rows parsed together; bounds the Python strings held at once
-_BLOCK_ROWS = 1 << 16
+_BLOCK_ROWS = 1 << 14
 
 
 def _int_or_text(cell):
@@ -322,37 +321,31 @@ def _parse_block(rows, first_row, width, used, names, drop_incomplete_rows):
     return labels, arms, values
 
 
-def _read_clean(fh, width, used):
-    """The data rows left in ``fh`` as load_csv's block loop collects them
-    (center labels, [arms], [float columns], rows read), from one np.loadtxt
-    pass with int64 center and arm columns and float64 others; or None when
-    that pass might not give the row scanner's result: loadtxt raises or
-    warns, a line is not ASCII (loadtxt reads some other characters as
-    digits) or is longer than a csv field may be, a used float is not finite,
-    or the records are fewer than the lines (loadtxt skips blank lines and
-    joins quoted line breaks).
-    """
-    lines, limit = [0], csv.field_size_limit()
+#: numpy before 2.4 may read an integer cell such as "1.0" through float, with a warning
+_LOADTXT_READS_INTS = np.lib.NumpyVersion(np.__version__) >= "2.4.0"
 
-    def checked():  # fh's lines, counted; a line the pass cannot vouch for ends it
-        for lines[0], line in enumerate(fh, 1):
-            if not line.isascii() or len(line) > limit:
-                raise ValueError(f"line {lines[0]} is not read in the clean pass")
-            yield line
 
+def _read_clean(lines, width, used):
+    """``lines`` as _parse_block returns them, from one np.loadtxt call; None if it might
+    part from the row scanner: no line, a blank first line, a line not ASCII or over the csv
+    field limit, loadtxt raises (a quote is no number) or skips a line, a float is not finite."""
+    if not (_LOADTXT_READS_INTS and lines and lines[0].strip() and all(map(str.isascii, lines))
+            and max(map(len, lines)) <= csv.field_size_limit()):
+        return None
     dtype = [(str(j), np.int64 if j in used[:2] else np.float64) for j in range(width)]
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = np.loadtxt(checked(), dtype, delimiter=",", comments=None, quotechar='"',
-                               ndmin=1)
-    except (ValueError, OverflowError, Warning):
+        table = np.loadtxt(lines, dtype, delimiter=",", comments=None, quotechar=None, ndmin=1)
+    except (ValueError, OverflowError):
         return None
     values = np.column_stack([table[str(j)] for j in used[2:]])
-    if len(table) != lines[0] or not np.isfinite(values).all():
+    if len(table) != len(lines) or not np.isfinite(values).all():
         return None
-    labels = table[str(used[0])].tolist()
-    return labels, [np.ascontiguousarray(table[str(used[1])])], [values], len(labels)
+    return table[str(used[0])].tolist(), np.ascontiguousarray(table[str(used[1])]), values
+
+
+def _raise(exc):  # an iterator that raises exc when asked for its first item
+    raise exc
+    yield
 
 
 def _unreadable(path, exc):
@@ -428,9 +421,9 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
     ``schema`` maps roles to column names: keys center_col, arm_col,
     outcome_col, covariate_cols (list of names, or "rest" for all remaining
     columns). Missing cells reject the file unless ``drop_incomplete_rows``.
-    Bad cells or rows and undecodable bytes raise a DataError naming the
-    first such row. A clean file is read in one np.loadtxt pass, any other by
-    the block parser, which alone raises and drops; both give the same arrays.
+    Bad cells or rows and undecodable bytes raise a DataError naming the first such
+    row. np.loadtxt reads clean blocks of lines, the block parser (which alone raises
+    and drops) the rest from the first other block on; the arrays are the same.
     """
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
@@ -445,12 +438,21 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
         names = [special["center_col"], special["arm_col"], special["outcome_col"]] + cov_cols
         used = [positions[name] for name in names]
 
-        clean = _read_clean(fh, len(header), used)
-        labels, arms, values, read = clean or ([], [], [], 0)
-        if clean is None:  # the block parser reads the data rows again from the top
-            fh.seek(0)
-            next(reader)
-        while clean is None:
+        labels, arms, values, read, failure = [], [], [], 0, None
+        while True:  # one loadtxt call a block, up to the first block it cannot vouch for
+            lines = []
+            try:  # extend keeps the lines read before a failure
+                lines.extend(islice(fh, _BLOCK_ROWS))
+            except UnicodeDecodeError as exc:
+                failure = exc
+            if failure is not None or not (kept := _read_clean(lines, len(header), used)):
+                break
+            labels += kept[0]
+            arms.append(kept[1])
+            values.append(kept[2])
+            read += len(lines)
+        reader = csv.reader(chain(lines, fh if failure is None else _raise(failure)))
+        while lines or failure is not None:  # the block parser reads the rest, if any
             rows, failure = [], None
             try:  # extend keeps the rows read before a failure; they may hold an earlier error
                 rows.extend(islice(reader, _BLOCK_ROWS))
@@ -471,12 +473,11 @@ def load_csv(path, schema=None, drop_incomplete_rows=False):
     if read > len(labels):
         logger.warning("dropped %d incomplete row(s) from %s", read - len(labels), path)
 
-    ids, center_labels = relabel_centers(labels)
+    ids, labels = relabel_centers(labels)
     covariates = np.concatenate([block[:, 1:] for block in values])
     outcome = np.concatenate([block[:, 0] for block in values])
     del values[:]  # the blocks go before the dataset's checks copy and scan the columns
-    return TrialDataset(covariates, tuple(cov_cols), ids, np.concatenate(arms), outcome,
-                        center_labels)
+    return TrialDataset(covariates, tuple(cov_cols), ids, np.concatenate(arms), outcome, labels)
 
 
 def save_csv(data, path, schema=None):

@@ -351,9 +351,8 @@ class FittedNuisances:
 
     def _arm_probability(self, arm, donor=None):
         """Known Pr[A=arm | C], or the logistic model's fit outside center ``donor``.
-        An intercept-only model on arms 0 and 1, both present, is not fit: its MLE
-        log(n₁/n₀), where fit_logistic starts and stops, comes from the memoised
-        center-by-arm counts."""
+        An intercept-only model on arms {0, 1}, both present, is not fit: its MLE
+        log(n₁/n₀), fit_logistic's start, comes from memoised center-by-arm counts."""
         ts = self.cfg.treatment_spec
         if isinstance(ts, KnownProbabilities):
             return ts.per_center(arm, self.data.m)[self.data.center - 1]

@@ -209,15 +209,21 @@ def test_estimate_effects_fits_each_shared_model_once(monkeypatch):
 
 def test_estimate_effects_keeps_no_per_row_array_it_does_not_read():
     # the influence columns go once the SE is attached, and chi's donor pools
-    # keep their fits and R factors, not a prediction on every row
-    d = three_center_data()
-    configs = fitted_treatment(default_nuisance_configs(d.covariate_names))
-    records = estimate_effects(d, ["tau", "phi", "psi", "chi", "pooled"], (1, 0), configs)
-    assert len(records) == 5 * d.m and all(rec.influence is None for rec in records)
-    per_row = [key for key, value in d._fits.items() if getattr(value, "shape", ())[:1] == (d.n,)]
-    assert {key[0] for key in per_row} == {"outcome", "treatment", "membership"}
-    assert all(key[2] is None for key in per_row)  # no donor pool's
-    assert sum(key[0] == "treatment" and key[2] is not None for key in d._fits) == d.m
+    # keep their fits and R factors, not a prediction on every row; under the
+    # defaults the treatment model is not fit at all
+    for fitted in (False, True):
+        d = three_center_data()
+        configs = default_nuisance_configs(d.covariate_names)
+        configs = fitted_treatment(configs) if fitted else configs
+        records = estimate_effects(d, ["tau", "phi", "psi", "chi", "pooled"], (1, 0), configs)
+        assert len(records) == 5 * d.m and all(rec.influence is None for rec in records)
+        per_row = [key for key, value in d._fits.items()
+                   if getattr(value, "shape", ())[:1] == (d.n,)]
+        kinds = {"outcome", "treatment", "membership"} if fitted else {"outcome", "membership"}
+        assert {key[0] for key in per_row} == kinds
+        assert all(key[2] is None for key in per_row)  # no donor pool's
+        treatment = [key for key in d._fits if key[0] == "treatment"]
+        assert (sum(key[2] is not None for key in treatment) == d.m) if fitted else not treatment
 
 
 def test_estimate_effects_checks_each_request_once(monkeypatch):

@@ -12,8 +12,8 @@ full), are written once. Then each checkout's CLI, imported from its own
   * ``analyze`` with all seven estimators at arms 1,0 and at 0,1, and
     ``check-assumptions``, on the analyze_large_n and many_centers CSVs;
   * ``analyze`` as above on the same CSVs with text center labels (site-01,
-    ...), which ``load_csv`` reads with its block parser rather than its one
-    np.loadtxt pass, so both readers are compared;
+    ...), which ``load_csv`` reads with its block parser rather than
+    np.loadtxt, so both readers are compared;
   * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1.
 
 A case is identical when both runs give the same exit code, the same stderr,
