@@ -28,7 +28,7 @@ from .errors import (
     TestError,
 )
 from .estimators import COMPARATORS, MEAN_ESTIMATORS, _check_request, estimate_comparators
-from .nuisance import DesignSpec, build_design, factor_cells, fit_ols_cells
+from .nuisance import DesignSpec, _design_rows, factor_cells, fit_ols_cells
 
 HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
 
@@ -250,14 +250,15 @@ def homogeneity_test(data, estimator, a, a_prime, cfg=None):
     records = _homogeneity_request(data, estimator, a, a_prime, cfg)()
     deltas = np.array([rec.value for rec in records])
     influence = np.column_stack([rec.influence for rec in records])
+    del records  # the kernel's block of influence columns goes: np.cov copies its input
     if not np.all(np.isfinite(influence)):
         raise TestError("non-finite influence contributions; the contrasts cannot be tested")
 
     # the statistic is invariant to one scale of influence and contrasts; a
     # power of two near 1/max|influence| keeps the covariance from overflowing
     # and is exact, so it changes no digit on data that does not overflow
-    exponent = -np.frexp(np.abs(influence).max())[1]
-    influence = np.ldexp(influence, exponent)
+    exponent = -np.frexp(max(influence.max(), -influence.min()))[1]
+    np.ldexp(influence, exponent, out=influence)
     sigma = np.cov(influence, rowvar=False, ddof=1) / data.n
     # D rows: contrast of each center against center 1
     diffs = np.ldexp(deltas[1:] - deltas[0], exponent)
@@ -301,11 +302,13 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     shared one outcome law is suspect.
 
     Both models are fit by ``fit_ols_cells`` from per-center R factors of
-    their designs: each center's rows are reduced to at most p + 1 rows over
-    the columns nonzero in it, and the stacked factors are solved by fit_ols's
-    pivoted QR, with its rank tolerance evaluated at n data rows. The degrees
-    of freedom are n minus each model's detected rank, and the RSS are those
-    of fit_ols up to roundoff.
+    their designs: each center's design rows are built on their own, the n x p
+    design is never formed, and they are reduced to at most p + 1 rows over
+    the columns nonzero in that center. The stacked factors are solved by
+    fit_ols's pivoted QR, with its rank tolerance evaluated at n data rows.
+    The degrees of freedom are n minus each model's detected rank, and the RSS
+    are those of fit_ols up to roundoff. Memory grows with p times the rows
+    of the largest center and of the stacked factors, not with n·p.
 
     An outcome the extended model fits exactly leaves no residual variation
     to test against, and TestError is raised when the extended residuals are
@@ -320,14 +323,20 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     if base_spec is None:
         base_spec, extended_spec = default_assumption_specs(data)
 
-    Xb, base_names = build_design(base_spec, data)
-    Xe, ext_names = build_design(extended_spec, data)
+    # the column names, and every spec error, from designs on no rows
+    base_names = _design_rows(base_spec, data, slice(0))[1]
+    ext_names = _design_rows(extended_spec, data, slice(0))[1]
     if not set(base_names) <= set(ext_names):
         missing = sorted(set(base_names) - set(ext_names))
         raise SpecError(f"extended model must nest the base model; missing {missing}")
 
-    fit_b = fit_ols_cells(factor_cells(Xb, data.outcome, data.center), column_names=base_names)
-    fit_e = fit_ols_cells(factor_cells(Xe, data.outcome, data.center), column_names=ext_names)
+    def fit(spec, names):  # each center's design rows are built, and factored, on their own
+        factors = factor_cells(lambda rows: _design_rows(spec, data, rows)[0], data.outcome,
+                               data.center)
+        return fit_ols_cells(factors, column_names=names)
+
+    fit_b = fit(base_spec, base_names)
+    fit_e = fit(extended_spec, ext_names)
     if fit_e.df_residual <= 0:
         raise SaturatedModelError(
             "extended model leaves no residual degrees of freedom"
@@ -338,7 +347,7 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
         # the extra terms added no rank (e.g. a single center): nothing to test
         return TestResult(statistic=0.0, df=(0, df_den), p_value=1.0, test="ancova_f")
     y = data.outcome
-    if fit_e.rss <= (max(data.n, Xe.shape[1]) * np.finfo(np.float64).eps) ** 2 * (y @ y):
+    if fit_e.rss <= (max(data.n, len(ext_names)) * np.finfo(np.float64).eps) ** 2 * (y @ y):
         raise TestError(
             "the extended model fits the outcome exactly (residuals at roundoff "
             "level); the F test is undefined"

@@ -74,42 +74,59 @@ class DesignSpec:
         return " + ".join(self.terms) or "<empty>"
 
 
-def _atom_columns(atom, data):
-    """Expand one atom of a term to (n x k matrix, names)."""
+def _atom_columns(atom, data, rows, n):
+    """Expand one atom of a term on the ``n`` data rows ``rows`` to (n x k
+    matrix, names). The center indicators are C2..Cm of the whole dataset and
+    the arm check reads the whole dataset's arms, so a row's columns do not
+    depend on which other rows are built."""
     if atom == INTERCEPT_TOKEN:
-        return np.ones((data.n, 1)), [INTERCEPT_TOKEN]
+        return np.ones((n, 1)), [INTERCEPT_TOKEN]
     if atom == CENTER_TOKEN:
         ids = np.arange(2, data.m + 1)
-        cols = (data.center[:, None] == ids).astype(np.float64)
+        cols = (data.center[rows, None] == ids).astype(np.float64)
         return cols, [f"{CENTER_TOKEN}{c}" for c in ids]
     if atom == ARM_TOKEN:
         if not set(data.arms) <= {0, 1}:
             raise SpecError("arm indicator term requires arms coded {0,1}")
-        return data.arm.astype(np.float64).reshape(-1, 1), [ARM_TOKEN]
+        return data.arm[rows].astype(np.float64).reshape(-1, 1), [ARM_TOKEN]
     if atom not in data.covariate_names:
         raise SpecError(f"unknown covariate {atom!r} in design")
-    return data.covariate(atom).reshape(-1, 1), [atom]
+    return data.covariate(atom)[rows].reshape(-1, 1), [atom]
 
 
-def build_design(spec, data):
-    """Expand a DesignSpec on a dataset: returns (matrix, column names)."""
+def _design_rows(spec, data, rows):
+    """``spec``'s design on the data rows ``rows`` (an index array or a slice)
+    and its column names: those rows of ``build_design(spec, data)``, bit for
+    bit, with the same errors."""
+    n = len(data.center[rows])
     blocks = []
     names = []
     for term in spec.terms:
         first, *rest = term.split(":")
-        cols, nm = _atom_columns(first, data)
+        cols, nm = _atom_columns(first, data, rows, n)
         for atom in rest:
-            pcols, pnames = _atom_columns(atom, data)
+            pcols, pnames = _atom_columns(atom, data, rows, n)
             # column (i, j) is cols[:, i] * pcols[:, j], i-major
-            cols = (cols[:, :, None] * pcols[:, None, :]).reshape(data.n, -1)
+            cols = (cols[:, :, None] * pcols[:, None, :]).reshape(n, len(nm) * len(pnames))
             nm = [f"{a}:{b}" for a in nm for b in pnames]
         blocks.append(cols)
         names.extend(nm)
     if blocks:
         X = np.concatenate(blocks, axis=1)
     else:
-        X = np.zeros((data.n, 0))
+        X = np.zeros((n, 0))
     return X, names
+
+
+def build_design(spec, data):
+    """Expand a DesignSpec on a dataset: returns (matrix, column names).
+
+    ``C`` expands to the indicators C2..Cm of the dataset's centers and ``A``
+    to the arm, which must be coded {0, 1}. ``_design_rows`` builds the same
+    columns on a subset of the rows, so a design too large to hold can be
+    built one cell at a time (``factor_cells``).
+    """
+    return _design_rows(spec, data, slice(None))
 
 
 # ---------------------------------------------------------------------------
@@ -117,17 +134,24 @@ def build_design(spec, data):
 # ---------------------------------------------------------------------------
 
 
-def _lapack(routine, *args, **kwargs):
-    """A LAPACK routine's outputs, with the workspace its query asks for.
+def _lapack(routine, *args, lwork=None, **kwargs):
+    """A LAPACK routine's outputs, with the workspace ``lwork`` or, by default,
+    the one its query asks for.
 
     This is how scipy.linalg calls it (the workspace size can select a
     blocked algorithm), so results are bitwise scipy.linalg's.
     """
-    work = routine(*args, lwork=-1, **kwargs)[-2]
-    out = routine(*args, lwork=int(work[0]), **kwargs)
+    if lwork is None:
+        lwork = _workspace(routine, *args, **kwargs)
+    out = routine(*args, lwork=lwork, **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal argument {-out[-1]} to {routine.__name__}")
     return out[:-2]
+
+
+def _workspace(routine, *args, **kwargs):
+    """The workspace size a LAPACK routine's query asks for."""
+    return int(routine(*args, lwork=-1, **kwargs)[-2][0])
 
 
 def _pivoted_qr(X, n=None, b=None):
@@ -292,23 +316,34 @@ class CellFactors:
 
 
 def factor_cells(design, y, cells):
-    """CellFactors of the rows of ``design`` and ``y``, split by the labels ``cells``."""
-    X, y = _fit_data(design, y, "linear")
+    """CellFactors of the rows of ``design`` and ``y``, split by the labels ``cells``.
+
+    ``design`` is the (n, p) design, or a function that returns its rows at an
+    array of row indices, so a design too large to hold is built one cell at a
+    time; each cell's factored matrix [X_j | y_j] holds the same bytes either
+    way. dgeqrf's workspace query depends on the column count alone, so it is
+    asked once per column count, and each cell is factored with the workspace
+    a query of its own would give.
+    """
+    # a built design is checked cell by cell; here, y and the cells have one entry per row
+    X, y = _fit_data(np.empty((np.size(y), 0)) if callable(design) else design, y, "linear")
     cells = _fit_data(X, cells, "linear", "cells", None)[1]
-    p = X.shape[1]
+    build = design if callable(design) else X.__getitem__
     labels, inverse, rows = np.unique(cells, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")
-    R, qty, rss = [], [], np.zeros(len(labels))
+    R, qty, rss, lwork = [], [], np.zeros(len(labels)), {}
     for j, idx in enumerate(np.split(order, np.cumsum(rows)[:-1])):
-        Xj = X[idx]
+        Xj, yj = _fit_data(build(idx), y[idx], "linear")
         nz = np.flatnonzero(Xj.any(axis=0))
         k = len(nz)
         A = np.empty((len(idx), k + 1), order="F")
         A[:, :k] = Xj[:, nz]
-        A[:, k] = y[idx]
-        F = np.triu(_lapack(dgeqrf, A, overwrite_a=1)[0][:k + 1])
+        A[:, k] = yj
+        if k not in lwork:
+            lwork[k] = _workspace(dgeqrf, A, overwrite_a=1)
+        F = np.triu(_lapack(dgeqrf, A, lwork=lwork[k], overwrite_a=1)[0][:k + 1])
         r = min(len(idx), k)
-        Rj = np.zeros((r, p))
+        Rj = np.zeros((r, Xj.shape[1]))
         Rj[:, nz] = F[:r, :k]
         R.append(Rj)
         qty.append(F[:r, k])

@@ -8,16 +8,20 @@ against second implementations built directly from OLS residual sums.
 import copy
 import dataclasses
 import pickle
+import re
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 import centereffects.estimators as estimators_module
 import centereffects.inference as inference_module
 from centereffects import (
+    AliasedColumnsWarning,
     BootstrapError,
     ConfigError,
     DegenerateFitError,
@@ -55,6 +59,8 @@ from centereffects import (
     se_from_influence,
     wald_ci,
 )
+from centereffects.inference import default_assumption_specs
+from centereffects.nuisance import factor_cells, fit_ols_cells
 
 Z_975 = 1.9599639845400545  # Phi^-1(0.975)
 
@@ -905,6 +911,99 @@ def test_ancova_f_is_invariant_to_affine_outcome_change(scale, shift):
     assert res.df == ref.df
     np.testing.assert_allclose(res.statistic, ref.statistic, rtol=1e-7)
     np.testing.assert_allclose(res.p_value, ref.p_value, rtol=1e-7)
+
+
+def _whole_design_ancova(d, base, extended):
+    """The F test from the whole n x p designs, factored by ``factor_cells``."""
+    fits = [fit_ols_cells(factor_cells(X, d.outcome, d.center), column_names=names)
+            for X, names in (build_design(base, d), build_design(extended, d))]
+    df_num, df_den = fits[0].df_residual - fits[1].df_residual, fits[1].df_residual
+    if df_num <= 0:
+        return inference_module.TestResult(statistic=0.0, df=(0, df_den), p_value=1.0,
+                                           test="ancova_f")
+    statistic = max(((fits[0].rss - fits[1].rss) / df_num) / (fits[1].rss / df_den), 0.0)
+    return inference_module.TestResult(
+        statistic=float(statistic), df=(df_num, df_den),
+        p_value=float(scipy.special.fdtrc(df_num, df_den, statistic)), test="ancova_f")
+
+
+def test_ancova_built_center_by_center_is_bitwise_the_whole_design_test():
+    rng = np.random.default_rng(41)
+    nested = (DesignSpec(("1", "x1", "A", "C")),
+              DesignSpec(("1", "x1", "A", "C", "x1:C", "A:C", "x1:A:C")))
+    for _ in range(40):
+        m, k = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        center = rng.integers(1, m + 1, int(rng.integers(6 * m, 30 * m)))
+        n = len(center)
+        arm = rng.integers(0, 2, n)
+        arm[center == rng.integers(1, m + 1)] = 1  # a single-arm center
+        x = rng.standard_normal((n, k))
+        x[center == rng.integers(1, m + 1), 0] = 0.0  # x1 constant within a center
+        d = from_arrays(x, center, arm, x @ rng.standard_normal(k) + rng.standard_normal(n)
+                        + center)
+        for specs in (default_assumption_specs(d), nested):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", AliasedColumnsWarning)
+                assert repr(ancova_center_outcome_test(d, *specs)) == repr(
+                    _whole_design_ancova(d, *specs))
+
+
+@pytest.mark.parametrize("base, extended, message", [
+    (("1", "u1"), ("u2",), "unknown covariate 'u1' in design"),
+    (("1", "x1"), ("1", "x1", "C", "x1:A:u2"), "unknown covariate 'u2' in design"),
+    (("1", "x1"), ("1", "A", "C"), "extended model must nest the base model; missing ['x1']"),
+    (None, None, "arm indicator term requires arms coded {0,1}"),
+])
+def test_ancova_spec_errors_come_before_any_factorisation(monkeypatch, base, extended, message):
+    d = ancova_data(np.random.default_rng(38))
+    if base is None:  # the default specs hold A, and arm 2 is no indicator
+        d = from_arrays(d.covariates, d.center, 2 * d.arm, d.outcome)
+    else:
+        base, extended = DesignSpec(base), DesignSpec(extended)
+    calls = []
+    for name in ("factor_cells", "fit_ols_cells"):
+        monkeypatch.setattr(inference_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    with pytest.raises(SpecError, match=f"^{re.escape(message)}$"):
+        ancova_center_outcome_test(d, base, extended)
+    assert calls == []
+
+
+def _assumption_data(rng, n, m):
+    x = rng.standard_normal((n, 3))
+    center, arm = rng.integers(1, m + 1, n), rng.integers(0, 2, n)
+    return from_arrays(x, center, arm, x[:, 0] + arm * (1.0 + x[:, 1]) + rng.standard_normal(n))
+
+
+def test_ancova_memory_stays_below_one_extended_design():
+    # the whole design was built, and held about twice while its term blocks
+    # were joined
+    n, m, k = 4000, 40, 3
+    d = _assumption_data(np.random.default_rng(39), n, m)
+    width = 2 * k + 2 + (k + 2) * (m - 1)  # 203 extended columns
+    tracemalloc.start()
+    try:
+        ancova_center_outcome_test(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * width * 8
+
+
+@pytest.mark.parametrize("estimator", ["tau", "phi"])
+def test_homogeneity_memory_stays_at_two_influence_matrices(estimator):
+    # the stacked influence and np.cov's copy of it; n = 2**15 puts 8 centers in
+    # each of the kernel's blocks, so its own temporaries stay below that
+    n, m = 2 ** 15, 40
+    d = _assumption_data(np.random.default_rng(40), n, m)
+    cfg = default_nuisance_configs(d.covariate_names).get(estimator)
+    homogeneity_test(d, estimator, 1, 0, cfg)  # the nuisance fits, memoised
+    tracemalloc.start()
+    try:
+        homogeneity_test(d, estimator, 1, 0, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * n * m * 8
 
 
 # ---------------------------------------------------------------------------

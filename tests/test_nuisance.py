@@ -4,6 +4,7 @@ Fitted coefficients are checked against values worked out by hand (closed-form
 group means / log-odds) and against estimating-equation residuals, never
 against the fitter's own output.
 """
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -36,6 +37,8 @@ from centereffects import (
 from centereffects.inference import default_assumption_specs, estimate_effects
 from centereffects.nuisance import (
     _INFORMATION_BLOCK_VALUES,
+    CellFactors,
+    _design_rows,
     _pivoted_qr,
     factor_cells,
     fit_ols_cells,
@@ -128,6 +131,21 @@ def test_build_design_matches_per_column_reference():
     reference = [col for term in terms for col in _reference_columns(term, d)]
     assert names == [name for name, _ in reference]
     assert X.tobytes() == np.column_stack([col for _, col in reference]).tobytes()
+
+
+def test_design_rows_are_the_whole_designs_rows_bit_for_bit():
+    # C is C2..Cm of the whole data on any rows, even rows of one center
+    rng = np.random.default_rng(9)
+    n, m = 60, 5
+    d = from_arrays(rng.standard_normal((n, 2)), rng.integers(1, m + 1, n),
+                    rng.integers(0, 2, n), rng.standard_normal(n))
+    spec = DesignSpec(("1", "x2", "C", "A", "x1:C", "A:C", "x1:A:C", "x2:C:A"))
+    X, names = build_design(spec, d)
+    for rows in (np.flatnonzero(d.center == 3), rng.permutation(n)[:7], np.arange(0), slice(0)):
+        part, part_names = _design_rows(spec, d, rows)
+        assert part_names == names
+        assert part.shape == X[rows].shape
+        assert part.tobytes() == X[rows].tobytes()
 
 
 def test_arm_term_requires_binary_arms():
@@ -334,6 +352,71 @@ def test_fit_ols_cells_matches_fit_ols_on_random_ancova_designs():
     assert worst_fitted <= 1e-10
 
 
+def _reference_cell_factors(X, y, cells):
+    """CellFactors of a whole design, one scipy.linalg.qr (with its own
+    workspace query) per cell."""
+    labels, rows = np.unique(cells, return_counts=True)
+    R, qty, rss = [], [], np.zeros(len(labels))
+    for j, label in enumerate(labels):
+        Xj, yj = X[cells == label], y[cells == label]
+        nz = np.flatnonzero(Xj.any(axis=0))
+        k = len(nz)
+        F = scipy.linalg.qr(np.asfortranarray(np.column_stack([Xj[:, nz], yj])), mode="r")[0]
+        r = min(len(yj), k)
+        Rj = np.zeros((r, X.shape[1]))
+        Rj[:, nz] = F[:r, :k]
+        R.append(Rj)
+        qty.append(F[:r, k])
+        if len(yj) > k:
+            rss[j] = F[k, k] ** 2
+    return CellFactors(R=np.concatenate(R), qty=np.concatenate(qty),
+                       cell=np.repeat(labels, [len(b) for b in qty]), labels=labels, rss=rss,
+                       rows=rows)
+
+
+def test_factor_cells_built_cell_by_cell_is_bitwise_the_whole_design_reference():
+    # the design as a matrix or built per cell, with one workspace query per
+    # column count: every field is bitwise the per-cell scipy.linalg.qr's
+    rng = np.random.default_rng(2025)
+    for _ in range(300):
+        d, base, extended = _ancova_design(rng)
+        nested = (DesignSpec(("1", "x1", "A", "C")),
+                  DesignSpec(("1", "x1", "A", "C", "x1:C", "A:C", "x1:A:C")))
+        for spec in (base, extended, *nested):
+            X, _ = build_design(spec, d)
+            reference = _reference_cell_factors(X, d.outcome, d.center)
+            for design in (X, lambda rows, spec=spec: _design_rows(spec, d, rows)[0]):
+                factors = factor_cells(design, d.outcome, d.center)
+                for field in dataclasses.fields(CellFactors):
+                    got, want = getattr(factors, field.name), getattr(reference, field.name)
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), field.name
+
+
+def test_factor_cells_queries_the_workspace_once_per_column_count(monkeypatch):
+    queries = []
+    workspace = nuisance_module._workspace
+    monkeypatch.setattr(nuisance_module, "_workspace",
+                        lambda routine, A, **k: queries.append(A.shape[1]) or workspace(
+                            routine, A, **k))
+    rng = np.random.default_rng(10)
+    center = np.repeat([1, 2, 3, 4, 5], [6, 1, 6, 6, 2])
+    X = rng.standard_normal((21, 3))
+    X[center == 3, 2] = 0.0  # two nonzero columns in center 3
+    factors = factor_cells(X, rng.standard_normal(21), center)
+    assert sorted(queries) == [3, 4]  # [X_j | y_j] has 3 columns in center 3, else 4
+    assert factors.R.shape == (3 + 1 + 2 + 3 + 2, 3)
+    # past dgeqrf's block size (32 columns) the workspace picks the blocked
+    # algorithm, whose bits differ from the unblocked one's
+    center = np.repeat([1, 2, 3], 120)
+    X, y = rng.standard_normal((360, 70)), rng.standard_normal(360)
+    factors = factor_cells(X, y, center)
+    reference = _reference_cell_factors(X, y, center)
+    assert factors.R.tobytes() == reference.R.tobytes()
+    assert factors.qty.tobytes() == reference.qty.tobytes()
+    assert factors.rss.tobytes() == reference.rss.tobytes()
+
+
 def test_fit_ols_cells_leave_out_equals_fit_on_remaining_rows():
     rng = np.random.default_rng(6)
     center = np.repeat([1, 2, 3, 4], [7, 1, 5, 9])
@@ -351,6 +434,16 @@ def test_fit_ols_cells_leave_out_equals_fit_on_remaining_rows():
         np.testing.assert_allclose(cells.unscaled_variance, plain.unscaled_variance, rtol=1e-12)
     with pytest.raises(EmptyFitError):
         fit_ols_cells(factor_cells(X[:5], y[:5], center[:5]), leave_out=1)
+
+
+def test_factor_cells_checks_each_built_cell():
+    y, center = np.arange(4.0), [1, 1, 2, 2]
+    with pytest.raises(ShapeError, match="^design must be 2-dimensional$"):
+        factor_cells(lambda rows: np.ones(len(rows)), y, center)
+    with pytest.raises(ShapeError, match=r"^y has shape \(2,\), expected \(1,\)$"):
+        factor_cells(lambda rows: np.ones((1, 2)), y, center)
+    with pytest.raises(EmptyFitError):
+        factor_cells(lambda rows: np.ones((len(rows), 2)), np.zeros(0), [])
 
 
 def test_fit_ols_cells_zero_width_design():

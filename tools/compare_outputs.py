@@ -14,6 +14,9 @@ full), are written once. Then each checkout's CLI, imported from its own
   * ``analyze`` as above on the same CSVs with text center labels (site-01,
     ...), which ``load_csv`` reads with its block parser rather than
     np.loadtxt, so both readers are compared;
+  * ``check-assumptions`` on the text-label CSVs, at arms 0,1, and with a
+    ``--config`` of nested custom ``base_spec``/``extended_spec`` that puts C
+    in the base and has a three-atom term x1:A:C;
   * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1.
 
 A case is identical when both runs give the same exit code, the same stderr,
@@ -25,6 +28,7 @@ case is identical.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -36,6 +40,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 ARMS = ("1,0", "0,1")
+NESTED_SPECS = {"base_spec": ["1", "x1", "x2", "A", "C"],
+                "extended_spec": ["1", "x1", "x2", "A", "C", "x1:C", "A:C", "x1:A:C"]}
 
 
 def with_text_labels(trial, path):
@@ -69,6 +75,14 @@ def cases(inputs, scale):
                 yield (f"{prefix} analyze, text center labels, --arms {arms}",
                        ["analyze", "--input", text, "--estimators", estimators, "--arms", arms])
             yield f"{prefix} check-assumptions", ["check-assumptions", "--input", trial]
+            yield (f"{prefix} check-assumptions, text center labels",
+                   ["check-assumptions", "--input", text])
+            yield (f"{prefix} check-assumptions --arms 0,1",
+                   ["check-assumptions", "--input", trial, "--arms", "0,1"])
+            specs = workdir / "nested_specs.json"
+            specs.write_text(json.dumps(NESTED_SPECS), encoding="utf-8")
+            yield (f"{prefix} check-assumptions, nested specs with x1:A:C",
+                   ["check-assumptions", "--input", trial, "--config", str(specs)])
 
 
 def run(tree, args, outdir, cwd):
