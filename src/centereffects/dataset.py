@@ -122,6 +122,8 @@ class TrialDataset:
                 raise ShapeError(f"{name} has {arr.shape[0]} rows, expected {n}")
         if cov.shape[1] != len(self.covariate_names):
             raise ShapeError("covariate_names length does not match covariates")
+        if len(set(self.covariate_names)) != len(self.covariate_names):
+            raise ShapeError(f"covariate_names must be distinct, got {list(self.covariate_names)}")
         if not np.all(np.isfinite(cov)):
             raise ShapeError("covariates must be finite with no missing values")
 
@@ -403,9 +405,11 @@ def _resolve_schema(header, schema):
         cov_cols = [c for c in header if c not in used]
     else:
         cov_cols = list(cov_cols)
-        for col in cov_cols:
+        for i, col in enumerate(cov_cols):
             if col not in seen:
                 raise SchemaError(f"missing covariate column {col!r}")
+            if col in cov_cols[:i]:
+                raise SchemaError(f"covariate column {col!r} listed more than once")
     if not cov_cols:
         raise SchemaError("schema must name at least one covariate column")
     overlap = set(cov_cols) & set(special.values())

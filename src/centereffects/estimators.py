@@ -81,6 +81,8 @@ class KnownProbabilities:
             table = arms = None
         if arms is None or table.dtype.kind not in "iuf":
             raise SpecError(f"known probabilities need numbers and integer arms, got {self!r}")
+        if len(set(arms)) != len(arms):
+            raise SpecError(f"known probabilities need distinct arms, got {arms}")
         table = table.astype(np.float64)
         if table.ndim != 2 or table.shape[1] != len(arms):
             raise SpecError(
@@ -311,9 +313,9 @@ class FittedNuisances:
         """Per-center R factors of the arm-``arm`` rows' outcome fit, memoised."""
         key = ("outcome cells", spec, arm)
         if key not in self._fits:
-            rows = self._rows(None, arm)
+            rows = np.flatnonzero(self.data.arm == arm)
             self._fits[key] = factor_cells(
-                X[rows], self.data.outcome[rows], self.data.center[rows]
+                lambda i: X[rows[i]], self.data.outcome[rows], self.data.center[rows]
             )
         return self._fits[key]
 
@@ -473,7 +475,8 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
     kernel: ``_estimates`` of the checked request, called with an optional
     nuisance bundle. A cell error names the first failing (center, arm), center
     by center, by its label; chi's fitted treatment model needs both arms in
-    each donor pool. ``cfg``, when given, must specify each model ``_means`` reads."""
+    each donor pool. ``cfg``, when given, must specify each model ``_means`` reads,
+    and known arm probabilities must cover the arms and centers it reads."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
@@ -488,7 +491,8 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
         raise NoDonorError("transport estimator needs at least two centers")
     if estimator in ("psi", "chi") and cfg is not None:
         _reject_center_terms(cfg.outcome_spec, "pooled outcome model")
-    fitted = isinstance(getattr(cfg, "treatment_spec", None), DesignSpec)  # not known probabilities
+    treatment = getattr(cfg, "treatment_spec", None)
+    fitted = isinstance(treatment, DesignSpec)  # not known probabilities
     checked = arms  # chi's fitted donor treatment models need both arms in each pool
     if estimator == "chi" and fitted and len(arms) == 1 and set(data.arms) == {0, 1}:
         checked = arms + tuple({0, 1} - set(arms))  # a contrast has both already
@@ -516,6 +520,9 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
     for model, read in reads.items():
         if read and cfg is not None and getattr(cfg, f"{model}_spec") is None:
             raise ConfigError(f"{model} model specification missing")
+    if reads["treatment"] and isinstance(treatment, KnownProbabilities):
+        for a in checked:  # raises for a table that does not fit the data
+            treatment.per_center(a, data.m)
     return functools.partial(_estimates, data, estimator, centers, arms, cfg, variant)
 
 

@@ -134,24 +134,17 @@ def build_design(spec, data):
 # ---------------------------------------------------------------------------
 
 
-def _lapack(routine, *args, lwork=None, **kwargs):
-    """A LAPACK routine's outputs, with the workspace ``lwork`` or, by default,
-    the one its query asks for.
+def _lapack(routine, *args, **kwargs):
+    """A LAPACK routine's outputs, with the workspace its query asks for.
 
     This is how scipy.linalg calls it (the workspace size can select a
     blocked algorithm), so results are bitwise scipy.linalg's.
     """
-    if lwork is None:
-        lwork = _workspace(routine, *args, **kwargs)
-    out = routine(*args, lwork=lwork, **kwargs)
+    work = routine(*args, lwork=-1, **kwargs)[-2]
+    out = routine(*args, lwork=int(work[0]), **kwargs)
     if out[-1] < 0:
         raise ValueError(f"illegal argument {-out[-1]} to {routine.__name__}")
     return out[:-2]
-
-
-def _workspace(routine, *args, **kwargs):
-    """The workspace size a LAPACK routine's query asks for."""
-    return int(routine(*args, lwork=-1, **kwargs)[-2][0])
 
 
 def _pivoted_qr(X, n=None, b=None):
@@ -315,23 +308,17 @@ class CellFactors:
     rows: np.ndarray
 
 
-def factor_cells(design, y, cells):
-    """CellFactors of the rows of ``design`` and ``y``, split by the labels ``cells``.
+def factor_cells(build, y, cells):
+    """CellFactors of a design's rows and ``y``, split by the labels ``cells``.
 
-    ``design`` is the (n, p) design, or a function that returns its rows at an
-    array of row indices, so a design too large to hold is built one cell at a
-    time; each cell's factored matrix [X_j | y_j] holds the same bytes either
-    way. dgeqrf's workspace query depends on the column count alone, so it is
-    asked once per column count, and each cell is factored with the workspace
-    a query of its own would give.
+    ``build`` returns the design's rows at an array of row indices; each cell's
+    rows are built, checked as a design is, and factored alone.
     """
-    # a built design is checked cell by cell; here, y and the cells have one entry per row
-    X, y = _fit_data(np.empty((np.size(y), 0)) if callable(design) else design, y, "linear")
+    X, y = _fit_data(np.empty((np.size(y), 0)), y, "linear")
     cells = _fit_data(X, cells, "linear", "cells", None)[1]
-    build = design if callable(design) else X.__getitem__
     labels, inverse, rows = np.unique(cells, return_inverse=True, return_counts=True)
     order = np.argsort(inverse, kind="stable")
-    R, qty, rss, lwork = [], [], np.zeros(len(labels)), {}
+    R, qty, rss = [], [], np.zeros(len(labels))
     for j, idx in enumerate(np.split(order, np.cumsum(rows)[:-1])):
         Xj, yj = _fit_data(build(idx), y[idx], "linear")
         nz = np.flatnonzero(Xj.any(axis=0))
@@ -339,9 +326,7 @@ def factor_cells(design, y, cells):
         A = np.empty((len(idx), k + 1), order="F")
         A[:, :k] = Xj[:, nz]
         A[:, k] = yj
-        if k not in lwork:
-            lwork[k] = _workspace(dgeqrf, A, overwrite_a=1)
-        F = np.triu(_lapack(dgeqrf, A, lwork=lwork[k], overwrite_a=1)[0][:k + 1])
+        F = np.triu(_lapack(dgeqrf, A, overwrite_a=1)[0][:k + 1])
         r = min(len(idx), k)
         Rj = np.zeros((r, Xj.shape[1]))
         Rj[:, nz] = F[:r, :k]

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import centereffects as ce
+import centereffects.estimators as estimators_module
 import centereffects.inference as inference_module
 from centereffects import cli
 
@@ -193,6 +194,38 @@ def test_analyze_custom_schema_from_config(tmp_path):
     assert report["n"] == 8
     assert report["center_labels"] == ["s1", "s2"]
     assert len(report["estimates"]) == 2
+
+
+def test_analyze_refuses_a_covariate_listed_twice(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"input": write_trial_csv(tmp_path),
+                                  "schema": {"covariate_cols": ["x1", "x1"]}})
+    assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "o")]) == 2
+    payload = stderr_payload(capsys)
+    assert (payload["error"], payload["message"]) == (
+        "SchemaError", "covariate column 'x1' listed more than once")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("table, arms, error, message", [
+    ([[0.5, 0.5]] * 3, [0, 1], "SpecError", "probability table has 3 center rows, data has 10"),
+    ([[0.5, 0.5]], [1, 2], "ParameterError", "arm 0 not covered by known probabilities"),
+], ids=["three-rows", "arms-1-2"])
+def test_analyze_checks_a_known_probability_table_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                                 table, arms, error, message):
+    rng = np.random.default_rng(7)
+    data = ce.from_arrays(rng.normal(size=(400, 2)), np.repeat(np.arange(1, 11), 40),
+                          np.tile([0, 1], 200), rng.normal(size=400))
+    path = tmp_path / "ten.csv"
+    ce.save_csv(data, path)
+    cfg = write_config(tmp_path, {"input": str(path), "estimators": ["phi"], "nuisance": {
+        "phi": {"treatment_spec": {"known": {"table": table, "arms": arms}}}}})
+    calls = []
+    for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells"):
+        monkeypatch.setattr(estimators_module, name, lambda *a, _name=name, **k: calls.append(_name))
+    assert cli.main(["analyze", "--config", cfg, "--output", str(tmp_path / "o")]) == 1
+    payload = stderr_payload(capsys)
+    assert (payload["error"], payload["message"]) == (error, message)
+    assert calls == []
 
 
 def test_analyze_nonbinary_arms_need_explicit_contrast(tmp_path, capsys):

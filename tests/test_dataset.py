@@ -55,6 +55,12 @@ def test_unknown_covariate_name():
         tiny_dataset().covariate("nope")
 
 
+def test_covariate_names_must_be_distinct():
+    with pytest.raises(ShapeError, match=r"^covariate_names must be distinct, got \['x1', 'x1'\]$"):
+        from_arrays([[0.0, 1.0], [1.0, 2.0]], [1, 1], [0, 1], [1.0, 2.0],
+                    covariate_names=["x1", "x1"])
+
+
 def test_center_ids_must_be_contiguous():
     with pytest.raises(ShapeError):
         TrialDataset(
@@ -217,6 +223,15 @@ def test_load_csv_role_column_reused_as_covariate(tmp_path):
     p = write_csv(tmp_path / "t.csv", "center,arm,outcome,x1\n1,0,1,2\n")
     with pytest.raises(SchemaError):
         load_csv(p, schema={"covariate_cols": ["arm", "x1"]})
+
+
+def test_load_csv_covariate_listed_twice(tmp_path, monkeypatch):
+    # refused from the header: the malformed data row is never read
+    p = write_csv(tmp_path / "t.csv", "center,arm,outcome,x1,x2\n1,0,1,2\n")
+    monkeypatch.setattr(dataset, "_read_clean", None)
+    monkeypatch.setattr(dataset, "_parse_block", None)
+    with pytest.raises(SchemaError, match="^covariate column 'x1' listed more than once$"):
+        load_csv(p, schema={"covariate_cols": ["x1", "x2", "x1"]})
 
 
 def test_load_csv_covariate_cols_string_is_only_rest(tmp_path):

@@ -521,7 +521,7 @@ def per_donor_chi_nuisances(d, cfg, centers, fitted):
     donor_outcome, donor_arm = {}, {}
     for a in (0, 1):
         rows = d.arm == a
-        factors = factor_cells(X[rows], d.outcome[rows], d.center[rows])
+        factors = factor_cells(X[rows].__getitem__, d.outcome[rows], d.center[rows])
         for c in centers:
             donor_outcome[c, a] = predict(fit_ols_cells(factors, c, column_names=names), X)
             donor_arm[c, a] = fitted.donor_arm_probability(c, a)
@@ -575,7 +575,7 @@ def test_chi_fits_only_the_requested_centers_pools(outside):
     for a in (0, 1):
         rows = d.arm == a
         with pytest.warns(AliasedColumnsWarning) as want:
-            fit_ols_cells(factor_cells(X[rows], d.outcome[rows], d.center[rows]), 2,
+            fit_ols_cells(factor_cells(X[rows].__getitem__, d.outcome[rows], d.center[rows]), 2,
                           column_names=names)
         with pytest.warns(AliasedColumnsWarning) as got:
             estimate_chi(d, 2, a, cfg)
@@ -864,6 +864,17 @@ def test_known_probabilities_validation():
         KnownProbabilities([[0.4, 0.4]])
     with pytest.raises(SpecError):
         KnownProbabilities([[0.3, 0.3, 0.4]])  # three columns, two arms
+
+
+def test_known_probabilities_refuse_repeated_arms():
+    # a repeated arm would read its first column: constant(0.3, arms=(1, 1))
+    # gave Pr[A=1] = 0.7
+    with pytest.raises(SpecError, match=r"^known probabilities need distinct arms, got \(1, 1\)$"):
+        KnownProbabilities.constant(0.3, arms=(1, 1))
+    with pytest.raises(SpecError, match=r"^known probabilities need distinct arms, got \(0, 1, 1\)$"):
+        KnownProbabilities([[0.2, 0.3, 0.5]], arms=(0, 1, 1))
+    with pytest.raises(SpecError, match="^treatment_spec: known probabilities need distinct arms"):
+        NuisanceConfig(treatment_spec={"known": {"constant": 0.3, "arms": [1, 1]}})
 
 
 def test_known_probabilities_lookup():

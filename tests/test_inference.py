@@ -420,6 +420,35 @@ def test_only_a_fitted_treatment_model_needs_arms_0_and_1(monkeypatch):
         assert np.isfinite(estimate_mean(d, estimator, 1, 2, config, variant).value)
 
 
+def ten_center_data(seed=43):
+    rng = np.random.default_rng(seed)
+    n = 400
+    return from_arrays(rng.standard_normal((n, 2)), np.repeat(np.arange(1, 11), n // 10),
+                       np.tile([0, 1], n // 2), rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("estimator", ["phi", "psi", "chi"])
+@pytest.mark.parametrize("table, arms, error, message", [
+    ([[0.5, 0.5]] * 3, (0, 1), SpecError, "^probability table has 3 center rows, data has 10$"),
+    ([[0.5, 0.5]], (1, 2), ParameterError, "^arm 0 not covered by known probabilities$"),
+], ids=["three-rows", "arms-1-2"])
+def test_a_known_probability_table_that_does_not_fit_the_data_errors_before_any_fit(
+        monkeypatch, estimator, table, arms, error, message):
+    d = ten_center_data()
+    configs = default_nuisance_configs(d.covariate_names)
+    configs[estimator] = dataclasses.replace(
+        configs[estimator], treatment_spec=KnownProbabilities(table, arms=arms))
+    fits = [_count_calls(monkeypatch, estimators_module, name)
+            for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
+    with pytest.raises(error, match=message):
+        estimate_effects(d, [estimator], (1, 0), configs)
+    with pytest.raises(error, match=message):
+        estimate_mean(d, estimator, 1, 0, configs[estimator])
+    assert fits == [[], [], [], []]
+    # an estimate that reads no treatment model does not read the table
+    assert np.isfinite(estimate_mean(d, "phi", 1, 1, configs[estimator], "om").value)
+
+
 def test_a_configuration_needs_only_the_specs_its_estimate_reads(monkeypatch):
     # a spec the estimate reads is refused before any fit, one it does not
     # read may be missing, and known arm probabilities are a treatment model
@@ -915,7 +944,7 @@ def test_ancova_f_is_invariant_to_affine_outcome_change(scale, shift):
 
 def _whole_design_ancova(d, base, extended):
     """The F test from the whole n x p designs, factored by ``factor_cells``."""
-    fits = [fit_ols_cells(factor_cells(X, d.outcome, d.center), column_names=names)
+    fits = [fit_ols_cells(factor_cells(X.__getitem__, d.outcome, d.center), column_names=names)
             for X, names in (build_design(base, d), build_design(extended, d))]
     df_num, df_den = fits[0].df_residual - fits[1].df_residual, fits[1].df_residual
     if df_num <= 0:

@@ -20,6 +20,7 @@ from centereffects import (
     DegenerateFitError,
     DesignSpec,
     EmptyFitError,
+    FittedNuisances,
     Scenario,
     SeparationWarning,
     ShapeError,
@@ -341,7 +342,7 @@ def test_fit_ols_cells_matches_fit_ols_on_random_ancova_designs():
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", AliasedColumnsWarning)
                 plain = fit_ols(X, d.outcome)
-                cells = fit_ols_cells(factor_cells(X, d.outcome, d.center))
+                cells = fit_ols_cells(factor_cells(X.__getitem__, d.outcome, d.center))
             assert cells.df_residual == plain.df_residual
             if plain.df_residual > 0:
                 worst_rss = max(worst_rss, abs(cells.rss - plain.rss) / plain.rss)
@@ -375,8 +376,8 @@ def _reference_cell_factors(X, y, cells):
 
 
 def test_factor_cells_built_cell_by_cell_is_bitwise_the_whole_design_reference():
-    # the design as a matrix or built per cell, with one workspace query per
-    # column count: every field is bitwise the per-cell scipy.linalg.qr's
+    # the design's rows sliced from the matrix or built per cell: every field
+    # is bitwise the per-cell scipy.linalg.qr's
     rng = np.random.default_rng(2025)
     for _ in range(300):
         d, base, extended = _ancova_design(rng)
@@ -385,7 +386,7 @@ def test_factor_cells_built_cell_by_cell_is_bitwise_the_whole_design_reference()
         for spec in (base, extended, *nested):
             X, _ = build_design(spec, d)
             reference = _reference_cell_factors(X, d.outcome, d.center)
-            for design in (X, lambda rows, spec=spec: _design_rows(spec, d, rows)[0]):
+            for design in (X.__getitem__, lambda rows, spec=spec: _design_rows(spec, d, rows)[0]):
                 factors = factor_cells(design, d.outcome, d.center)
                 for field in dataclasses.fields(CellFactors):
                     got, want = getattr(factors, field.name), getattr(reference, field.name)
@@ -393,24 +394,18 @@ def test_factor_cells_built_cell_by_cell_is_bitwise_the_whole_design_reference()
                     assert got.tobytes() == want.tobytes(), field.name
 
 
-def test_factor_cells_queries_the_workspace_once_per_column_count(monkeypatch):
-    queries = []
-    workspace = nuisance_module._workspace
-    monkeypatch.setattr(nuisance_module, "_workspace",
-                        lambda routine, A, **k: queries.append(A.shape[1]) or workspace(
-                            routine, A, **k))
+def test_factor_cells_is_bitwise_the_reference_past_the_block_size():
     rng = np.random.default_rng(10)
     center = np.repeat([1, 2, 3, 4, 5], [6, 1, 6, 6, 2])
     X = rng.standard_normal((21, 3))
     X[center == 3, 2] = 0.0  # two nonzero columns in center 3
-    factors = factor_cells(X, rng.standard_normal(21), center)
-    assert sorted(queries) == [3, 4]  # [X_j | y_j] has 3 columns in center 3, else 4
+    factors = factor_cells(X.__getitem__, rng.standard_normal(21), center)
     assert factors.R.shape == (3 + 1 + 2 + 3 + 2, 3)
     # past dgeqrf's block size (32 columns) the workspace picks the blocked
     # algorithm, whose bits differ from the unblocked one's
     center = np.repeat([1, 2, 3], 120)
     X, y = rng.standard_normal((360, 70)), rng.standard_normal(360)
-    factors = factor_cells(X, y, center)
+    factors = factor_cells(X.__getitem__, y, center)
     reference = _reference_cell_factors(X, y, center)
     assert factors.R.tobytes() == reference.R.tobytes()
     assert factors.qty.tobytes() == reference.qty.tobytes()
@@ -422,7 +417,7 @@ def test_fit_ols_cells_leave_out_equals_fit_on_remaining_rows():
     center = np.repeat([1, 2, 3, 4], [7, 1, 5, 9])
     X = np.column_stack([np.ones(22), rng.standard_normal((22, 2))])
     y = rng.standard_normal(22)
-    factors = factor_cells(X, y, center)
+    factors = factor_cells(X.__getitem__, y, center)
     assert factors.R.shape[0] <= 3 * 4
     for c in (None, 1, 2, 3, 4):
         rows = center != c
@@ -433,7 +428,7 @@ def test_fit_ols_cells_leave_out_equals_fit_on_remaining_rows():
         np.testing.assert_allclose(cells.rss, plain.rss, rtol=1e-12)
         np.testing.assert_allclose(cells.unscaled_variance, plain.unscaled_variance, rtol=1e-12)
     with pytest.raises(EmptyFitError):
-        fit_ols_cells(factor_cells(X[:5], y[:5], center[:5]), leave_out=1)
+        fit_ols_cells(factor_cells(X[:5].__getitem__, y[:5], center[:5]), leave_out=1)
 
 
 def test_factor_cells_checks_each_built_cell():
@@ -448,9 +443,58 @@ def test_factor_cells_checks_each_built_cell():
 
 def test_fit_ols_cells_zero_width_design():
     y = np.array([1.0, 2.0, 3.0])
-    fit = fit_ols_cells(factor_cells(np.zeros((3, 0)), y, [1, 2, 2]))
+    fit = fit_ols_cells(factor_cells(np.zeros((3, 0)).__getitem__, y, [1, 2, 2]))
     np.testing.assert_allclose(fit.rss, 14.0, rtol=1e-15)
     assert (fit.coefficients.shape, fit.df_residual) == ((0,), 3)
+
+
+def _many_covariate_data(rng, n, m, k):
+    center = rng.integers(1, m + 1, n)
+    x = rng.standard_normal((n, k))
+    return from_arrays(x, center, rng.integers(0, 2, n), x @ rng.standard_normal(k)
+                       + rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("source", ["strong", "m60"])
+def test_chi_arm_factors_are_bitwise_the_reference_on_the_arms_rows(source):
+    # _outcome_cells builds each center's rows from the memoised design:
+    # every field is bitwise the per-cell reference on that arm's rows
+    rng = np.random.default_rng(29)
+    if source == "strong":
+        datasets = [generate_dataset(Scenario.strong(), seed) for seed in (1, 2, 3)]
+    else:
+        datasets = [_many_covariate_data(rng, 3000, 60, 3) for _ in range(3)]
+    for d in datasets:
+        cfg = default_nuisance_configs(d.covariate_names)["chi"]
+        nuis = FittedNuisances(d, cfg)
+        X, _ = nuis._design("outcome", cfg.outcome_spec)
+        for a in (0, 1):
+            factors = nuis._outcome_cells(X, cfg.outcome_spec, a)
+            rows = d.arm == a
+            reference = _reference_cell_factors(X[rows], d.outcome[rows], d.center[rows])
+            for field in dataclasses.fields(CellFactors):
+                got, want = getattr(factors, field.name), getattr(reference, field.name)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), field.name
+
+
+def test_chi_arm_factoring_holds_no_copy_of_the_arms_design():
+    # with the design memoised, factoring an arm's centers builds one center's
+    # rows at a time: it measured 0.73 (n_arm, p) arrays, 1.67 when the arm's
+    # rows were copied out first
+    d = _many_covariate_data(np.random.default_rng(30), 40_000, 10, 12)
+    cfg = default_nuisance_configs(d.covariate_names)["chi"]
+    nuis = FittedNuisances(d, cfg)
+    X, _ = nuis._design("outcome", cfg.outcome_spec)
+    assert X.shape[1] == 13
+    nuis._outcome_cells(X, cfg.outcome_spec, 0)
+    tracemalloc.start()
+    try:
+        nuis._outcome_cells(X, cfg.outcome_spec, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < np.sum(d.arm == 1) * X.shape[1] * 8
 
 
 def test_ols_rejects_bad_shapes():

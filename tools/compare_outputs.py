@@ -14,6 +14,10 @@ full), are written once. Then each checkout's CLI, imported from its own
   * ``analyze`` as above on the same CSVs with text center labels (site-01,
     ...), which ``load_csv`` reads with its block parser rather than
     np.loadtxt, so both readers are compared;
+  * ``analyze`` at both arm orders with a ``--config`` that sets
+    ``treatment_spec`` to ["1", "x1"] for phi, psi and chi, so the fitted
+    logistic treatment models run (on all rows and, for chi, on each donor
+    pool), which the default intercept-only spec takes from the arm counts;
   * ``check-assumptions`` on the text-label CSVs, at arms 0,1, and with a
     ``--config`` of nested custom ``base_spec``/``extended_spec`` that puts C
     in the base and has a three-atom term x1:A:C;
@@ -42,6 +46,8 @@ import workloads  # noqa: E402
 ARMS = ("1,0", "0,1")
 NESTED_SPECS = {"base_spec": ["1", "x1", "x2", "A", "C"],
                 "extended_spec": ["1", "x1", "x2", "A", "C", "x1:C", "A:C", "x1:A:C"]}
+FITTED_TREATMENT = {"nuisance": {name: {"treatment_spec": ["1", "x1"]}
+                                 for name in ("phi", "psi", "chi")}}
 
 
 def with_text_labels(trial, path):
@@ -69,11 +75,16 @@ def cases(inputs, scale):
                 continue
             trial = str(workdir / "trial.csv")
             text = str(with_text_labels(trial, workdir / "trial_text_labels.csv"))
+            fitted = workdir / "fitted_treatment.json"
+            fitted.write_text(json.dumps(FITTED_TREATMENT), encoding="utf-8")
             for arms in ARMS:
                 yield (f"{prefix} analyze --arms {arms}",
                        ["analyze", "--input", trial, "--estimators", estimators, "--arms", arms])
                 yield (f"{prefix} analyze, text center labels, --arms {arms}",
                        ["analyze", "--input", text, "--estimators", estimators, "--arms", arms])
+                yield (f"{prefix} analyze, fitted treatment models, --arms {arms}",
+                       ["analyze", "--input", trial, "--estimators", estimators, "--arms", arms,
+                        "--config", str(fitted)])
             yield f"{prefix} check-assumptions", ["check-assumptions", "--input", trial]
             yield (f"{prefix} check-assumptions, text center labels",
                    ["check-assumptions", "--input", text])
