@@ -226,8 +226,26 @@ class OracleReport:
         }
 
 
-_ORACLE_CHUNK = 1_000_000  # draws per chunk: X, u and the centers are drawn whole
+_ORACLE_CHUNK = 1_000_000  # draws per chunk: one chunk's covariates (24 MB) are held at a time
 _ORACLE_BLOCK_VALUES = 2 ** 18  # float64 values (2 MiB) in one block of (m, rows) probabilities
+
+
+def _oracle_chunk_sums(scenario, rng, size):
+    """Count, Σx1 and Σx1² per center over ``size`` oracle draws, concatenated.
+
+    Each row block draws its uniforms and centers and continues the sums by one
+    bincount with the sums so far in front: bitwise one bincount per chunk. The
+    covariates are freed on return; a buffer kept across chunks was slower, as
+    glibc then trimmed and re-faulted its heap after every block."""
+    m = scenario.m
+    block = max(1, _ORACLE_BLOCK_VALUES // m)
+    sums = np.zeros(3 * m)
+    for rows in np.split(rng.standard_normal((size, 3)), range(block, size, block)):
+        idx = _draw_centers(_membership_probabilities(scenario, rows), rng.random(len(rows))) - 1
+        x1 = rows[:, 0]
+        sums = np.bincount(np.concatenate([np.arange(3 * m), idx, idx + m, idx + 2 * m]),
+                           weights=np.concatenate([sums, np.ones(len(idx)), x1, x1 * x1]))
+    return sums
 
 
 @functools.lru_cache(maxsize=32)
@@ -236,36 +254,18 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
 
     The effect in center c is arm_coeff + interaction · E[X1 | C=c]; the
     conditional mean is accumulated over ``oracle_n`` draws in chunks of
-    ``_ORACLE_CHUNK`` (deterministic given ``seed``). A chunk's covariates and
-    uniforms are drawn whole, and its centers are assigned over row blocks of
-    about ``_ORACLE_BLOCK_VALUES`` membership probabilities; a center depends
-    only on its own row, so the blocks change no draw. Memory is one chunk of
-    draws plus one block, whatever ``oracle_n``. ``oracle_n`` and ``seed``
-    must be integers. Cached per (scenario, n, seed).
+    ``_ORACLE_CHUNK`` (deterministic given ``seed``), one at a time, so memory
+    is one chunk of covariates plus one block of about ``_ORACLE_BLOCK_VALUES``
+    probabilities, whatever ``oracle_n``. ``oracle_n`` and ``seed`` must be
+    integers. Cached per (scenario, n, seed).
     """
     oracle_n, seed = _integers("oracle_n and seed", oracle_n, seed)
     if oracle_n < 1 or seed < 0:
         raise ParameterError(f"oracle needs oracle_n >= 1 and seed >= 0, got {oracle_n}, {seed}")
     rng = np.random.default_rng(seed)
-    m = scenario.m
-    block = max(1, _ORACLE_BLOCK_VALUES // m)
-    count = np.zeros(m)
-    sum_x1 = np.zeros(m)
-    sum_x1sq = np.zeros(m)
-    remaining = oracle_n
-    while remaining > 0:
-        size = min(_ORACLE_CHUNK, remaining)
-        remaining -= size
-        X = rng.standard_normal((size, 3))
-        u = rng.random(size)
-        centers = np.empty(size, dtype=np.int64)
-        for start in range(0, size, block):
-            b = slice(start, start + block)
-            centers[b] = _draw_centers(_membership_probabilities(scenario, X[b]), u[b])
-        x1 = X[:, 0]
-        count += np.bincount(centers - 1, minlength=m)
-        sum_x1 += np.bincount(centers - 1, weights=x1, minlength=m)
-        sum_x1sq += np.bincount(centers - 1, weights=x1 * x1, minlength=m)
+    totals = sum(_oracle_chunk_sums(scenario, rng, min(_ORACLE_CHUNK, oracle_n - done))
+                 for done in range(0, oracle_n, _ORACLE_CHUNK))
+    count, sum_x1, sum_x1sq = np.split(totals, 3)
     if np.any(count == 0):
         empty = [int(c + 1) for c in np.nonzero(count == 0)[0]]
         raise InsufficientDataError(f"no oracle draws fell in centers {empty}")

@@ -218,25 +218,38 @@ def sixty_center_scenario():
 
 @pytest.mark.parametrize("scenario", [two_center_scenario(), Scenario.strong(),
                                       sixty_center_scenario()], ids=["m2", "m10", "m60"])
-def test_blocked_oracle_draws_what_one_block_per_chunk_draws(scenario):
-    # a center depends only on its own row, so the blocks change no bit
+def test_blocked_oracle_draws_what_one_block_per_chunk_draws(monkeypatch, scenario):
+    # a center depends only on its own row and the sums continue in row order,
+    # so the blocks change no bit
     block = simulation_module._ORACLE_BLOCK_VALUES // scenario.m
     chunk = simulation_module._ORACLE_CHUNK
     for oracle_n in (block - 1, block + 1, chunk + 12_345):
         for seed in (0, 7):
             got = true_center_ates.__wrapped__(scenario, oracle_n, seed)
             assert (got.values, got.mc_se) == _unblocked_oracle(scenario, oracle_n, seed)
+    # small sizes: one chunk short of full, whole chunks, many chunks with a
+    # partial last one, and blocks of one row (block values below m)
+    for chunk, block_values, draws in ((777, 50, (776, 2_331, 2_344)), (5, 7, (600, 2_344)),
+                                       (777, 1, (2_344,))):
+        monkeypatch.setattr(simulation_module, "_ORACLE_CHUNK", chunk)
+        monkeypatch.setattr(simulation_module, "_ORACLE_BLOCK_VALUES", block_values)
+        for oracle_n, seed in zip(draws, (3, 0, 7)):
+            got = true_center_ates.__wrapped__(scenario, oracle_n, seed)
+            assert (got.values, got.mc_se) == _unblocked_oracle(scenario, oracle_n, seed)
 
 
 def test_oracle_memory_is_one_chunk_and_one_block():
-    # the (m, 1e6) probabilities of one unblocked chunk alone took 206 MiB
+    # one chunk's covariates (23 MiB) plus one block, at two chunks as at one.
+    # Drawing each chunk's uniforms and centers whole as well traced 53 MiB at
+    # 10⁶ draws, and the next chunk's covariates were drawn while the last's
+    # were still held
     tracemalloc.start()
     try:
-        true_center_ates.__wrapped__(Scenario.strong(), 1_000_000, 0)
+        true_center_ates.__wrapped__(Scenario.strong(), 2_000_000, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 64 * 2 ** 20
+    assert peak <= 32 * 2 ** 20
 
 
 @pytest.mark.parametrize("oracle_n, seed", [(20000.7, 0), (20000.0, 0), (20_000, 1.0),

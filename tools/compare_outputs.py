@@ -21,7 +21,10 @@ full), are written once. Then each checkout's CLI, imported from its own
   * ``check-assumptions`` on the text-label CSVs, at arms 0,1, and with a
     ``--config`` of nested custom ``base_spec``/``extended_spec`` that puts C
     in the base and has a three-atom term x1:A:C;
-  * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1.
+  * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1;
+  * ``oracle`` on the baseline and the strong scenario with an ``oracle_n``
+    that crosses a chunk boundary of the Monte Carlo oracle (1 000 001 draws
+    at tiny scale, 2 345 678 at full), which no ``simulate`` case does.
 
 A case is identical when both runs give the same exit code, the same stderr,
 the same stdout once each run's output directory is masked, and the same
@@ -48,6 +51,8 @@ NESTED_SPECS = {"base_spec": ["1", "x1", "x2", "A", "C"],
                 "extended_spec": ["1", "x1", "x2", "A", "C", "x1:C", "A:C", "x1:A:C"]}
 FITTED_TREATMENT = {"nuisance": {name: {"treatment_spec": ["1", "x1"]}
                                  for name in ("phi", "psi", "chi")}}
+#: oracle draws per scale: past one chunk of 10⁶ draws, so a chunk boundary is crossed
+ORACLE_DRAWS = {"tiny": 1_000_001, "full": 2_345_678}
 
 
 def with_text_labels(trial, path):
@@ -94,6 +99,12 @@ def cases(inputs, scale):
             specs.write_text(json.dumps(NESTED_SPECS), encoding="utf-8")
             yield (f"{prefix} check-assumptions, nested specs with x1:A:C",
                    ["check-assumptions", "--input", trial, "--config", str(specs)])
+    for strength in ("baseline", "strong"):
+        config = inputs / f"oracle_{strength}.json"
+        config.write_text(json.dumps({"scenario": {"strength": strength},
+                                      "oracle_n": ORACLE_DRAWS[scale]}), encoding="utf-8")
+        yield (f"oracle, {strength} scenario, {ORACLE_DRAWS[scale]} draws",
+               ["oracle", "--config", str(config)])
 
 
 def run(tree, args, outdir, cwd):
