@@ -19,8 +19,7 @@ import sys
 from pathlib import Path
 
 from .dataset import load_csv, cell_counts
-from .errors import CenterEffectsError, ConfigError, DataError, SpecError, UsageError
-from .estimators import _coerce_spec
+from .errors import CenterEffectsError, ConfigError, DataError, UsageError
 from .inference import (
     HOMOGENEITY_ESTIMATORS,
     _homogeneity_request,
@@ -29,7 +28,7 @@ from .inference import (
     estimate_effects,
     homogeneity_test,
 )
-from .nuisance import ARM_TOKEN, CENTER_TOKEN, INTERCEPT_TOKEN, DesignSpec
+from .nuisance import DesignSpec, _spec_columns
 from .simulation import (
     DEFAULT_ESTIMATORS,
     Scenario,
@@ -169,17 +168,6 @@ def _merge_config(args):
     return {**defaults, **cfg, "command": args.command}, outdir
 
 
-def _known_covariates(spec, what, data):
-    """``spec``, or SpecError naming ``what`` when a term uses a covariate the data lack."""
-    allowed = {INTERCEPT_TOKEN, CENTER_TOKEN, ARM_TOKEN, *data.covariate_names}
-    for term in spec.terms:
-        for atom in term.split(":"):
-            if atom not in allowed:
-                raise SpecError(f"{what}: unknown covariate {atom!r}; "
-                                f"covariates are {list(data.covariate_names)}")
-    return spec
-
-
 def _resolve_nuisance_configs(cfg, data):
     """Each estimator's NuisanceConfig: its default with the fields ``nuisance.<name>``
     gives, whose errors are re-raised with ``nuisance.<name>.`` before the field's name.
@@ -204,7 +192,7 @@ def _resolve_nuisance_configs(cfg, data):
             for field in sub:
                 spec = getattr(configs[name], field)
                 if isinstance(spec, DesignSpec):
-                    _known_covariates(spec, field, data)
+                    _spec_columns(spec, data, field)
         except ConfigError as exc:
             raise type(exc)(f"nuisance.{name}.{exc}") from None
     cfg["nuisance"] = {name: configs[name].to_dict() for name in sorted(configs)}
@@ -288,21 +276,14 @@ def cmd_check_assumptions(cfg, outdir):
     data, (a, a_prime) = _read_input(cfg)
     configs = _resolve_nuisance_configs(cfg, data)
 
-    if ("base_spec" in cfg) != ("extended_spec" in cfg):
-        raise ConfigError("supply both base_spec and extended_spec or neither")
-    if "base_spec" in cfg:
-        base = _known_covariates(_coerce_spec(cfg["base_spec"], "base_spec"), "base_spec", data)
-        extended = _known_covariates(_coerce_spec(cfg["extended_spec"], "extended_spec"),
-                                     "extended_spec", data)
-    else:
+    if "base_spec" not in cfg and "extended_spec" not in cfg:
         base, extended = default_assumption_specs(data)
-        cfg["base_spec"] = list(base.terms)
-        cfg["extended_spec"] = list(extended.terms)
+        cfg["base_spec"], cfg["extended_spec"] = list(base.terms), list(extended.terms)
 
     for est in cfg["estimators"]:  # every homogeneity request is checked before the ANCOVA's fits
         _homogeneity_request(data, est, a, a_prime, configs.get(est))
     tests = []
-    ancova = ancova_center_outcome_test(data, base, extended)
+    ancova = ancova_center_outcome_test(data, cfg.get("base_spec"), cfg.get("extended_spec"))
     entry = ancova.to_dict()
     entry["estimator"] = None
     tests.append(entry)

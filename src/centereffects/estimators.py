@@ -42,6 +42,7 @@ from .nuisance import (
     INTERCEPT_TOKEN,
     DesignSpec,
     LogisticFit,
+    _spec_columns,
     build_design,
     factor_cells,
     fit_logistic,
@@ -476,7 +477,8 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
     nuisance bundle. A cell error names the first failing (center, arm), center
     by center, by its label; chi's fitted treatment model needs both arms in
     each donor pool. ``cfg``, when given, must specify each model ``_means`` reads,
-    and known arm probabilities must cover the arms and centers it reads."""
+    each design it reads must build on the data, and known arm probabilities
+    must cover the arms and centers it reads."""
     if estimator not in MEAN_ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}; expected one of {MEAN_ESTIMATORS}")
     if estimator in ("phi", "psi") and variant not in VARIANTS:
@@ -518,8 +520,11 @@ def _check_request(data, estimator, centers, arms, cfg, variant):
     if reads["treatment"] and fitted and set(data.arms) != {0, 1}:
         raise SpecError("fitted treatment models require arms coded {0,1}")
     for model, read in reads.items():
-        if read and cfg is not None and getattr(cfg, f"{model}_spec") is None:
+        spec = getattr(cfg, f"{model}_spec", None)
+        if read and cfg is not None and spec is None:
             raise ConfigError(f"{model} model specification missing")
+        if read and isinstance(spec, DesignSpec):
+            _spec_columns(spec, data, f"{model}_spec")
     if reads["treatment"] and isinstance(treatment, KnownProbabilities):
         for a in checked:  # raises for a table that does not fit the data
             treatment.per_center(a, data.m)

@@ -27,8 +27,9 @@ from .errors import (
     SpecError,
     TestError,
 )
-from .estimators import COMPARATORS, MEAN_ESTIMATORS, _check_request, estimate_comparators
-from .nuisance import DesignSpec, _design_rows, factor_cells, fit_ols_cells
+from .estimators import (COMPARATORS, MEAN_ESTIMATORS, _check_request, _coerce_spec,
+                         estimate_comparators)
+from .nuisance import DesignSpec, _design_rows, _spec_columns, factor_cells, fit_ols_cells
 
 HOMOGENEITY_ESTIMATORS = ("tau", "phi", "psi")
 
@@ -299,7 +300,8 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
 
     A small p-value indicates the outcome depends on center membership even
     after covariates and treatment, i.e. pooling across centers as if they
-    shared one outcome law is suspect.
+    shared one outcome law is suspect. The specs (DesignSpecs or term lists)
+    come both or neither, and each error of one begins with its parameter's name.
 
     Both models are fit by ``fit_ols_cells`` from per-center R factors of
     their designs: each center's design rows are built on their own, the n x p
@@ -319,13 +321,13 @@ def ancova_center_outcome_test(data, base_spec=None, extended_spec=None):
     order ε·|y|.
     """
     if (base_spec is None) != (extended_spec is None):
-        raise SpecError("supply both model specs or neither")
+        raise SpecError("supply both base_spec and extended_spec or neither")
     if base_spec is None:
         base_spec, extended_spec = default_assumption_specs(data)
-
-    # the column names, and every spec error, from designs on no rows
-    base_names = _design_rows(base_spec, data, slice(0))[1]
-    ext_names = _design_rows(extended_spec, data, slice(0))[1]
+    base_spec = _coerce_spec(base_spec, "base_spec")
+    extended_spec = _coerce_spec(extended_spec, "extended_spec")
+    base_names = _spec_columns(base_spec, data, "base_spec")
+    ext_names = _spec_columns(extended_spec, data, "extended_spec")
     if not set(base_names) <= set(ext_names):
         missing = sorted(set(base_names) - set(ext_names))
         raise SpecError(f"extended model must nest the base model; missing {missing}")

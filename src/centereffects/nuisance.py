@@ -90,7 +90,8 @@ def _atom_columns(atom, data, rows, n):
             raise SpecError("arm indicator term requires arms coded {0,1}")
         return data.arm[rows].astype(np.float64).reshape(-1, 1), [ARM_TOKEN]
     if atom not in data.covariate_names:
-        raise SpecError(f"unknown covariate {atom!r} in design")
+        raise SpecError(f"unknown covariate {atom!r} in design; "
+                        f"covariates are {list(data.covariate_names)}")
     return data.covariate(atom)[rows].reshape(-1, 1), [atom]
 
 
@@ -116,6 +117,15 @@ def _design_rows(spec, data, rows):
     else:
         X = np.zeros((n, 0))
     return X, names
+
+
+def _spec_columns(spec, data, what):
+    """The column names of ``spec``'s design on ``data``, built on no rows: the
+    one check of a spec against the data, whose SpecError begins with ``what``."""
+    try:
+        return _design_rows(spec, data, slice(0))[1]
+    except SpecError as exc:
+        raise SpecError(f"{what}: {exc}") from None
 
 
 def build_design(spec, data):
@@ -234,9 +244,20 @@ class LinearFit:
     rss: float
     df_residual: int
     column_names: tuple = ()
-    #: unscaled sampling variance of each coefficient, diag of (X'X)^-1 on the
-    #: retained columns (NaN for dropped ones); multiply by rss/df_residual.
-    unscaled_variance: np.ndarray = field(default=None, repr=False)
+    #: the retained columns, in pivot order, and their triangle of the pivoted R
+    _retained: np.ndarray = field(default=(), repr=False)
+    _triangle: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def unscaled_variance(self):
+        """Unscaled sampling variance of each coefficient, diag of (X'X)^-1 on the
+        retained columns (NaN for dropped ones), computed when read; multiply by
+        rss/df_residual."""
+        unscaled = np.full(len(self.coefficients), np.nan)
+        if len(self._retained):
+            rinv = _solve_upper(self._triangle, np.eye(len(self._retained)))
+            unscaled[self._retained] = np.sum(rinv * rinv, axis=1)
+        return unscaled
 
 
 def _least_squares(M, b, n=None, rss0=0.0, column_names=None):
@@ -252,15 +273,13 @@ def _least_squares(M, b, n=None, rss0=0.0, column_names=None):
     p = M.shape[1]
     names = tuple(column_names or ())
     if p == 0:
-        return LinearFit(np.zeros(0), (), rss0 + float(b @ b), n, names, np.zeros(0))
+        return LinearFit(np.zeros(0), (), rss0 + float(b @ b), n, names)
 
     qty, R, piv, rank = _pivoted_qr(M, n, b)
     coef = np.zeros(p)
-    unscaled = np.full(p, np.nan)
     if rank > 0:
-        coef[piv[:rank]] = _solve_upper(R[:rank, :rank], qty[:rank])
-        rinv = _solve_upper(R[:rank, :rank], np.eye(rank))
-        unscaled[piv[:rank]] = np.sum(rinv * rinv, axis=1)
+        R = R[:rank, :rank]
+        coef[piv[:rank]] = _solve_upper(R, qty[:rank])
 
     resid = b - M @ coef
     dropped = tuple(sorted(int(j) for j in piv[rank:]))
@@ -271,7 +290,8 @@ def _least_squares(M, b, n=None, rss0=0.0, column_names=None):
         rss=rss0 + float(resid @ resid),
         df_residual=n - rank,
         column_names=names,
-        unscaled_variance=unscaled,
+        _retained=piv[:rank],
+        _triangle=R,
     )
 
 

@@ -248,7 +248,7 @@ def _oracle_chunk_sums(scenario, rng, size):
     return sums
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=32, typed=True)
 def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     """True ATE per center by large-sample Monte Carlo.
 
@@ -257,7 +257,8 @@ def true_center_ates(scenario, oracle_n=10_000_000, seed=0):
     ``_ORACLE_CHUNK`` (deterministic given ``seed``), one at a time, so memory
     is one chunk of covariates plus one block of about ``_ORACLE_BLOCK_VALUES``
     probabilities, whatever ``oracle_n``. ``oracle_n`` and ``seed`` must be
-    integers. Cached per (scenario, n, seed).
+    integers. Cached per (scenario, n, seed) and their types, so a cached
+    report never answers a call the integer check refuses (1 and True hash alike).
     """
     oracle_n, seed = _integers("oracle_n and seed", oracle_n, seed)
     if oracle_n < 1 or seed < 0:

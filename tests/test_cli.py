@@ -542,7 +542,7 @@ def test_check_assumptions_spec_pair_required(tmp_path, capsys):
     cfg = write_config(tmp_path, {"input": csv_path, "base_spec": ["1", "A"]})
     code = cli.main(["check-assumptions", "--config", cfg, "--output", str(tmp_path / "o")])
     assert code == 1
-    assert stderr_payload(capsys)["error"] == "ConfigError"
+    assert stderr_payload(capsys)["error"] == "SpecError"
 
 
 def test_check_assumptions_custom_estimator_list(tmp_path):

@@ -369,12 +369,18 @@ def test_contrast_of_an_arm_with_itself_is_rejected_before_fitting(monkeypatch):
     ("alpha 'a'", ParameterError, r"alpha must lie in \(0,1\), got a"),
     ("three arms", SpecError, r"fitted treatment models require arms coded \{0,1\}"),
     ("one arm-0 row", InsufficientDataError, "comparators need at least 2 rows in arm 0"),
+    ("unknown covariate", SpecError,
+     re.escape("outcome_spec: unknown covariate 'x9' in design; covariates are ['x1']")),
+    ("arm term on three arms", SpecError,
+     r"outcome_spec: arm indicator term requires arms coded \{0,1\}"),
 ], ids=["empty-cell", "missing-config", "missing-treatment-spec", "alpha-2", "alpha-string", "fitted-treatment-three-arms",
-        "comparator-one-arm-0-row"])
+        "comparator-one-arm-0-row", "unknown-covariate", "arm-term-on-three-arms"])
 def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case, error, message):
     # phi's fault is found before psi's and chi's models are fitted, a fitted
-    # treatment model's arm coding and a comparator's data before psi's, and a
-    # model spec that phi reads but its configuration lacks before psi's
+    # treatment model's arm coding and a comparator's data before psi's, a
+    # model spec that phi reads but its configuration lacks before psi's, and
+    # a design that names a covariate the data lack, or an arm term on arms
+    # other than 0 and 1, before any model of another estimator is fitted
     d = three_center_data()
     configs = default_nuisance_configs(d.covariate_names)
     estimators, arms = ["psi", "chi", "phi"], (1, 0)
@@ -393,6 +399,16 @@ def test_estimate_effects_fits_nothing_before_a_request_error(monkeypatch, case,
         keep = (d.arm == 1) | (np.arange(d.n) == 0)
         d = from_arrays(d.covariates[keep], d.center[keep], d.arm[keep], d.outcome[keep])
         estimators = ["psi", "pooled"]
+    if case == "unknown covariate":
+        configs["psi"] = dataclasses.replace(configs["psi"], outcome_spec=["1", "x9"])
+        estimators = ["phi", "psi", "fe1"]
+    if case == "arm term on three arms":
+        d = from_arrays(d.covariates, d.center, np.tile([0, 1, 2], d.n // 3), d.outcome)
+        known = KnownProbabilities([[0.3, 0.3, 0.4]], arms=(0, 1, 2))
+        configs = {name: dataclasses.replace(configs[name], treatment_spec=known)
+                   for name in ("chi", "phi")}
+        configs["phi"] = dataclasses.replace(configs["phi"], outcome_spec=["1", "x1", "A"])
+        estimators = ["chi", "phi"]
     alpha = {"alpha 2": 2, "alpha 'a'": "a"}.get(case, 0.05)
     fits = [_count_calls(monkeypatch, estimators_module, name)
             for name in ("fit_ols", "fit_logistic", "fit_multinomial", "factor_cells")]
@@ -978,11 +994,15 @@ def test_ancova_built_center_by_center_is_bitwise_the_whole_design_test():
 
 
 @pytest.mark.parametrize("base, extended, message", [
-    (("1", "u1"), ("u2",), "unknown covariate 'u1' in design"),
-    (("1", "x1"), ("1", "x1", "C", "x1:A:u2"), "unknown covariate 'u2' in design"),
+    (("1", "u1"), ("u2",), "base_spec: unknown covariate 'u1' in design; covariates are ['x1']"),
+    (("1", "x1"), ("1", "x1", "C", "x1:A:u2"),
+     "extended_spec: unknown covariate 'u2' in design; covariates are ['x1']"),
     (("1", "x1"), ("1", "A", "C"), "extended model must nest the base model; missing ['x1']"),
-    (None, None, "arm indicator term requires arms coded {0,1}"),
-])
+    (None, None, "base_spec: arm indicator term requires arms coded {0,1}"),
+], ids=["base0-extended0-unknown covariate 'u1' in design",
+        "base1-extended1-unknown covariate 'u2' in design",
+        "base2-extended2-extended model must nest the base model; missing ['x1']",
+        "None-None-arm indicator term requires arms coded {0,1}"])
 def test_ancova_spec_errors_come_before_any_factorisation(monkeypatch, base, extended, message):
     d = ancova_data(np.random.default_rng(38))
     if base is None:  # the default specs hold A, and arm 2 is no indicator

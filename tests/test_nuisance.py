@@ -275,6 +275,22 @@ def test_fit_ols_is_bitwise_scipy_linalg_solve():
         assert fit.rss == float((y - X @ coef) @ (y - X @ coef))
 
 
+def test_fit_ols_solves_for_its_variance_only_when_it_is_read(monkeypatch):
+    # the coefficients take one triangular solve; (X'X)^-1's diagonal, which
+    # only the comparators' SE reads, takes a matrix solve of its own
+    calls = []
+    solve = nuisance_module._solve_upper
+    monkeypatch.setattr(nuisance_module, "_solve_upper",
+                        lambda R, B: calls.append(B.ndim) or solve(R, B))
+    rng = np.random.default_rng(44)
+    X = rng.standard_normal((50, 4))
+    fit = fit_ols(X, rng.standard_normal(50))
+    assert calls == [1]
+    unscaled = fit.unscaled_variance
+    assert calls == [1, 2]
+    np.testing.assert_allclose(unscaled, np.diag(np.linalg.inv(X.T @ X)), rtol=1e-12)
+
+
 def test_pivoted_qr_applies_q_transpose_only_on_request():
     rng = np.random.default_rng(43)
     for shape in [(700, 4), (40, 11), (5, 9), (1, 3)]:

@@ -259,6 +259,19 @@ def test_oracle_arguments_must_be_integers(oracle_n, seed):
         true_center_ates(two_center_scenario(), oracle_n, seed)
 
 
+@pytest.mark.parametrize("first, then", [((20_000, 1), (20_000, True)),
+                                         ((20_000, 0), (20_000.0, 0)),
+                                         ((20_000, 0), (20_000, 0.0))],
+                         ids=["seed-True", "oracle_n-float", "seed-float"])
+def test_a_cached_oracle_call_does_not_answer_one_with_non_integers(first, then):
+    # True == 1 and 20000.0 == 20000 hash alike: an untyped cache answered the
+    # second call with the first call's report
+    scenario = two_center_scenario()
+    true_center_ates(scenario, *first)
+    with pytest.raises(ParameterError, match="integers"):
+        true_center_ates(scenario, *then)
+
+
 @pytest.mark.parametrize("kw, named", [
     ({"oracle_n": 20000.5}, "oracle_n"), ({"oracle_seed": 1.0}, "oracle_seed"),
     ({"master_seed": 2.0}, "seed"), ({"replicates": 6.5}, "replicates"),

@@ -24,7 +24,11 @@ full), are written once. Then each checkout's CLI, imported from its own
   * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1;
   * ``oracle`` on the baseline and the strong scenario with an ``oracle_n``
     that crosses a chunk boundary of the Monte Carlo oracle (1 000 001 draws
-    at tiny scale, 2 345 678 at full), which no ``simulate`` case does.
+    at tiny scale, 2 345 678 at full), which no ``simulate`` case does;
+  * three configs that exit 1 on the first trial CSV, so a change to the type
+    or text of a CLI error shows: a nuisance outcome spec that names a
+    covariate the data lack, a ``base_spec`` without ``extended_spec``, and a
+    ``base_spec`` that names a covariate the data lack.
 
 A case is identical when both runs give the same exit code, the same stderr,
 the same stdout once each run's output directory is masked, and the same
@@ -51,6 +55,14 @@ NESTED_SPECS = {"base_spec": ["1", "x1", "x2", "A", "C"],
                 "extended_spec": ["1", "x1", "x2", "A", "C", "x1:C", "A:C", "x1:A:C"]}
 FITTED_TREATMENT = {"nuisance": {name: {"treatment_spec": ["1", "x1"]}
                                  for name in ("phi", "psi", "chi")}}
+#: (case name, command, config) of each error case
+ERRORS = [
+    ("nuisance outcome spec with a missing covariate", "analyze",
+     {"nuisance": {"psi": {"outcome_spec": ["1", "x9"]}}}),
+    ("base_spec without extended_spec", "check-assumptions", {"base_spec": ["1", "A"]}),
+    ("base_spec with a missing covariate", "check-assumptions",
+     {"base_spec": ["1", "x9"], "extended_spec": ["1", "x1", "C"]}),
+]
 #: oracle draws per scale: past one chunk of 10⁶ draws, so a chunk boundary is crossed
 ORACLE_DRAWS = {"tiny": 1_000_001, "full": 2_345_678}
 
@@ -68,6 +80,7 @@ def with_text_labels(trial, path):
 def cases(inputs, scale):
     """(case name, CLI arguments but --output) for every case; writes the inputs."""
     estimators = ",".join(workloads.ALL_ESTIMATORS)
+    trials = []
     for variant in (0, 1):
         for name, workload in sorted(workloads.WORKLOADS[scale].items()):
             workdir = inputs / f"{name}-{variant}"
@@ -79,6 +92,7 @@ def cases(inputs, scale):
                            ["simulate", "--config", str(workdir / "study.json"), "--arms", arms])
                 continue
             trial = str(workdir / "trial.csv")
+            trials.append(trial)
             text = str(with_text_labels(trial, workdir / "trial_text_labels.csv"))
             fitted = workdir / "fitted_treatment.json"
             fitted.write_text(json.dumps(FITTED_TREATMENT), encoding="utf-8")
@@ -99,6 +113,10 @@ def cases(inputs, scale):
             specs.write_text(json.dumps(NESTED_SPECS), encoding="utf-8")
             yield (f"{prefix} check-assumptions, nested specs with x1:A:C",
                    ["check-assumptions", "--input", trial, "--config", str(specs)])
+    for j, (what, command, keys) in enumerate(ERRORS):
+        config = inputs / f"error_{j}.json"
+        config.write_text(json.dumps(keys), encoding="utf-8")
+        yield f"{command}, {what}", [command, "--input", trials[0], "--config", str(config)]
     for strength in ("baseline", "strong"):
         config = inputs / f"oracle_{strength}.json"
         config.write_text(json.dumps({"scenario": {"strength": strength},
