@@ -253,9 +253,9 @@ class FittedNuisances:
     """Lazily fitted nuisance evaluations for one (data, config) pair.
 
     All methods return per-observation vectors aligned with the full dataset;
-    estimators index into them as needed. Designs and (read-only) predictions
-    are memoised in the dataset's fits memo, keyed by what determines them:
-    model, design spec value and row subset. So every bundle on one dataset
+    estimators index into them as needed. Fits, (read-only) predictions and
+    per-center factors, not designs, are memoised in the dataset's fits memo,
+    keyed by model, design spec value and row subset. So every bundle on one dataset
     shares its fits, and a model that two configurations specify alike is fit
     once. The donor outcome fits share one ``factor_cells`` result per spec
     and arm: each center's rows of that arm are factored once, and one call
@@ -278,12 +278,10 @@ class FittedNuisances:
         return rows if arm is None else rows & (self.data.arm == arm)
 
     def _design(self, model, spec):
-        """``spec``'s design on every row and its column names, memoised."""
+        """``spec``'s design on every row and its column names, built anew on each call."""
         if spec is None:
             raise ConfigError(f"{model} model specification missing")
-        if ("design", spec) not in self._fits:
-            self._fits["design", spec] = build_design(spec, self.data)
-        return self._fits["design", spec]
+        return build_design(spec, self.data)
 
     def _predicted(self, model, spec, donor=None, arm=None):
         """Every row's prediction from the ``model`` fit of ``spec`` on a row subset.
@@ -292,8 +290,10 @@ class FittedNuisances:
         "membership" (multinomial Pr[C=c]). The memo keeps the read-only
         prediction, or a donor pool's fit alone, which chi predicts per block.
         """
-        X, names = self._design(model, spec)
         key = (model, spec, donor, arm)
+        if donor is None and key in self._fits:  # a memoised prediction needs no design
+            return self._fits[key]
+        X, names = self._design(model, spec)
         if key not in self._fits:
             rows = self._rows(donor, arm)
             if model == "outcome":

@@ -188,12 +188,9 @@ def _pivoted_qr(X, n=None, b=None):
 
 
 def _solve_upper(R, B):
-    """R⁻¹B for an upper-triangular R, by LAPACK trtrs called as
-    scipy.linalg.solve_triangular calls it."""
-    if R.flags.f_contiguous:
-        x, info = dtrtrs(R, B)
-    else:  # trtrs takes Fortran order: solve the transposed, lower system
-        x, info = dtrtrs(R.T, B, lower=1, trans=1)
+    """R⁻¹B for an upper-triangular, C-ordered R (np.triu's order), by LAPACK trtrs
+    on the transposed, lower system, as scipy.linalg.solve_triangular calls it."""
+    x, info = dtrtrs(R.T, B, lower=1, trans=1)
     if info > 0:
         raise np.linalg.LinAlgError(f"singular matrix: zero at diagonal {info - 1}")
     return x
