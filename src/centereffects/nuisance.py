@@ -442,17 +442,26 @@ class MultinomialFit:
     separated: bool = False
 
 
-def reference_softmax(eta, axis=1):
+def reference_softmax(eta, axis=1, _out=None):
     """Reference-category softmax along ``axis``: probabilities over (ref, 2..m).
 
     ``eta`` holds the predictors of categories 2..m and position 0 along
     ``axis`` is the reference category, with linear predictor 0: (n, m − 1)
     → (n, m) by default, category-major (m − 1, n) → (m, n) with axis=0.
+
+    ``_out`` (private) is a (full, max, sum) triple of buffers to work in:
+    ``full`` already holds ``eta`` at positions 1.. along ``axis`` and becomes
+    the result; the max and the sum along ``axis`` (keepdims shape) go to the
+    other two, or to new arrays where they are None.
     """
-    full = np.insert(eta, 0, 0.0, axis=axis)
-    full -= full.max(axis=axis, keepdims=True)
+    if _out is None:
+        full, peak, total = np.insert(eta, 0, 0.0, axis=axis), None, None
+    else:
+        full, peak, total = _out
+        np.moveaxis(full, axis, 0)[0] = 0.0
+    full -= full.max(axis=axis, keepdims=True, out=peak)
     np.exp(full, out=full)
-    full /= full.sum(axis=axis, keepdims=True)
+    full /= full.sum(axis=axis, keepdims=True, out=total)
     return full
 
 

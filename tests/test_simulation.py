@@ -228,9 +228,12 @@ def test_blocked_oracle_draws_what_one_block_per_chunk_draws(monkeypatch, scenar
             got = true_center_ates.__wrapped__(scenario, oracle_n, seed)
             assert (got.values, got.mc_se) == _unblocked_oracle(scenario, oracle_n, seed)
     # small sizes: one chunk short of full, whole chunks, many chunks with a
-    # partial last one, and blocks of one row (block values below m)
+    # partial last one, blocks of one row (block values below m), a block
+    # wider than its chunk, and chunks of 600 that are whole blocks (150, 60
+    # and 10 rows at m = 2, 10 and 60)
     for chunk, block_values, draws in ((777, 50, (776, 2_331, 2_344)), (5, 7, (600, 2_344)),
-                                       (777, 1, (2_344,))):
+                                       (777, 1, (2_344,)), (777, 2 ** 18, (776, 2_344)),
+                                       (600, 600, (1_200, 2_344))):
         monkeypatch.setattr(simulation_module, "_ORACLE_CHUNK", chunk)
         monkeypatch.setattr(simulation_module, "_ORACLE_BLOCK_VALUES", block_values)
         for oracle_n, seed in zip(draws, (3, 0, 7)):
@@ -238,18 +241,35 @@ def test_blocked_oracle_draws_what_one_block_per_chunk_draws(monkeypatch, scenar
             assert (got.values, got.mc_se) == _unblocked_oracle(scenario, oracle_n, seed)
 
 
-def test_oracle_memory_is_one_chunk_and_one_block():
-    # one chunk's covariates (23 MiB) plus one block, at two chunks as at one.
-    # Drawing each chunk's uniforms and centers whole as well traced 53 MiB at
-    # 10⁶ draws, and the next chunk's covariates were drawn while the last's
-    # were still held
-    tracemalloc.start()
-    try:
-        true_center_ates.__wrapped__(Scenario.strong(), 2_000_000, 0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 32 * 2 ** 20
+def test_oracle_memory_is_one_block_whatever_oracle_n():
+    # one block's buffers, at three chunks as at one. Holding a chunk's
+    # covariates (23 MiB) and one block traced 32, 28 and 27 MiB at m = 2, 10
+    # and 60
+    for scenario in (two_center_scenario(), Scenario.strong(), sixty_center_scenario()):
+        peaks = []
+        for oracle_n in (1_000_000, 3_000_000):
+            tracemalloc.start()
+            try:
+                true_center_ates.__wrapped__(scenario, oracle_n, 0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 4 * 2 ** 20, (scenario.m, peaks)
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 20, (scenario.m, peaks)
+
+
+@pytest.mark.parametrize("scenario", [two_center_scenario(), Scenario.strong(),
+                                      sixty_center_scenario()], ids=["m2", "m10", "m60"])
+def test_oracle_chunk_leaves_the_generator_past_its_normals_and_uniforms(scenario):
+    # the chunk's normals are drawn twice, by the generator and by a copy of
+    # it; the generator itself must end where the stream's layout says
+    block = simulation_module._ORACLE_BLOCK_VALUES // max(scenario.m, 4)
+    for size in (1, block - 1, block, 2 * block + 5):
+        rng, expected = np.random.default_rng(size), np.random.default_rng(size)
+        simulation_module._oracle_chunk_sums(scenario, rng, size)
+        expected.standard_normal((size, 3))
+        expected.random(size)
+        assert rng.bit_generator.state == expected.bit_generator.state, size
 
 
 @pytest.mark.parametrize("oracle_n, seed", [(20000.7, 0), (20000.0, 0), (20_000, 1.0),
@@ -581,6 +601,20 @@ def test_center_draws_match_row_major_reference():
     for r in range(100):
         np.testing.assert_array_equal(
             generate_dataset(sc, seed=(1003, r)).center, _row_major_centers(sc, (1003, r)))
+
+
+@pytest.mark.parametrize("m", [255, 256, 257, 300])
+def test_center_draws_count_past_a_byte_of_centers(m):
+    # _draw_centers counts in the narrowest unsigned type that holds m; the
+    # first m − 1 cumulative sums of a row-major cumsum are the same additions
+    rng = np.random.default_rng(m)
+    probs = rng.random((m, 5000))
+    probs /= probs.sum(axis=0)
+    u = rng.random(5000)
+    expected = 1 + (u[:, None] > np.cumsum(probs.T, axis=1)[:, :-1]).sum(axis=1)
+    got = simulation_module._draw_centers(probs, u)
+    assert got.dtype == np.int64 and expected.max() >= 250
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_quadrature_oracle_matches_row_major_reference():

@@ -22,9 +22,11 @@ full), are written once. Then each checkout's CLI, imported from its own
     ``--config`` of nested custom ``base_spec``/``extended_spec`` that puts C
     in the base and has a three-atom term x1:A:C;
   * ``simulate`` on the study_strong configuration at arms 1,0 and at 0,1;
-  * ``oracle`` on the baseline and the strong scenario with an ``oracle_n``
-    that crosses a chunk boundary of the Monte Carlo oracle (1 000 001 draws
-    at tiny scale, 2 345 678 at full), which no ``simulate`` case does;
+  * ``oracle`` on the baseline and the strong scenario, and on an m = 2 and
+    an m = 60 scenario with explicit ``membership_coeffs``, with an
+    ``oracle_n`` that crosses a chunk boundary of the Monte Carlo oracle
+    (1 000 001 draws at tiny scale, 2 345 678 at full), which no ``simulate``
+    case does;
   * three configs that exit 1 on the first trial CSV, so a change to the type
     or text of a CLI error shows: a nuisance outcome spec that names a
     covariate the data lack, a ``base_spec`` without ``extended_spec``, and a
@@ -46,6 +48,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 sys.dont_write_bytecode = True  # leave no cache files under perfbench/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -65,6 +69,16 @@ ERRORS = [
 ]
 #: oracle draws per scale: past one chunk of 10⁶ draws, so a chunk boundary is crossed
 ORACLE_DRAWS = {"tiny": 1_000_001, "full": 2_345_678}
+#: oracle scenarios: the block of rows narrows as m grows, so m = 2 and m = 60 end
+#: their chunks in partial blocks of other widths than m = 10 does
+ORACLE_SCENARIOS = {
+    "baseline": {"strength": "baseline"},
+    "strong": {"strength": "strong"},
+    "m = 2": {"m": 2, "membership_coeffs": [[0.5, -0.3, 0.1, 0.2]]},
+    "m = 60": {"m": 60, "strength": "strong", "membership_coeffs": np.column_stack(
+        [np.linspace(-0.5, 0.5, 59), np.sin(np.arange(1, 178)).reshape(59, 3) * 0.4]
+    ).round(3).tolist()},
+}
 
 
 def with_text_labels(trial, path):
@@ -117,11 +131,11 @@ def cases(inputs, scale):
         config = inputs / f"error_{j}.json"
         config.write_text(json.dumps(keys), encoding="utf-8")
         yield f"{command}, {what}", [command, "--input", trials[0], "--config", str(config)]
-    for strength in ("baseline", "strong"):
-        config = inputs / f"oracle_{strength}.json"
-        config.write_text(json.dumps({"scenario": {"strength": strength},
-                                      "oracle_n": ORACLE_DRAWS[scale]}), encoding="utf-8")
-        yield (f"oracle, {strength} scenario, {ORACLE_DRAWS[scale]} draws",
+    for name, scenario in ORACLE_SCENARIOS.items():
+        config = inputs / f"oracle_{name.replace(' ', '_')}.json"
+        config.write_text(json.dumps({"scenario": scenario, "oracle_n": ORACLE_DRAWS[scale]}),
+                          encoding="utf-8")
+        yield (f"oracle, {name} scenario, {ORACLE_DRAWS[scale]} draws",
                ["oracle", "--config", str(config)])
 
 
